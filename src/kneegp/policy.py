@@ -5,24 +5,31 @@ Three families:
 * sequential: score every eligible (activity, mode) pair with the ordering
   tree and start the single best one;
 * knee group: rank the pairs, keep one mode per activity, cut the ranking at
-  its knee, enumerate the subsets of the surviving pairs and let the group
-  tree pick the winner;
+  its knee and let the group tree pick among the feasible groups of the
+  surviving pairs;
 * full enumeration: consider every skip-or-mode assignment of the eligible
   activities, which is exact and explodes combinatorially.
 
-Lower scores always win, for pairs and for groups alike.
+Both group families draw their candidates from one enumerator,
+`feasible_groups`; they differ only in the slots they hand it. Lower scores
+always win, for pairs and for groups alike.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Sequence
+from math import prod
+from operator import le
+from typing import Callable, Iterator, Sequence
 
 from .rules import DecisionContext, Node, Pair, RulePair, eval_group_priority, eval_pair_priority
 
 POLICY_NAMES = ("sgp", "ggp", "kggp-max", "kggp-all")
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
+
+# one slot per activity: its candidate (pair, demand) options
+Slot = Sequence[tuple[Pair, Sequence[int]]]
 
 
 class EnumerationOverflowError(RuntimeError):
@@ -53,6 +60,22 @@ class KneeConfig:
             raise ValueError("cap must be at least 1")
         if self.group_size_hard_limit < 1:
             raise ValueError("hard limit must be at least 1")
+
+
+@dataclass(frozen=True)
+class Decision:
+    """The group a group policy starts, with what it looked at."""
+
+    group: tuple[Pair, ...]
+    filtered_size: int  # pairs kept for enumeration (knee: before the cap)
+    count: int  # knee: groups scored; full: every skip-or-mode assignment
+
+
+@dataclass(frozen=True)
+class Policy:
+    """What the executor calls: `decide(ctx, eligible) -> (group, filtered_size)`."""
+
+    decide: Callable[[DecisionContext, Sequence[Pair]], tuple[tuple[Pair, ...], int]]
 
 
 def sequential_decide(ordering: Node, ctx: DecisionContext,
@@ -89,47 +112,82 @@ def knee_index(values: Sequence[float]) -> int:
     return best
 
 
-def knee_select(ranked: Sequence[tuple[Pair, float]],
-                cap: int = 10) -> list[tuple[Pair, float]]:
-    """Keep the promising prefix of a ranking sorted by ascending priority.
+def knee_cut(prios: Sequence[float]) -> int:
+    """Length of the promising prefix of an ascending ranking.
 
     Everything scoring at or below the knee priority survives; degenerate
-    rankings (two points or an all-equal plateau) survive whole. At most
-    `cap` entries are returned.
+    rankings (two points or an all-equal plateau) survive whole.
     """
-    if not ranked:
-        return []
-    prios = [p for _, p in ranked]
-    keep = _knee_cut(prios)
-    return list(ranked[:min(keep, cap)])
-
-
-def _knee_cut(prios: Sequence[float]) -> int:
     n = len(prios)
     if n <= 2 or prios[0] == prios[-1]:
         return n
     return bisect_right(prios, prios[knee_index(prios)])
 
 
-@dataclass(frozen=True)
-class GroupDecision:
-    group: tuple[Pair, ...]
-    filtered_size: int  # pairs at or below the knee, before the cap
-    candidates: int     # feasible groups that were scored
+def feasible_groups(slots: Sequence[Slot], availability: Sequence[int],
+                    maximal: bool = False) -> Iterator[tuple[Pair, ...]]:
+    """Every non-empty group of at most one option per slot that fits.
+
+    Depth first over skip-or-take choices in slot order, members in slot
+    order; a branch stops as soon as it overdraws a resource, so infeasible
+    supersets are never visited. With `maximal`, a group is yielded only if
+    no slot it skips has an option that still fits. Demands are non-negative,
+    so those are exactly the groups no other feasible group contains.
+    """
+    free = list(availability)
+    chosen: list[Pair] = []
+    skipped: list[int] = []
+
+    def descend(k: int) -> Iterator[tuple[Pair, ...]]:
+        if k == len(slots):
+            if chosen and not (maximal and any(
+                    all(map(le, d, free)) for j in skipped for _, d in slots[j])):
+                yield tuple(chosen)
+            return
+        skipped.append(k)
+        yield from descend(k + 1)
+        skipped.pop()
+        for pair, demand in slots[k]:
+            if all(map(le, demand, free)):
+                for r, d in enumerate(demand):
+                    free[r] -= d
+                chosen.append(pair)
+                yield from descend(k + 1)
+                chosen.pop()
+                for r, d in enumerate(demand):
+                    free[r] += d
+
+    return descend(0)
+
+
+def _best_group(tree: Node, ctx: DecisionContext, slots: Sequence[Slot],
+                maximal: bool = False) -> tuple[tuple[Pair, ...], int]:
+    """Lowest-scoring feasible group and how many groups were scored.
+
+    Ties break on the sorted activity ids, then on the group itself.
+    """
+    best: tuple[Pair, ...] = ()
+    best_key = None
+    scored = 0
+    for group in feasible_groups(slots, ctx.availability, maximal):
+        key = (eval_group_priority(tree, ctx, group),
+               sorted(i for i, _ in group), group)
+        scored += 1
+        if best_key is None or key < best_key:
+            best, best_key = group, key
+    return best, scored
 
 
 def knee_group_decide(rules: RulePair, ctx: DecisionContext,
                       eligible: Sequence[Pair],
-                      cfg: KneeConfig = KneeConfig()) -> GroupDecision:
+                      cfg: KneeConfig = KneeConfig()) -> Decision:
     """Pick the group to start now. Total: never raises on valid input.
 
-    If no subset of the promising pairs fits the free capacity, fall back to
-    the best individually feasible pair; failing that, start nothing.
+    The group is drawn from the pairs that survive the knee cut and the cap;
+    if none of them fits the free capacity, nothing starts.
     """
     if rules.group is None:
         raise ValueError("knee group policy needs a group tree")
-    if not eligible:
-        return GroupDecision((), 0, 0)
 
     scored = sorted(
         ((eval_pair_priority(rules.ordering, ctx, p), p) for p in eligible),
@@ -142,82 +200,20 @@ def knee_group_decide(rules: RulePair, ctx: DecisionContext,
             seen.add(pair[0])
             ranked.append((pair, prio))
 
-    prios = [p for _, p in ranked]
-    filtered = _knee_cut(prios) if cfg.apply_knee else len(ranked)
-    width = min(filtered, cfg.cap)
+    filtered = knee_cut([p for _, p in ranked]) if cfg.apply_knee else len(ranked)
     # never enumerate more subsets than the hard limit allows
-    width = min(width, max(1, (cfg.group_size_hard_limit + 1).bit_length() - 1))
-    promising = ranked[:width]
-
-    pairs = [p for p, _ in promising]
-    demands = [ctx.instance.activities[i].modes[m].demand for i, m in pairs]
-    avail = ctx.availability
-    feasible: list[int] = []
-    for mask in range(1, 1 << len(pairs)):
-        need = [0] * len(avail)
-        ok = True
-        m = mask
-        while m:
-            low = m & -m
-            d = demands[low.bit_length() - 1]
-            for r in range(len(avail)):
-                need[r] += d[r]
-                if need[r] > avail[r]:
-                    ok = False
-                    break
-            if not ok:
-                break
-            m ^= low
-        if ok:
-            feasible.append(mask)
-
-    if not feasible:
-        solo = [
-            (prio, p) for (p, prio), d in zip(promising, demands)
-            if all(k <= a for k, a in zip(d, avail))
-        ]
-        if not solo:
-            return GroupDecision((), filtered, 0)
-        prio, p = min(solo, key=lambda sp: (sp[0], sp[1][0], sp[1][1]))
-        return GroupDecision((p,), filtered, 0)
-
-    if cfg.retain_maximal_only:
-        feasible.sort(key=lambda m: m.bit_count(), reverse=True)
-        kept: list[int] = []
-        for mask in feasible:
-            if not any(mask & ~big == 0 for big in kept):
-                kept.append(mask)
-        feasible = kept
-
-    best_key = None
-    best_group: tuple[Pair, ...] = ()
-    for mask in feasible:
-        group = tuple(pairs[b] for b in _bits(mask))
-        score = eval_group_priority(rules.group, ctx, group)
-        key = (score, tuple(sorted(i for i, _ in group)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_group = group
-    return GroupDecision(best_group, filtered, len(feasible))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-@dataclass(frozen=True)
-class EnumerationDecision:
-    group: tuple[Pair, ...]
-    count: int  # candidate assignments, including resource-infeasible ones
+    width = min(filtered, cfg.cap,
+                max(1, (cfg.group_size_hard_limit + 1).bit_length() - 1))
+    acts = ctx.instance.activities
+    slots = [[((i, m), acts[i].modes[m].demand)] for (i, m), _ in ranked[:width]]
+    group, count = _best_group(rules.group, ctx, slots, cfg.retain_maximal_only)
+    return Decision(group, filtered, count)
 
 
 def full_enumeration_decide(rules: RulePair, ctx: DecisionContext,
                             eligible: Sequence[Pair],
                             hard_limit: int = DEFAULT_ENUMERATION_LIMIT,
-                            ) -> EnumerationDecision:
+                            ) -> Decision:
     """Exact group choice over every skip-or-mode assignment.
 
     The candidate count is (modes + 1) per activity, combined, minus the
@@ -225,102 +221,42 @@ def full_enumeration_decide(rules: RulePair, ctx: DecisionContext,
     """
     if rules.group is None:
         raise ValueError("full enumeration needs a group tree")
-    if not eligible:
-        return EnumerationDecision((), 0)
 
     by_act: dict[int, list[int]] = {}
     for i, m in eligible:
         by_act.setdefault(i, []).append(m)
-    acts = sorted(by_act)
-    count = 1
-    for i in acts:
-        count *= len(by_act[i]) + 1
-    count -= 1
+    count = prod(len(ms) + 1 for ms in by_act.values()) - 1
     if count > hard_limit:
         raise EnumerationOverflowError(count, hard_limit)
 
-    inst = ctx.instance
-    avail = ctx.availability
-    n_res = len(avail)
-    best: list = [None, ()]  # [key, group]
-    chosen: list[Pair] = []
-    free = list(avail)
-
-    def descend(idx: int):
-        if idx == len(acts):
-            if not chosen:
-                return
-            group = tuple(chosen)
-            score = eval_group_priority(rules.group, ctx, group)
-            key = (score, tuple(i for i, _ in group), group)
-            if best[0] is None or key < best[0]:
-                best[0] = key
-                best[1] = group
-            return
-        descend(idx + 1)  # skip this activity
-        i = acts[idx]
-        for m in by_act[i]:
-            dem = inst.activities[i].modes[m].demand
-            if all(dem[r] <= free[r] for r in range(n_res)):
-                for r in range(n_res):
-                    free[r] -= dem[r]
-                chosen.append((i, m))
-                descend(idx + 1)
-                chosen.pop()
-                for r in range(n_res):
-                    free[r] += dem[r]
-
-    descend(0)
-    return EnumerationDecision(best[1], count)
-
-
-# ---------------------------------------------------------------------------
-# executor-facing wrappers
-
-class SequentialPolicy:
-    """One activity at a time, chosen by the ordering tree."""
-
-    def __init__(self, ordering: Node):
-        self.ordering = ordering
-
-    def decide(self, ctx, eligible):
-        return (sequential_decide(self.ordering, ctx, eligible),), len(eligible)
-
-
-class KneeGroupPolicy:
-    def __init__(self, rules: RulePair, cfg: KneeConfig = KneeConfig()):
-        if rules.group is None:
-            raise ValueError("knee group policy needs a group tree")
-        self.rules = rules
-        self.cfg = cfg
-
-    def decide(self, ctx, eligible):
-        gd = knee_group_decide(self.rules, ctx, eligible, self.cfg)
-        return gd.group, gd.filtered_size
-
-
-class FullEnumerationPolicy:
-    def __init__(self, rules: RulePair, hard_limit: int = DEFAULT_ENUMERATION_LIMIT):
-        if rules.group is None:
-            raise ValueError("full enumeration needs a group tree")
-        self.rules = rules
-        self.hard_limit = hard_limit
-
-    def decide(self, ctx, eligible):
-        ed = full_enumeration_decide(self.rules, ctx, eligible, self.hard_limit)
-        return ed.group, len(eligible)
+    acts = ctx.instance.activities
+    slots = [[((i, m), acts[i].modes[m].demand) for m in by_act[i]]
+             for i in sorted(by_act)]
+    group, _ = _best_group(rules.group, ctx, slots)
+    return Decision(group, len(eligible), count)
 
 
 def build_policy(rules: RulePair, name: str, knee: KneeConfig | None = None,
-                 hard_limit: int | None = None):
+                 hard_limit: int | None = None) -> Policy:
     """Instantiate a policy by its command-line name."""
-    knee = knee or KneeConfig()
+    if name not in POLICY_NAMES:
+        raise ValueError(f"unknown policy {name!r}; pick one of {', '.join(POLICY_NAMES)}")
     if name == "sgp":
-        return SequentialPolicy(rules.ordering)
+        def decide(ctx, eligible):
+            return (sequential_decide(rules.ordering, ctx, eligible),), len(eligible)
+        return Policy(decide)
+    if rules.group is None:
+        raise ValueError(f"policy {name} needs a group tree")
     if name == "ggp":
-        return FullEnumerationPolicy(rules, hard_limit or DEFAULT_ENUMERATION_LIMIT)
-    if name == "kggp-max":
-        return KneeGroupPolicy(rules, replace(knee, retain_maximal_only=True))
-    if name == "kggp-all":
-        return KneeGroupPolicy(rules, replace(knee, retain_maximal_only=False))
-    raise ValueError(f"unknown policy {name!r}; pick one of {', '.join(POLICY_NAMES)}")
+        limit = hard_limit or DEFAULT_ENUMERATION_LIMIT
+
+        def decide(ctx, eligible):
+            d = full_enumeration_decide(rules, ctx, eligible, limit)
+            return d.group, d.filtered_size
+    else:
+        cfg = replace(knee or KneeConfig(), retain_maximal_only=name == "kggp-max")
+
+        def decide(ctx, eligible):
+            d = knee_group_decide(rules, ctx, eligible, cfg)
+            return d.group, d.filtered_size
+    return Policy(decide)

@@ -1,11 +1,12 @@
 """Priority rule trees and the terminal set they are built from.
 
 A rule is an expression tree over protected arithmetic whose leaves are
-scheduling terminals. Every terminal has two readings: a value for one
-(activity, mode) pair and a value for a whole group of pairs. Group
-adaptation follows the terminal's nature: time-like terminals average over
-members, precedence counters take the union of the underlying sets, and
-resource terminals aggregate the summed group demand.
+scheduling terminals. Every terminal has a value for one (activity, mode)
+pair and a value for a whole group of pairs, following its nature: time-like
+terminals are defined for a pair and a group averages its members;
+precedence counters take the union of the underlying sets; resource
+terminals are defined once over a demand vector and an expected duration,
+which a group supplies as its summed demand and mean expected duration.
 
 All time-like terminals are expressed relative to the decision clock, so
 shifting an identical state along the time axis never changes a priority.
@@ -257,7 +258,7 @@ class DecisionContext:
 
 
 # ---------------------------------------------------------------------------
-# single-pair terminal semantics
+# terminal semantics
 
 def _pair_value(name: str, ctx: DecisionContext, i: int, mo: Mode) -> float:
     ana = ctx.instance.analysis
@@ -288,7 +289,12 @@ def _pair_value(name: str, ctx: DecisionContext, i: int, mo: Mode) -> float:
         return ana.trans_succ_mask[i].bit_count()
     if name == "DSC":
         return len(act.successors)
-    d = mo.demand
+    return _resource_value(name, ctx, mo.demand, mo.expected)
+
+
+def _resource_value(name: str, ctx: DecisionContext, d: Sequence[int],
+                    expected: float) -> float:
+    """Resource terminals of a demand vector taking `expected` time units."""
     if name == "AvgRR":
         return sum(d) / len(d)
     if name == "MaxRR":
@@ -311,7 +317,7 @@ def _pair_value(name: str, ctx: DecisionContext, i: int, mo: Mode) -> float:
     if name == "RR":
         return sum(d)
     if name == "GRD":
-        return mo.expected * max(d)
+        return expected * max(d)
     raise ValueError(f"unknown terminal {name!r}")
 
 
@@ -359,31 +365,7 @@ def _group_value(name: str, view: _GroupView) -> float:
         return view.union_mask(ana.trans_succ_mask).bit_count()
     if name == "DSC":
         return view.union_mask(ana.direct_succ_mask).bit_count()
-    d = view.demand
-    if name == "AvgRR":
-        return sum(d) / len(d)
-    if name == "MaxRR":
-        return max(d)
-    if name == "MinRR":
-        return min(d)
-    if name == "AvgRA":
-        return ctx._avail_stats[0]
-    if name == "MaxRA":
-        return ctx._avail_stats[1]
-    if name == "MinRA":
-        return ctx._avail_stats[2]
-    left = [a - k for a, k in zip(ctx.availability, d)]
-    if name == "AvgRLA":
-        return sum(left) / len(left)
-    if name == "MaxRLA":
-        return max(left)
-    if name == "MinRLA":
-        return min(left)
-    if name == "RR":
-        return sum(d)
-    if name == "GRD":
-        return view.mean_expected * max(d)
-    raise ValueError(f"unknown terminal {name!r}")
+    return _resource_value(name, ctx, view.demand, view.mean_expected)
 
 
 def terminal_value(name: str, ctx: DecisionContext, pair: Pair) -> float:

@@ -117,15 +117,13 @@ def eligible_set(inst: ProjectInstance, completed: frozenset[int],
 
 
 def solve(inst: ProjectInstance, policy: DecisionPolicy,
-          durations: DurationTable, stepping: str = "event") -> SimResult:
+          durations: DurationTable) -> SimResult:
     """Run the parallel generation scheme to completion.
 
-    `stepping` is "event" (jump to the next completion when nothing more can
-    start; the default) or "unit" (advance the clock one tick at a time).
-    Both produce identical schedules and decision logs.
+    When nothing more can start, the clock jumps to the next completion (one
+    tick if nothing is running), so the schedule and decision log are those a
+    tick-by-tick executor would produce.
     """
-    if stepping not in ("event", "unit"):
-        raise ValueError(f"unknown stepping mode {stepping!r}")
     completed = {inst.dummy_start}
     running: dict[int, tuple[int, int, int]] = {}  # i -> (mode, start, end)
     avail = list(inst.capacities)
@@ -172,7 +170,7 @@ def solve(inst: ProjectInstance, policy: DecisionPolicy,
 
         if end_preds <= completed:
             break
-        if stepping == "unit" or not running:
+        if not running:
             t += 1
         else:
             t = min(e for (_, _, e) in running.values())

@@ -7,6 +7,7 @@ quick iterations with `-m "not desk"`.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -35,9 +36,9 @@ from kneegp.policy import (
     KneeConfig,
     build_policy,
     full_enumeration_decide,
+    knee_cut,
     knee_group_decide,
     knee_index,
-    knee_select,
 )
 from kneegp.rules import (
     ALL_TERMINALS,
@@ -226,9 +227,8 @@ def test_03_knee_matches_perpendicular_distance_oracle(criterion):
                 vals.append(v)
             k = _knee_oracle(vals)
             assert knee_index(vals) == k
-            ranked = [((i + 1, 0), p) for i, p in enumerate(vals)]
             # strictly increasing curve: the inclusive cut keeps exactly k+1
-            assert len(knee_select(ranked, cap=n)) == k + 1
+            assert knee_cut(vals) == k + 1
 
 
 class _CrossCheckPolicy:
@@ -312,23 +312,43 @@ def test_07_knee_filtering_reduction_band(criterion):
         assert 30.0 <= mean <= 70.0
 
 
-def test_09_experiment_reruns_are_byte_identical(tmp_path, criterion):
-    exp = Experiment(
+def _tiny_experiment(algorithms) -> Experiment:
+    return Experiment(
         seed=99,
         scenarios=(Scenario("tiny", GenSpec(n_activities=8, n_modes=2,
                                             n_resources=2, order_strength=0.5,
                                             os_tolerance=0.15),
                             n_train=2, n_test=2),),
-        algorithms=("sgp", "kggp-max"),
+        algorithms=algorithms,
         n_runs=2,
         gp=GpConfig(population_size=4, max_generations=2, tournament_size=2),
         test_realizations=2,
     )
+
+
+def test_09_experiment_reruns_are_byte_identical(tmp_path, criterion):
+    exp = _tiny_experiment(("sgp", "kggp-max"))
     with criterion(9, "byte-identical-reruns"):
         first = write_reports(run_experiment(exp), tmp_path / "a", exp)
         second = write_reports(run_experiment(exp), tmp_path / "b", exp)
         for name in ("report", "history"):
             assert first[name].read_bytes() == second[name].read_bytes()
+
+
+# sha256 of the tiny experiment's artifacts over all four policies, measured
+# on Python 3.11.7; a change here must say why the bytes moved
+PINNED_SHA256 = {
+    "report": "a15115994f7b9d456ed685b4a7bd6365053f5f69ffd68a175132ee5a6a741591",
+    "history": "013f091bc069f3730503a0b93b681808ab710c93b397406e235f0584305936d1",
+}
+
+
+def test_09_artifact_bytes_match_pinned_digests(tmp_path, criterion):
+    exp = _tiny_experiment(("sgp", "ggp", "kggp-max", "kggp-all"))
+    with criterion(9, "byte-pinned-artifacts"):
+        paths = write_reports(run_experiment(exp), tmp_path, exp)
+        for name, digest in PINNED_SHA256.items():
+            assert hashlib.sha256(paths[name].read_bytes()).hexdigest() == digest, name
 
 
 def test_10_terminals_are_clock_shift_invariant(criterion):

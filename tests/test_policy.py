@@ -8,25 +8,19 @@ from kneegp.model import Activity, Mode, build_instance
 from kneegp.policy import (
     DEFAULT_ENUMERATION_LIMIT,
     EnumerationOverflowError,
-    FullEnumerationPolicy,
     KneeConfig,
-    KneeGroupPolicy,
-    SequentialPolicy,
     build_policy,
+    feasible_groups,
     full_enumeration_decide,
+    knee_cut,
     knee_group_decide,
     knee_index,
-    knee_select,
     sequential_decide,
 )
 from kneegp.rules import DecisionContext, RulePair, func, leaf, parse_sexpr
 from kneegp.sim import eligible_set, sample_durations, solve
 
 from conftest import random_instance
-
-
-def _pairs(values):
-    return [((k, 0), v) for k, v in enumerate(values)]
 
 
 def _knee_oracle(values):
@@ -52,29 +46,19 @@ def _knee_oracle(values):
 def test_knee_of_elbow_curve():
     # distances peak at the third point: 1, 2, 3 | 10, 11
     assert knee_index([1, 2, 3, 10, 11]) == 2
-    kept = knee_select(_pairs([1, 2, 3, 10, 11]))
-    assert [p for p, _ in kept] == [(0, 0), (1, 0), (2, 0)]
+    assert knee_cut([1, 2, 3, 10, 11]) == 3
 
 
 def test_flat_and_tiny_curves_keep_everything():
-    assert len(knee_select(_pairs([4, 4, 4, 4]))) == 4
-    assert len(knee_select(_pairs([7]))) == 1
-    assert len(knee_select(_pairs([3, 9]))) == 2
-    assert knee_select([]) == []
+    assert knee_cut([4, 4, 4, 4]) == 4
+    assert knee_cut([7]) == 1
+    assert knee_cut([3, 9]) == 2
+    assert knee_cut([]) == 0
 
 
 def test_knee_boundary_is_inclusive():
     # knee lands on the plateau, so every tied value survives
-    kept = knee_select(_pairs([0, 0, 0, 5]))
-    assert [p for p, _ in kept] == [(0, 0), (1, 0), (2, 0)]
-
-
-def test_cap_truncates_after_the_cut():
-    values = [0.0] * 12 + [100.0, 101.0, 102.0]
-    kept = knee_select(_pairs(values), cap=10)
-    assert len(kept) == 10
-    assert all(v == 0.0 for _, v in kept)
-    assert len(knee_select(_pairs(values), cap=1)) == 1
+    assert knee_cut([0, 0, 0, 5]) == 3
 
 
 def test_knee_matches_line_distance_oracle():
@@ -84,8 +68,7 @@ def test_knee_matches_line_distance_oracle():
         values = sorted(round(rng.uniform(0, 50), 2) for _ in range(n))
         if rng.random() < 0.3:
             values = sorted(rng.choices([1.0, 2.0, 5.0], k=n))
-        kept = knee_select(_pairs(values), cap=n)
-        assert len(kept) == _knee_oracle(values)
+        assert knee_cut(values) == _knee_oracle(values)
 
 
 def _flat_instance(expecteds, demands, capacity):
@@ -127,10 +110,24 @@ def test_walkthrough_scenario():
     assert exact.group == ((5, 0),)  # sees past the knee to activity 5
 
 
+def test_cap_truncates_after_the_cut():
+    # twelve short activities tie below the knee, three long ones lie past it
+    inst = _flat_instance([1] * 12 + [100, 101, 102], [1] * 15, 100)
+    ctx = _context(inst)
+    eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+    rules = RulePair(leaf("ExpDur"), func("neg", leaf("RR")))
+    assert knee_cut([1.0] * 12 + [100.0, 101.0, 102.0]) == 12
+    gd = knee_group_decide(rules, ctx, eligible, KneeConfig(cap=10))
+    assert gd.filtered_size == 12
+    assert gd.group == tuple((i, 0) for i in range(1, 11))
+    gd = knee_group_decide(rules, ctx, eligible, KneeConfig(cap=1))
+    assert gd.group == ((1, 0),)
+
+
 def test_filtered_size_reports_the_pre_cap_count():
     inst = _flat_instance([4] * 15, [1] * 15, 20)
     rules = RulePair(leaf("ExpDur"), leaf("GRD"))
-    res = solve(inst, KneeGroupPolicy(rules), sample_durations(inst, 1))
+    res = solve(inst, build_policy(rules, "kggp-max"), sample_durations(inst, 1))
     first = res.decisions[0]
     assert first.eligible_size == 15
     assert first.filtered_size == 15  # flat ranking keeps everything
@@ -153,7 +150,7 @@ def test_no_feasible_subset_returns_empty():
     rules = RulePair(leaf("ExpDur"), leaf("RR"))
     gd = knee_group_decide(rules, ctx, [(1, 0), (2, 0)], KneeConfig())
     assert gd.group == ()
-    assert gd.candidates == 0
+    assert gd.count == 0
 
 
 def test_hard_limit_narrows_the_enumeration():
@@ -163,7 +160,7 @@ def test_hard_limit_narrows_the_enumeration():
     rules = RulePair(leaf("ExpDur"), func("neg", leaf("RR")))
     gd = knee_group_decide(rules, ctx, eligible,
                            KneeConfig(group_size_hard_limit=7))
-    assert gd.candidates <= 7
+    assert gd.count <= 7
     assert len(gd.group) <= 3  # 2**3 - 1 == 7
 
 
@@ -282,7 +279,7 @@ def test_keep_all_equals_maximal_when_bigger_is_always_better():
         gall = knee_group_decide(rules, ctx, eligible,
                                  KneeConfig(retain_maximal_only=False))
         assert gmax.group == gall.group
-        assert gmax.candidates <= gall.candidates
+        assert gmax.count <= gall.count
 
 
 def test_single_mode_knee_disabled_matches_full_enumeration():
@@ -317,7 +314,8 @@ def test_policies_drive_full_runs(demo):
 
 
 def test_sequential_policy_reports_whole_eligible_set(demo):
-    res = solve(demo, SequentialPolicy(leaf("LFT")), sample_durations(demo, 3))
+    res = solve(demo, build_policy(RulePair(leaf("LFT")), "sgp"),
+                sample_durations(demo, 3))
     assert all(len(d.group) == 1 for d in res.decisions)
     assert res.decisions[0].eligible_size == 4
     assert res.decisions[0].filtered_size == 4
@@ -325,13 +323,47 @@ def test_sequential_policy_reports_whole_eligible_set(demo):
 
 def test_build_policy_validates_inputs():
     sigma_only = RulePair(leaf("LFT"))
-    assert isinstance(build_policy(sigma_only, "sgp"), SequentialPolicy)
     for name in ("ggp", "kggp-max", "kggp-all"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="group tree"):
             build_policy(sigma_only, name)
     with pytest.raises(ValueError):
         build_policy(RulePair(leaf("LFT"), leaf("RR")), "grouped")
-    p = build_policy(RulePair(leaf("LFT"), leaf("RR")), "kggp-all")
-    assert isinstance(p, KneeGroupPolicy) and not p.cfg.retain_maximal_only
-    g = build_policy(RulePair(leaf("LFT"), leaf("RR")), "ggp", hard_limit=50)
-    assert isinstance(g, FullEnumerationPolicy) and g.hard_limit == 50
+
+    # the walkthrough: only kggp-all scores the non-maximal singleton
+    inst = _flat_instance([1, 2, 3, 10, 11], [5] * 5, 12)
+    ctx = _context(inst)
+    eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+    rules = RulePair(leaf("ExpDur"), func("neg", leaf("ExpDur")))
+    assert build_policy(rules, "sgp").decide(ctx, eligible) == (((1, 0),), 5)
+    assert build_policy(rules, "kggp-max").decide(ctx, eligible) == (((2, 0), (3, 0)), 3)
+    assert build_policy(rules, "kggp-all").decide(ctx, eligible) == (((3, 0),), 3)
+
+    # 2**5 - 1 candidates: one over the limit overflows, the limit itself runs
+    with pytest.raises(EnumerationOverflowError):
+        build_policy(rules, "ggp", hard_limit=30).decide(ctx, eligible)
+    assert build_policy(rules, "ggp", hard_limit=31).decide(ctx, eligible) == (((5, 0),), 5)
+
+
+def test_maximal_groups_are_the_uncontained_feasible_ones():
+    # brute force over skip-or-take assignments of random multi-option slots
+    from itertools import product
+
+    rng = random.Random(808)
+    for _ in range(200):
+        n_res = rng.randint(1, 3)
+        slots = [[((k, m), tuple(rng.randint(0, 4) for _ in range(n_res)))
+                  for m in range(rng.randint(1, 3))]
+                 for k in range(rng.randint(1, 5))]
+        avail = tuple(rng.randint(0, 8) for _ in range(n_res))
+        feasible = set()
+        for choice in product(*[[None] + s for s in slots]):
+            taken = [o for o in choice if o is not None]
+            need = [sum(d[r] for _, d in taken) for r in range(n_res)]
+            if taken and all(k <= a for k, a in zip(need, avail)):
+                feasible.add(tuple(p for p, _ in taken))
+        maximal = {g for g in feasible
+                   if not any(set(g) < set(h) for h in feasible)}
+        every = list(feasible_groups(slots, avail))
+        assert len(every) == len(set(every))
+        assert set(every) == feasible
+        assert set(feasible_groups(slots, avail, maximal=True)) == maximal

@@ -86,21 +86,6 @@ def test_eligible_set_when_everything_done(demo):
     assert eligible_set(demo, done, {}, demo.capacities) == []
 
 
-def test_unit_and_event_stepping_agree(demo):
-    rng = random.Random(31)
-    for k in range(50):
-        if k % 2:
-            inst = demo
-        else:
-            inst = random_instance(rng, n=rng.randint(3, 9), capacity=10, max_demand=6)
-        table = sample_durations(inst, seed=k)
-        policy = LowestIdFirst() if k % 3 else GreedyReference()
-        a = solve(inst, policy, table, stepping="event")
-        b = solve(inst, policy, table, stepping="unit")
-        assert a.schedule == b.schedule
-        assert a.decisions == b.decisions
-
-
 def _lazy_reveal_reference(inst, policy, seed):
     """Minimal unit-step executor that draws durations only at start time."""
     completed, running, entries = {0}, {}, {}
@@ -139,10 +124,13 @@ def _lazy_reveal_reference(inst, policy, seed):
     return entries, log
 
 
-def test_presampling_matches_lazy_reveal():
+def test_presampling_matches_lazy_reveal(demo):
+    # the reference steps one tick at a time, so this also pins solve's
+    # event stepping to unit stepping
     rng = random.Random(77)
-    for k in range(50):
-        inst = random_instance(rng, n=rng.randint(3, 10), capacity=12, max_demand=7)
+    cases = [random_instance(rng, n=rng.randint(3, 10), capacity=12, max_demand=7)
+             for _ in range(50)] + [demo] * 10
+    for k, inst in enumerate(cases):
         policy = GreedyReference() if k % 2 else LowestIdFirst()
         res = solve(inst, policy, sample_durations(inst, seed=1000 + k))
         entries, log = _lazy_reveal_reference(inst, policy, seed=1000 + k)
