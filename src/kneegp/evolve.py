@@ -250,6 +250,18 @@ def evaluate_rules(rules: RulePair, instances: Sequence[ProjectInstance],
     return total / len(instances)
 
 
+def _score_all(pop: Sequence[RulePair], instances: Sequence[ProjectInstance],
+               tables: Sequence[DurationTable], cfg: GpConfig) -> list[float]:
+    """Fitness of every rule pair on shared tables, each distinct pair scored
+    once: solving is deterministic given the tables, so a repeat's score is
+    exactly the first one's."""
+    cache: dict[RulePair, float] = {}
+    for ind in pop:
+        if ind not in cache:
+            cache[ind] = evaluate_rules(ind, instances, tables, cfg)
+    return [cache[ind] for ind in pop]
+
+
 def _tournament(rng: Random, pop: list[RulePair], scores: list[float],
                 k: int) -> RulePair:
     picks = [rng.randrange(len(pop)) for _ in range(k)]
@@ -280,7 +292,7 @@ def evolve(cfg: GpConfig, instances: Sequence[ProjectInstance],
                 tuple(history))
         tick = time.perf_counter()
         tables = generation_tables(cfg, instances, gen)
-        scores = [evaluate_rules(ind, instances, tables, cfg) for ind in pop]
+        scores = _score_all(pop, instances, tables, cfg)
         best_i = min(range(len(pop)), key=lambda i: scores[i])
         history.append(GenerationStat(
             generation=gen,
@@ -296,10 +308,10 @@ def evolve(cfg: GpConfig, instances: Sequence[ProjectInstance],
             pop = _breed(rng, pop, scores, cfg)
 
     final_tables = generation_tables(cfg, instances, cfg.max_generations)
+    finals = _score_all([ind for _, ind, _ in champions], instances, final_tables, cfg)
     reports = tuple(
-        CandidateReport(gen, ind, train,
-                        evaluate_rules(ind, instances, final_tables, cfg))
-        for gen, ind, train in champions
+        CandidateReport(gen, ind, train, final)
+        for (gen, ind, train), final in zip(champions, finals)
     )
     winner = min(reports, key=lambda r: (r.final_fitness, r.generation))
     return EvolveResult(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .model import Mode, ProjectInstance, _masked_sum
 
@@ -42,19 +42,19 @@ def protected_div(x: float, y: float) -> float:
     return _clamp(x / y)
 
 
-_BINARY: dict[str, Callable[[float, float], float]] = {
-    "add": lambda a, b: _clamp(a + b),
-    "sub": lambda a, b: _clamp(a - b),
-    "mul": lambda a, b: _clamp(a * b),
-    "div": protected_div,
-    "min": min,
-    "max": max,
+# source templates of the functions; the compiled code calls _clamp and
+# protected_div, so it keeps the int/float types of plain Python arithmetic
+_TEMPLATES: dict[str, str] = {
+    "add": "_clamp({} + {})",
+    "sub": "_clamp({} - {})",
+    "mul": "_clamp({} * {})",
+    "div": "protected_div({}, {})",
+    "min": "min({}, {})",
+    "max": "max({}, {})",
+    "abs": "abs({})",
+    "neg": "-{}",
 }
-_UNARY: dict[str, Callable[[float], float]] = {
-    "abs": abs,
-    "neg": lambda a: -a,
-}
-FUNCTION_ARITY: dict[str, int] = {**{k: 2 for k in _BINARY}, **{k: 1 for k in _UNARY}}
+FUNCTION_ARITY: dict[str, int] = {k: t.count("{}") for k, t in _TEMPLATES.items()}
 
 TIME_TERMINALS = ("EST", "EFT", "LST", "LFT", "ExpDur", "OptDur", "PessDur")
 PRECEDENCE_TERMINALS = ("GRPW", "GRPW_all", "TPC", "DPC", "TSC", "DSC")
@@ -72,10 +72,29 @@ _ALIASES = {"LF": "LFT", "LS": "LST", "ES": "EST", "EF": "EFT"}
 
 @dataclass(frozen=True)
 class Node:
-    """Expression tree node; leaves carry a terminal name, no children."""
+    """Expression tree node; leaves carry a terminal name, no children.
+
+    A node caches its hash and its compiled form on first use. Neither takes
+    part in equality or in the pickled state: string hashes differ between
+    processes, and generated functions do not pickle.
+    """
 
     op: str
     children: tuple["Node", ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.op, self.children))
+
+    @cached_property
+    def _compiled(self) -> "_Compiled":
+        return _compile(self)
+
+    def __getstate__(self) -> dict:
+        return {"op": self.op, "children": self.children}
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -260,65 +279,47 @@ class DecisionContext:
 # ---------------------------------------------------------------------------
 # terminal semantics
 
-def _pair_value(name: str, ctx: DecisionContext, i: int, mo: Mode) -> float:
-    ana = ctx.instance.analysis
-    act = ctx.instance.activities[i]
-    if name == "EST":
-        return ctx.earliest_start(i)
-    if name == "EFT":
-        return ctx.earliest_start(i) + mo.expected
-    if name == "LFT":
-        return ctx.latest_finish(i)
-    if name == "LST":
-        return ctx.latest_finish(i) - mo.expected
-    if name == "ExpDur":
-        return mo.expected
-    if name == "OptDur":
-        return mo.min_duration
-    if name == "PessDur":
-        return mo.max_duration
-    if name == "GRPW":
-        return mo.expected + ana.succ_work[i]
-    if name == "GRPW_all":
-        return mo.expected + ana.trans_succ_work[i]
-    if name == "TPC":
-        return ana.trans_pred_mask[i].bit_count()
-    if name == "DPC":
-        return len(act.predecessors)
-    if name == "TSC":
-        return ana.trans_succ_mask[i].bit_count()
-    if name == "DSC":
-        return len(act.successors)
-    return _resource_value(name, ctx, mo.demand, mo.expected)
+def _left(ctx: DecisionContext, d: Sequence[int]) -> list[int]:
+    return [a - k for a, k in zip(ctx.availability, d)]
 
 
-def _resource_value(name: str, ctx: DecisionContext, d: Sequence[int],
-                    expected: float) -> float:
-    """Resource terminals of a demand vector taking `expected` time units."""
-    if name == "AvgRR":
-        return sum(d) / len(d)
-    if name == "MaxRR":
-        return max(d)
-    if name == "MinRR":
-        return min(d)
-    if name == "AvgRA":
-        return ctx._avail_stats[0]
-    if name == "MaxRA":
-        return ctx._avail_stats[1]
-    if name == "MinRA":
-        return ctx._avail_stats[2]
-    left = [a - k for a, k in zip(ctx.availability, d)]
-    if name == "AvgRLA":
-        return sum(left) / len(left)
-    if name == "MaxRLA":
-        return max(left)
-    if name == "MinRLA":
-        return min(left)
-    if name == "RR":
-        return sum(d)
-    if name == "GRD":
-        return expected * max(d)
-    raise ValueError(f"unknown terminal {name!r}")
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
+
+
+# value of a demand vector `d` taking `e` expected time units
+_RESOURCE_TERMINALS: dict[str, Callable[[DecisionContext, Sequence[int], float], float]] = {
+    "AvgRR": lambda ctx, d, e: _mean(d),
+    "MaxRR": lambda ctx, d, e: max(d),
+    "MinRR": lambda ctx, d, e: min(d),
+    "AvgRA": lambda ctx, d, e: ctx._avail_stats[0],
+    "MaxRA": lambda ctx, d, e: ctx._avail_stats[1],
+    "MinRA": lambda ctx, d, e: ctx._avail_stats[2],
+    "AvgRLA": lambda ctx, d, e: _mean(_left(ctx, d)),
+    "MaxRLA": lambda ctx, d, e: max(_left(ctx, d)),
+    "MinRLA": lambda ctx, d, e: min(_left(ctx, d)),
+    "RR": lambda ctx, d, e: sum(d),
+    "GRD": lambda ctx, d, e: e * max(d),
+}
+
+# value of a pair: (context, activity id, mode)
+_PAIR_TERMINALS: dict[str, Callable[[DecisionContext, int, Mode], float]] = {
+    "EST": lambda ctx, i, mo: ctx.earliest_start(i),
+    "EFT": lambda ctx, i, mo: ctx.earliest_start(i) + mo.expected,
+    "LFT": lambda ctx, i, mo: ctx.latest_finish(i),
+    "LST": lambda ctx, i, mo: ctx.latest_finish(i) - mo.expected,
+    "ExpDur": lambda ctx, i, mo: mo.expected,
+    "OptDur": lambda ctx, i, mo: mo.min_duration,
+    "PessDur": lambda ctx, i, mo: mo.max_duration,
+    "GRPW": lambda ctx, i, mo: mo.expected + ctx.instance.analysis.succ_work[i],
+    "GRPW_all": lambda ctx, i, mo: mo.expected + ctx.instance.analysis.trans_succ_work[i],
+    "TPC": lambda ctx, i, mo: ctx.instance.analysis.trans_pred_mask[i].bit_count(),
+    "DPC": lambda ctx, i, mo: len(ctx.instance.activities[i].predecessors),
+    "TSC": lambda ctx, i, mo: ctx.instance.analysis.trans_succ_mask[i].bit_count(),
+    "DSC": lambda ctx, i, mo: len(ctx.instance.activities[i].successors),
+    **{name: lambda ctx, i, mo, f=f: f(ctx, mo.demand, mo.expected)
+       for name, f in _RESOURCE_TERMINALS.items()},
+}
 
 
 class _GroupView:
@@ -346,54 +347,98 @@ class _GroupView:
         return m
 
 
-def _group_value(name: str, view: _GroupView) -> float:
-    ctx = view.ctx
-    ana = ctx.instance.analysis
-    if name in TIME_TERMINALS:
-        return sum(_pair_value(name, ctx, i, mo) for i, mo in view.members) / len(view.members)
-    if name == "GRPW":
-        own = sum(mo.expected for _, mo in view.members)
-        return own + _masked_sum(ana.dmin_exp, view.union_mask(ana.direct_succ_mask))
-    if name == "GRPW_all":
-        own = sum(mo.expected for _, mo in view.members)
-        return own + _masked_sum(ana.dmin_exp, view.union_mask(ana.trans_succ_mask))
-    if name == "TPC":
-        return view.union_mask(ana.trans_pred_mask).bit_count()
-    if name == "DPC":
-        return view.union_mask(ana.direct_pred_mask).bit_count()
-    if name == "TSC":
-        return view.union_mask(ana.trans_succ_mask).bit_count()
-    if name == "DSC":
-        return view.union_mask(ana.direct_succ_mask).bit_count()
-    return _resource_value(name, ctx, view.demand, view.mean_expected)
+def _group_work(view: _GroupView, succ_masks: list[int]) -> float:
+    own = sum(mo.expected for _, mo in view.members)
+    dmin = view.ctx.instance.analysis.dmin_exp
+    return own + _masked_sum(dmin, view.union_mask(succ_masks))
+
+
+# value of a group: time terminals average the members' pair values,
+# precedence terminals take the union of the members' sets
+_GROUP_TERMINALS: dict[str, Callable[[_GroupView], float]] = {
+    **{name: (lambda v, f=_PAIR_TERMINALS[name]:
+              sum(f(v.ctx, i, mo) for i, mo in v.members) / len(v.members))
+       for name in TIME_TERMINALS},
+    "GRPW": lambda v: _group_work(v, v.ctx.instance.analysis.direct_succ_mask),
+    "GRPW_all": lambda v: _group_work(v, v.ctx.instance.analysis.trans_succ_mask),
+    "TPC": lambda v: v.union_mask(v.ctx.instance.analysis.trans_pred_mask).bit_count(),
+    "DPC": lambda v: v.union_mask(v.ctx.instance.analysis.direct_pred_mask).bit_count(),
+    "TSC": lambda v: v.union_mask(v.ctx.instance.analysis.trans_succ_mask).bit_count(),
+    "DSC": lambda v: v.union_mask(v.ctx.instance.analysis.direct_succ_mask).bit_count(),
+    **{name: lambda v, f=f: f(v.ctx, v.demand, v.mean_expected)
+       for name, f in _RESOURCE_TERMINALS.items()},
+}
+
+
+def _terminal(table: dict, name: str) -> Callable:
+    fn = table.get(name)
+    if fn is None:
+        raise ValueError(f"unknown terminal {name!r}")
+    return fn
 
 
 def terminal_value(name: str, ctx: DecisionContext, pair: Pair) -> float:
     i, m = pair
-    return float(_pair_value(name, ctx, i, ctx.instance.activities[i].modes[m]))
+    mo = ctx.instance.activities[i].modes[m]
+    return float(_terminal(_PAIR_TERMINALS, name)(ctx, i, mo))
 
 
 def group_terminal_value(name: str, ctx: DecisionContext,
                          group: Sequence[Pair]) -> float:
     if not group:
         raise ValueError("group must be non-empty")
-    return float(_group_value(name, _GroupView(ctx, group)))
+    return float(_terminal(_GROUP_TERMINALS, name)(_GroupView(ctx, group)))
 
 
-def _eval(node: Node, leafval: Callable[[str], float]) -> float:
-    ch = node.children
-    if not ch:
-        return leafval(node.op)
-    if len(ch) == 2:
-        return _BINARY[node.op](_eval(ch[0], leafval), _eval(ch[1], leafval))
-    return _UNARY[node.op](_eval(ch[0], leafval))
+# ---------------------------------------------------------------------------
+# compiled evaluation
+
+# the names compiled rules read, shared by all of them
+_RULE_GLOBALS = {"_clamp": _clamp, "protected_div": protected_div,
+                 "min": min, "max": max, "abs": abs}
+
+# (rule over a terminal row, pair terminals of the row, group terminals of the row)
+_Compiled = tuple[Callable[[list], float], tuple[Callable, ...], tuple[Callable, ...]]
+
+
+def _compile(tree: Node) -> _Compiled:
+    """Compile a tree into a Python function of its terminal row.
+
+    Each distinct terminal gets one row slot `r[k]`, so it is computed once
+    per pair or group. Each function node becomes one local assignment built
+    from `_TEMPLATES`, so deep trees never nest the generated source. Only
+    templates, slot indices and local names enter the source: symbols are
+    looked up in the tables, never pasted.
+    """
+    slots: dict[str, int] = {}
+    lines: list[str] = []
+
+    def emit(n: Node) -> str:
+        if not n.children:
+            _terminal(_PAIR_TERMINALS, n.op)
+            return f"r[{slots.setdefault(n.op, len(slots))}]"
+        template = _TEMPLATES.get(n.op)
+        if template is None or FUNCTION_ARITY[n.op] != len(n.children):
+            raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
+        value = template.format(*[emit(c) for c in n.children])
+        lines.append(f"    v{len(lines)} = {value}\n")
+        return f"v{len(lines) - 1}"
+
+    result = emit(tree)
+    local: dict = {}
+    exec("def rule(r):\n" + "".join(lines) + f"    return {result}\n",
+         _RULE_GLOBALS, local)
+    return (local["rule"],
+            tuple(_PAIR_TERMINALS[name] for name in slots),
+            tuple(_GROUP_TERMINALS[name] for name in slots))
 
 
 def eval_pair_priority(tree: Node, ctx: DecisionContext, pair: Pair) -> float:
     """Score one (activity, mode) pair; smaller means more urgent."""
+    rule, terms, _ = tree._compiled
     i, m = pair
     mo = ctx.instance.activities[i].modes[m]
-    return float(_eval(tree, lambda name: _pair_value(name, ctx, i, mo)))
+    return float(rule([t(ctx, i, mo) for t in terms]))
 
 
 def eval_group_priority(tree: Node, ctx: DecisionContext,
@@ -401,8 +446,9 @@ def eval_group_priority(tree: Node, ctx: DecisionContext,
     """Score a candidate group; smaller wins the group comparison."""
     if not group:
         raise ValueError("group must be non-empty")
+    rule, _, terms = tree._compiled
     view = _GroupView(ctx, group)
-    return float(_eval(tree, lambda name: _group_value(name, view)))
+    return float(rule([t(view) for t in terms]))
 
 
 def validate_tree(node: Node, max_depth: int | None = None) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import random
+from operator import le
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -98,20 +99,14 @@ class SimResult:
         return self.schedule.makespan
 
 
-def eligible_set(inst: ProjectInstance, completed: frozenset[int],
-                 running: Mapping[int, object],
+def eligible_set(inst: ProjectInstance, ready: Iterable[int],
                  availability: Sequence[int]) -> list[Pair]:
-    """Unstarted pairs whose predecessors are complete and whose demand fits
-    the free capacity right now, ordered by (activity, mode)."""
+    """Pairs of the ready activities whose demand fits the free capacity
+    right now, ordered by (activity, mode)."""
     out = []
-    for i in inst.non_dummy_ids():
-        if i in completed or i in running:
-            continue
-        act = inst.activities[i]
-        if not act.predecessors <= completed:
-            continue
-        for m, mo in enumerate(act.modes):
-            if all(k <= a for k, a in zip(mo.demand, availability)):
+    for i in sorted(ready):
+        for m, mo in enumerate(inst.activities[i].modes):
+            if all(map(le, mo.demand, availability)):
                 out.append((i, m))
     return out
 
@@ -122,16 +117,31 @@ def solve(inst: ProjectInstance, policy: DecisionPolicy,
 
     When nothing more can start, the clock jumps to the next completion (one
     tick if nothing is running), so the schedule and decision log are those a
-    tick-by-tick executor would produce.
+    tick-by-tick executor would produce. The ready set (unstarted activities
+    whose predecessors are all complete) is kept up to date as activities
+    start and complete, instead of being rescanned at every decision.
     """
+    acts = inst.activities
     completed = {inst.dummy_start}
     running: dict[int, tuple[int, int, int]] = {}  # i -> (mode, start, end)
     avail = list(inst.capacities)
     entries: dict[int, ScheduleEntry] = {}
     decisions: list[DecisionRecord] = []
-    end_preds = inst.activities[inst.dummy_end].predecessors
+    end_preds = acts[inst.dummy_end].predecessors
+    waiting = [len(a.predecessors) for a in acts]  # unfinished predecessors
+    ready: set[int] = set()
+    real = inst.non_dummy_ids()
+
+    def complete(i: int) -> None:
+        completed.add(i)
+        for j in acts[i].successors:
+            waiting[j] -= 1
+            if not waiting[j] and j in real:
+                ready.add(j)
+
+    complete(inst.dummy_start)
     # any schedule finishes within the serial sum of worst-case durations
-    guard = 1 + sum(max(mo.max_duration for mo in a.modes) for a in inst.activities)
+    guard = 1 + sum(max(mo.max_duration for mo in a.modes) for a in acts)
     t = 0
     ticks = 0
 
@@ -140,12 +150,12 @@ def solve(inst: ProjectInstance, policy: DecisionPolicy,
         done_now = [i for i, (_, _, e) in running.items() if e <= t]
         for i in done_now:
             m, _, _ = running.pop(i)
-            for r, k in enumerate(inst.activities[i].modes[m].demand):
+            for r, k in enumerate(acts[i].modes[m].demand):
                 avail[r] += k
-            completed.add(i)
+            complete(i)
 
         while True:
-            elig = eligible_set(inst, frozenset(completed), running, avail)
+            elig = eligible_set(inst, ready, avail)
             if not elig:
                 break
             ctx = DecisionContext(
@@ -159,12 +169,13 @@ def solve(inst: ProjectInstance, policy: DecisionPolicy,
             _check_group(inst, group, elig, avail)
             decisions.append(DecisionRecord(t, len(elig), filtered, group))
             for i, m in group:
+                ready.discard(i)
                 d = durations.duration(i, m)
                 entries[i] = ScheduleEntry(m, t, d)
                 if d == 0:
-                    completed.add(i)
+                    complete(i)
                 else:
-                    for r, k in enumerate(inst.activities[i].modes[m].demand):
+                    for r, k in enumerate(acts[i].modes[m].demand):
                         avail[r] -= k
                     running[i] = (m, t, t + d)
 

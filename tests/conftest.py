@@ -40,6 +40,24 @@ def demo_instance() -> ProjectInstance:
     )
 
 
+def rescan_eligible(inst: ProjectInstance, completed, running,
+                    availability) -> list[tuple[int, int]]:
+    """Reference eligible set by full rescan: unstarted pairs whose
+    predecessors are complete and whose demand fits, in (activity, mode)
+    order. The executor keeps a ready set instead; tests compare the two."""
+    out = []
+    for i in inst.non_dummy_ids():
+        if i in completed or i in running:
+            continue
+        act = inst.activities[i]
+        if not act.predecessors <= completed:
+            continue
+        for m, mo in enumerate(act.modes):
+            if all(k <= a for k, a in zip(mo.demand, availability)):
+                out.append((i, m))
+    return out
+
+
 @pytest.fixture
 def demo() -> ProjectInstance:
     return demo_instance()
@@ -68,8 +86,11 @@ def parallel_instance(durations, demand=1, capacity=None) -> ProjectInstance:
 
 
 def random_instance(rng: random.Random, n=8, n_modes=2, n_resources=2,
-                    capacity=12, edge_prob=0.3, max_demand=None) -> ProjectInstance:
-    """Small random project for property sweeps; ids are topological."""
+                    capacity=12, edge_prob=0.3, max_demand=None,
+                    zero_prob=0.0) -> ProjectInstance:
+    """Small random project for property sweeps; ids are topological.
+
+    Each mode takes no time with probability `zero_prob`."""
     if max_demand is None:
         max_demand = max(1, capacity // 2)
     idle = (0, 0, 0, (0,) * n_resources)
@@ -92,6 +113,8 @@ def random_instance(rng: random.Random, n=8, n_modes=2, n_resources=2,
             lo = max(1, exp - rng.randint(1, 3))
             hi = exp + rng.randint(1, 3)
             dem = tuple(rng.randint(1, max_demand) for _ in range(n_resources))
+            if zero_prob and rng.random() < zero_prob:
+                exp = lo = hi = 0
             modes.append((exp, lo, hi, dem))
         modes.sort(key=lambda m: m[0])
         acts.append(_act(i, sorted(preds[i]) or [0],

@@ -48,7 +48,9 @@ from kneegp.rules import (
     eval_pair_priority,
     leaf,
 )
-from kneegp.sim import eligible_set, expected_durations, sample_durations, solve
+from kneegp.sim import expected_durations, sample_durations, solve
+
+from conftest import rescan_eligible
 
 
 @pytest.fixture
@@ -190,14 +192,18 @@ def test_02_enumeration_count_law(criterion):
             for m in range(1, 4):
                 inst = _flat_multi(n, m)
                 ctx = _root_context(inst)
-                eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+                eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
                 assert len(eligible) == n * m
                 dec = full_enumeration_decide(rules, ctx, eligible)
                 assert dec.count == (m + 1) ** n - 1
 
-        inst = _flat_multi(12, 2)
+        # every pair fits alone, so all 24 are eligible and the law still
+        # counts 3^12 - 1 assignments, but the enumerator only scores the
+        # 24 singletons that fit one unit of capacity
+        inst = _flat_multi(12, 2, capacity=1)
         ctx = _root_context(inst)
-        eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+        eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
+        assert len(eligible) == 24
         assert full_enumeration_decide(rules, ctx, eligible).count == 531_440
 
 

@@ -1,12 +1,17 @@
 """Statistics, experiment orchestration and artifact files."""
 import json
 import random
+import time
+from itertools import combinations
 
 import pytest
 from scipy import stats as scipy_stats
 
 from kneegp.bench import (
     Experiment,
+    _exact_p,
+    _rank,
+    _u_statistic,
     ReductionStats,
     RunReport,
     Scenario,
@@ -65,6 +70,58 @@ def test_small_sample_p_matches_exact_oracle():
                                           method="exact")
         assert res.statistic == pytest.approx(oracle.statistic)
         assert res.p_value == pytest.approx(oracle.pvalue)
+
+
+def _enumerated_p(a, b, u_obs):
+    """Reference: the permutation distribution of U over every relabelling."""
+    pooled = list(a) + list(b)
+    ranks = _rank(pooled)
+    n1, n2 = len(a), len(b)
+    mid = n1 * n2 / 2
+    target = abs(u_obs - mid)
+    hits = total = 0
+    offset = n1 * (n1 + 1) / 2
+    for combo in combinations(range(len(pooled)), n1):
+        u = sum(ranks[i] for i in combo) - offset
+        total += 1
+        if abs(u - mid) >= target - 1e-12:
+            hits += 1
+    return hits / total
+
+
+def test_exact_p_equals_enumeration_with_ties():
+    rng = random.Random(63)
+    for _ in range(300):
+        n1, n2 = rng.randint(2, 9), rng.randint(2, 9)
+        top = rng.choice([2, 5, 1000])  # heavy ties to none
+        a = [float(rng.randint(0, top)) for _ in range(n1)]
+        b = [float(rng.randint(0, top)) for _ in range(n2)]
+        u = _u_statistic(a, b)
+        assert _exact_p(a, b, u) == _enumerated_p(a, b, u), (a, b)
+
+
+def test_exact_p_matches_scipy_with_one_large_sample():
+    rng = random.Random(64)
+    for _ in range(20):
+        n1, n2 = rng.randint(2, 7), rng.randint(8, 40)
+        pool = rng.sample(range(1000), n1 + n2)
+        a = [float(v) for v in pool[:n1]]
+        b = [float(v) for v in pool[n1:]]
+        for x, y in ((a, b), (b, a)):
+            res = wilcoxon_rank_sum(x, y)
+            oracle = scipy_stats.mannwhitneyu(x, y, alternative="two-sided",
+                                              method="exact")
+            assert res.p_value == pytest.approx(oracle.pvalue)
+
+
+def test_exact_p_is_fast_on_unbalanced_samples():
+    rng = random.Random(65)
+    a = [rng.random() for _ in range(7)]
+    b = [rng.random() + 0.1 for _ in range(200)]
+    start = time.perf_counter()
+    for x, y in ((a, b), (b, a)):
+        assert 0.0 < wilcoxon_rank_sum(x, y).p_value <= 1.0
+    assert time.perf_counter() - start < 1.0
 
 
 def test_large_sample_p_matches_normal_oracle():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import kneegp.evolve as evolve_module
 from kneegp.evolve import (
     CandidateReport,
     GpConfig,
@@ -21,7 +22,7 @@ from kneegp.evolve import (
 )
 from kneegp.policy import build_policy
 from kneegp.rules import ALL_TERMINALS, FUNCTION_ARITY, Node, RulePair, func, leaf
-from kneegp.sim import sample_durations, solve
+from kneegp.sim import derive_seed, sample_durations, solve
 
 from conftest import chain_instance
 
@@ -219,6 +220,57 @@ def test_evolve_runs_and_is_deterministic(demo):
     assert all(isinstance(c, CandidateReport) for c in r1.candidates)
     # champion never loses to the first generation on the shared final draw
     assert r1.best_fitness <= r1.candidates[0].final_fitness
+
+
+def _uncached_evolve(cfg, instances):
+    """Reference training loop that scores every individual, repeats too.
+
+    Returns the per-generation populations, the champions and the
+    stripped result (see `_strip`)."""
+    rng = random.Random(derive_seed(cfg.seed, "rng"))
+    pop = ramped_population(rng, cfg)
+    pops, history, champions = [], [], []
+    gens = max(1, cfg.max_generations)
+    for gen in range(gens):
+        tables = generation_tables(cfg, instances, gen)
+        scores = [evaluate_rules(ind, instances, tables, cfg) for ind in pop]
+        best = min(range(len(pop)), key=lambda i: scores[i])
+        pops.append(pop)
+        history.append((gen, scores[best], sum(scores) / len(scores),
+                        sum(p.ordering.size() for p in pop) / len(pop),
+                        sum(p.group.size() for p in pop) / len(pop)))
+        champions.append((gen, pop[best], scores[best]))
+        if gen + 1 < gens:
+            pop = evolve_module._breed(rng, pop, scores, cfg)
+    final = generation_tables(cfg, instances, cfg.max_generations)
+    reports = [(gen, ind, train, evaluate_rules(ind, instances, final, cfg))
+               for gen, ind, train in champions]
+    winner = min(reports, key=lambda r: (r[3], r[0]))
+    return pops, champions, (winner[1], winner[3], winner[0], history, reports)
+
+
+def test_fitness_cache_scores_each_distinct_individual_once(demo, monkeypatch):
+    cfg = GpConfig(population_size=10, max_generations=6, tournament_size=4,
+                   init_depth=(2, 3), crossover_prob=0.3, mutation_prob=0.1,
+                   reproduction_prob=0.6, seed=3)
+    chain = chain_instance([3, 4, 2])
+    pops, champions, expected = _uncached_evolve(cfg, [demo, chain])
+
+    calls = []
+
+    def counting(rules, instances, tables, cfg):
+        calls.append((rules, tuple(t.seed for t in tables)))
+        return evaluate_rules(rules, instances, tables, cfg)
+
+    monkeypatch.setattr(evolve_module, "evaluate_rules", counting)
+    result = evolve(cfg, [demo, chain])
+
+    assert _strip(result) == expected
+    assert len(calls) == len(set(calls))
+    distinct = sum(len(set(p)) for p in pops) + len({ind for _, ind, _ in champions})
+    assert len(calls) == distinct
+    # the configuration breeds repeats, so the cache was actually used
+    assert distinct < sum(len(p) for p in pops) + len(champions)
 
 
 def test_evolve_zero_generations_scores_the_initial_population(demo):

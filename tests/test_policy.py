@@ -18,9 +18,9 @@ from kneegp.policy import (
     sequential_decide,
 )
 from kneegp.rules import DecisionContext, RulePair, func, leaf, parse_sexpr
-from kneegp.sim import eligible_set, sample_durations, solve
+from kneegp.sim import sample_durations, solve
 
-from conftest import random_instance
+from conftest import random_instance, rescan_eligible
 
 
 def _knee_oracle(values):
@@ -94,7 +94,7 @@ def test_walkthrough_scenario():
     # three promising activities fit but not all three together
     inst = _flat_instance([1, 2, 3, 10, 11], [5] * 5, 12)
     ctx = _context(inst)
-    eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+    eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
     rules = RulePair(leaf("ExpDur"), func("neg", leaf("ExpDur")))
 
     gd = knee_group_decide(rules, ctx, eligible, KneeConfig())
@@ -114,7 +114,7 @@ def test_cap_truncates_after_the_cut():
     # twelve short activities tie below the knee, three long ones lie past it
     inst = _flat_instance([1] * 12 + [100, 101, 102], [1] * 15, 100)
     ctx = _context(inst)
-    eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+    eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
     rules = RulePair(leaf("ExpDur"), func("neg", leaf("RR")))
     assert knee_cut([1.0] * 12 + [100.0, 101.0, 102.0]) == 12
     gd = knee_group_decide(rules, ctx, eligible, KneeConfig(cap=10))
@@ -138,7 +138,7 @@ def test_group_tie_breaks_on_smallest_activity_ids():
     # identical activities, constant group score: every subset ties
     inst = _flat_instance([4] * 5, [1] * 5, 2)
     ctx = _context(inst)
-    eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+    eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
     rules = RulePair(leaf("ExpDur"), func("sub", leaf("RR"), leaf("RR")))
     gd = knee_group_decide(rules, ctx, eligible, KneeConfig())
     assert gd.group == ((1, 0), (2, 0))
@@ -156,7 +156,7 @@ def test_no_feasible_subset_returns_empty():
 def test_hard_limit_narrows_the_enumeration():
     inst = _flat_instance([4] * 6, [1] * 6, 20)
     ctx = _context(inst)
-    eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+    eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
     rules = RulePair(leaf("ExpDur"), func("neg", leaf("RR")))
     gd = knee_group_decide(rules, ctx, eligible,
                            KneeConfig(group_size_hard_limit=7))
@@ -173,7 +173,7 @@ def test_knee_config_rejects_bad_values():
 
 def test_sequential_breaks_ties_on_activity_then_mode(demo):
     ctx = _context(demo)
-    eligible = eligible_set(demo, ctx.completed, {}, ctx.availability)
+    eligible = rescan_eligible(demo, ctx.completed, {}, ctx.availability)
     constant = func("sub", leaf("EST"), leaf("EST"))
     assert sequential_decide(constant, ctx, eligible) == (1, 0)
     assert sequential_decide(leaf("ExpDur"), ctx, eligible) == (2, 0)
@@ -188,7 +188,7 @@ def test_enumeration_count_is_product_of_mode_choices():
         inst = random_instance(rng, n=rng.randint(3, 7), n_modes=rng.randint(1, 3),
                                capacity=30, max_demand=4)
         ctx = _context(inst)
-        eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+        eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
         if not eligible:
             continue
         by_act = {}
@@ -210,7 +210,7 @@ def test_enumeration_matches_subset_oracle():
         inst = random_instance(rng, n=rng.randint(2, 5), n_modes=2,
                                capacity=8, max_demand=4)
         ctx = _context(inst)
-        eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+        eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
         if not eligible:
             continue
         rules = RulePair(leaf("ExpDur"),
@@ -253,7 +253,7 @@ def test_enumeration_overflow_carries_the_count():
                                      (m, Mode(4, 4, 4, (2,)))))
     inst = build_instance(two_mode, inst.capacities)
     ctx = _context(inst)
-    eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+    eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
     assert len(eligible) == 26
     rules = RulePair(leaf("ExpDur"), leaf("RR"))
     with pytest.raises(EnumerationOverflowError) as exc:
@@ -271,7 +271,7 @@ def test_keep_all_equals_maximal_when_bigger_is_always_better():
         inst = random_instance(rng, n=rng.randint(4, 9), n_modes=2,
                                capacity=10, max_demand=4)
         ctx = _context(inst)
-        eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+        eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
         if not eligible:
             continue
         gmax = knee_group_decide(rules, ctx, eligible,
@@ -288,7 +288,7 @@ def test_single_mode_knee_disabled_matches_full_enumeration():
         inst = random_instance(rng, n=rng.randint(3, 8), n_modes=1,
                                capacity=9, max_demand=4)
         ctx = _context(inst)
-        eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+        eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
         if not eligible or len(eligible) > 10:
             continue
         sigma = parse_sexpr("(add LFT (mul GRPW AvgRR))")
@@ -332,7 +332,7 @@ def test_build_policy_validates_inputs():
     # the walkthrough: only kggp-all scores the non-maximal singleton
     inst = _flat_instance([1, 2, 3, 10, 11], [5] * 5, 12)
     ctx = _context(inst)
-    eligible = eligible_set(inst, ctx.completed, {}, ctx.availability)
+    eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
     rules = RulePair(leaf("ExpDur"), func("neg", leaf("ExpDur")))
     assert build_policy(rules, "sgp").decide(ctx, eligible) == (((1, 0),), 5)
     assert build_policy(rules, "kggp-max").decide(ctx, eligible) == (((2, 0), (3, 0)), 3)

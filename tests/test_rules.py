@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 
 import pytest
 
+from kneegp import rules
 from kneegp.rules import (
     ALL_TERMINALS,
     FUNCTION_ARITY,
     DecisionContext,
     Node,
+    RulePair,
     eval_group_priority,
     eval_pair_priority,
     format_sexpr,
@@ -259,3 +262,106 @@ def test_clamp_blocks_overflow(ctx):
     for _ in range(10):
         t = func("mul", t, t)
     assert math.isfinite(eval_pair_priority(t, ctx, (1, 0)))
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation against a reference interpreter
+
+_REF_BINARY = {
+    "add": lambda a, b: rules._clamp(a + b),
+    "sub": lambda a, b: rules._clamp(a - b),
+    "mul": lambda a, b: rules._clamp(a * b),
+    "div": protected_div,
+    "min": min,
+    "max": max,
+}
+_REF_UNARY = {"abs": abs, "neg": lambda a: -a}
+
+
+def _interpret(node, leafval):
+    """Node-by-node evaluation, every leaf looked up where it occurs."""
+    ch = node.children
+    if not ch:
+        return leafval(node.op)
+    if len(ch) == 2:
+        return _REF_BINARY[node.op](_interpret(ch[0], leafval),
+                                    _interpret(ch[1], leafval))
+    return _REF_UNARY[node.op](_interpret(ch[0], leafval))
+
+
+def _hostile_tree(rng, depth):
+    """Random tree that also hits zero divisors and the 1e300 clamp."""
+    roll = rng.random()
+    if depth <= 1 or roll < 0.2:
+        return leaf(rng.choice(ALL_TERMINALS))
+    if roll < 0.3:
+        # x - x is 0 (int or float): a divisor for protected_div
+        t = _hostile_tree(rng, depth - 1)
+        return func("div", _hostile_tree(rng, depth - 1), func("sub", t, t))
+    if roll < 0.4:
+        # repeated squaring of a product overflows past 1e300
+        t = func("mul", leaf("GRD"), _hostile_tree(rng, depth - 2))
+        for _ in range(min(depth - 2, 5)):
+            t = func("mul", t, t)
+        return t
+    op = rng.choice(list(FUNCTION_ARITY))
+    kids = [_hostile_tree(rng, depth - 1) for _ in range(FUNCTION_ARITY[op])]
+    return func(op, *kids)
+
+
+def test_compiled_trees_equal_the_interpreter_exactly():
+    rng = random.Random(7)
+    clamped = zero_div = 0
+    for _ in range(150):
+        inst, ctx = _random_state(rng)
+        pairs = _eligible(inst, ctx)
+        if not pairs:
+            continue
+        for _ in range(8):
+            t = _hostile_tree(rng, rng.randint(1, 8))
+            rule, pair_terms, group_terms = t._compiled
+            i, m = pair = rng.choice(pairs)
+            mo = inst.activities[i].modes[m]
+            ref = _interpret(t, lambda name: rules._PAIR_TERMINALS[name](ctx, i, mo))
+            raw = rule([f(ctx, i, mo) for f in pair_terms])
+            assert raw == ref and type(raw) is type(ref), format_sexpr(t)
+            assert eval_pair_priority(t, ctx, pair) == float(ref)
+            clamped += abs(ref) == 1e300
+
+            g = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
+            if len({a for a, _ in g}) < len(g):
+                continue
+            view = rules._GroupView(ctx, g)
+            ref = _interpret(t, lambda name: rules._GROUP_TERMINALS[name](view))
+            raw = rule([f(view) for f in group_terms])
+            assert raw == ref and type(raw) is type(ref), format_sexpr(t)
+            assert eval_group_priority(t, ctx, g) == float(ref)
+            zero_div += "div" in format_sexpr(t)
+    assert clamped > 0 and zero_div > 0
+
+
+def test_evaluated_rule_pair_pickles_and_compares_equal():
+    t = parse_sexpr("(add (div GRD (sub RR RR)) (min EST (neg AvgRLA)))")
+    g = parse_sexpr("(max DSC (mul ExpDur ExpDur))")
+    pair = RulePair(t, g)
+    ctx = fresh_ctx(demo_instance())
+    before = eval_pair_priority(t, ctx, (1, 0)), eval_group_priority(g, ctx, [(1, 0)])
+    copy = pickle.loads(pickle.dumps(pair))
+    assert copy == pair and hash(copy) == hash(pair)
+    assert (eval_pair_priority(copy.ordering, ctx, (1, 0)),
+            eval_group_priority(copy.group, ctx, [(1, 0)])) == before
+
+
+def test_deep_trees_compile():
+    # one assignment per function node: depth never nests the source
+    t = leaf("ExpDur")
+    for _ in range(400):
+        t = func("neg", t)
+    assert eval_pair_priority(t, fresh_ctx(demo_instance()), (1, 0)) == 5.0
+
+
+def test_malformed_nodes_are_rejected(ctx):
+    for bad in (Node("import os"), Node("add", (leaf("RR"),)),
+                Node("exec", (leaf("RR"), leaf("RR")))):
+        with pytest.raises(ValueError):
+            eval_pair_priority(bad, ctx, (1, 0))

@@ -5,7 +5,10 @@ import random
 
 import pytest
 
+from kneegp.evolve import random_tree
 from kneegp.model import build_instance, validate_schedule, Activity, Mode
+from kneegp.policy import POLICY_NAMES, build_policy
+from kneegp.rules import RulePair
 from kneegp.sim import (
     DurationTable,
     PolicyContractError,
@@ -18,7 +21,7 @@ from kneegp.sim import (
     solve,
 )
 
-from conftest import demo_instance, random_instance
+from conftest import demo_instance, random_instance, rescan_eligible
 
 
 class LowestIdFirst:
@@ -71,19 +74,21 @@ def test_scripted_group_run_reaches_seventeen(demo):
 
 
 def test_eligible_set_at_start(demo):
-    elig = eligible_set(demo, frozenset({0}), {}, demo.capacities)
+    elig = eligible_set(demo, {2, 1}, demo.capacities)
     assert elig == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    assert elig == rescan_eligible(demo, frozenset({0}), {}, demo.capacities)
 
 
 def test_eligible_set_respects_free_capacity(demo):
     # activity 1 running in mode 0 leaves 2 units: nothing else fits
-    elig = eligible_set(demo, frozenset({0}), {1: (0, 0, 5)}, (2,))
-    assert elig == []
+    assert eligible_set(demo, {2}, (2,)) == []
+    assert rescan_eligible(demo, frozenset({0}), {1: (0, 0, 5)}, (2,)) == []
 
 
 def test_eligible_set_when_everything_done(demo):
+    assert eligible_set(demo, set(), demo.capacities) == []
     done = frozenset(range(demo.n_activities))
-    assert eligible_set(demo, done, {}, demo.capacities) == []
+    assert rescan_eligible(demo, done, {}, demo.capacities) == []
 
 
 def _lazy_reveal_reference(inst, policy, seed):
@@ -100,7 +105,7 @@ def _lazy_reveal_reference(inst, policy, seed):
                 avail[r] += k
             completed.add(i)
         while True:
-            elig = eligible_set(inst, frozenset(completed), running, avail)
+            elig = rescan_eligible(inst, frozenset(completed), running, avail)
             if not elig:
                 break
             from kneegp.rules import DecisionContext
@@ -138,6 +143,37 @@ def test_presampling_matches_lazy_reveal(demo):
                 for i, e in res.schedule.entries.items()} == entries
         assert [(d.clock, d.eligible_size, d.filtered_size, d.group)
                 for d in res.decisions] == log
+
+
+class RescanChecked:
+    """Delegates to a policy after checking the eligible list it is handed
+    against a full rescan of the decision state."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.decisions = 0
+
+    def decide(self, ctx, eligible):
+        assert list(eligible) == rescan_eligible(
+            ctx.instance, ctx.completed, ctx.running, ctx.availability)
+        self.decisions += 1
+        return self.policy.decide(ctx, eligible)
+
+
+def test_ready_set_matches_full_rescan():
+    rng = random.Random(31)
+    zero_starts = decisions = 0
+    for k in range(40):
+        inst = random_instance(rng, n=rng.randint(3, 9), capacity=12,
+                               max_demand=7, zero_prob=0.3)
+        rules = RulePair(random_tree(rng, 4), random_tree(rng, 4))
+        for name in POLICY_NAMES:
+            policy = RescanChecked(build_policy(rules, name))
+            res = solve(inst, policy, sample_durations(inst, seed=k))
+            assert validate_schedule(inst, res.schedule).ok
+            decisions += policy.decisions
+            zero_starts += sum(e.duration == 0 for e in res.schedule.entries.values())
+    assert decisions > 500 and zero_starts > 100
 
 
 def test_empty_project_finishes_at_zero():
