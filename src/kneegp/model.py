@@ -117,6 +117,13 @@ class InstanceAnalysis:
         self.trans_succ_work = [
             _masked_sum(self.dmin_exp, self.trans_succ_mask[i]) for i in range(n)
         ]
+        # longest min-expected path from an activity's finish to the sink's
+        self.tail = tail = [0] * n
+        dmin = self.dmin_exp
+        for i in reversed(self.topo_order):
+            for j in acts[i].successors:
+                if dmin[j] + tail[j] > tail[i]:
+                    tail[i] = dmin[j] + tail[j]
 
 
 def _mask(ids: Iterable[int]) -> int:
@@ -209,15 +216,7 @@ def cpm_lower_bound(inst: ProjectInstance) -> int:
     Resource limits are ignored, so any realized makespan with durations at
     their expected values is >= this bound.
     """
-    ana = inst.analysis
-    ect = [0] * inst.n_activities
-    for i in ana.topo_order:
-        start = 0
-        for j in inst.activities[i].predecessors:
-            if ect[j] > start:
-                start = ect[j]
-        ect[i] = start + ana.dmin_exp[i]
-    return ect[inst.dummy_end]
+    return inst.analysis.tail[inst.dummy_start]
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,11 @@ class DecisionContext:
     `running` maps an activity id to its (mode index, start time). Remaining
     work of running activities is estimated from expected durations; realized
     durations of anything unfinished are deliberately not visible here.
+
+    Every completed or running activity must have all its predecessors
+    completed, as in any state `sim.solve` reaches. The time terminals rely
+    on it: then no path from an unfinished activity to the sink passes
+    through a completed or running one.
     """
 
     def __init__(self, instance: ProjectInstance, clock: int,
@@ -249,31 +254,50 @@ class DecisionContext:
 
     @cached_property
     def horizon(self) -> float:
-        """Projected completion of the whole project, relative to the clock."""
-        return max(0.0, self._forward[self.instance.dummy_end])
+        """Projected completion of the whole project, relative to the clock:
+        `max(0.0, _forward[sink])`, in value and in int/float type.
 
-    @cached_property
-    def _latest_finish(self) -> list[float]:
-        """Backward pass from the projected horizon with minimum expected
-        durations, relative to the clock."""
+        The pass's longest path starts at the frontier. A running activity
+        with expected work left starts an int chain, `rem + tail`; an
+        unstarted one starts a float chain from the pass's 0.0 floor,
+        `dmin + tail`; an overdue running one adds only its successors'
+        chains. Counting unstarted activities that are not ready changes
+        neither side's maximum nor which side is longer: an unfinished
+        predecessor starts a chain as long, or a strictly longer int one. On
+        a tie the pass's type follows a predecessor set's iteration order,
+        so the pass settles it.
+        """
         inst = self.instance
         ana = inst.analysis
-        lft = [self.horizon] * inst.n_activities
-        for i in reversed(ana.topo_order):
-            succ = inst.activities[i].successors
-            if succ:
-                lft[i] = min(lft[j] - ana.dmin_exp[j] for j in succ)
-        return lft
+        tail, dmin = ana.tail, ana.dmin_exp
+        chain = reach = 0  # longest int chain, longest float chain
+        for i, (m, start) in self.running.items():
+            rem = start + inst.activities[i].modes[m].expected - self.clock
+            if rem > 0 and rem + tail[i] > chain:
+                chain = rem + tail[i]
+        done, running = self.completed, self.running
+        for i in range(inst.n_activities):
+            if i not in done and i not in running and dmin[i] + tail[i] > reach:
+                reach = dmin[i] + tail[i]
+        if chain > reach:
+            return chain
+        if reach > chain:
+            return float(reach)
+        if not reach:
+            return 0.0
+        return max(0.0, self._forward[inst.dummy_end])
 
     def earliest_start(self, i: int) -> float:
-        if i in self.running or i in self.completed:
+        preds = self.instance.activities[i].predecessors
+        if i in self.running or i in self.completed or preds <= self.completed:
             return 0.0
         ect = self._forward
-        return max((ect[j] for j in self.instance.activities[i].predecessors),
-                   default=0.0)
+        return max(ect[j] for j in preds)
 
     def latest_finish(self, i: int) -> float:
-        return self._latest_finish[i]
+        """Backward pass from the horizon with minimum expected durations,
+        relative to the clock; exact, since every value is an integer."""
+        return self.horizon - self.instance.analysis.tail[i]
 
 
 # ---------------------------------------------------------------------------

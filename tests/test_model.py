@@ -29,6 +29,27 @@ def test_demo_lower_bound(demo):
     assert cpm_lower_bound(demo) == 12
 
 
+def _forward_pass_bound(inst) -> int:
+    """Reference critical-path bound: the forward pass from the source."""
+    ect = [0] * inst.n_activities
+    for i in inst.analysis.topo_order:
+        start = max((ect[j] for j in inst.activities[i].predecessors), default=0)
+        ect[i] = start + min(m.expected for m in inst.activities[i].modes)
+    return ect[inst.dummy_end]
+
+
+def test_lower_bound_equals_the_forward_pass():
+    rng = random.Random(17)
+    for _ in range(200):
+        inst = random_instance(rng, n=rng.randint(1, 14), edge_prob=rng.random(),
+                               zero_prob=0.2)
+        bound = cpm_lower_bound(inst)
+        assert bound == inst.lower_bound == _forward_pass_bound(inst)
+        assert type(bound) is int
+        again = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+        assert again.lower_bound == bound
+
+
 def test_chain_lower_bound():
     assert chain_instance([7, 7, 7]).lower_bound == 21
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from kneegp import rules
+from kneegp.policy import POLICY_NAMES, build_policy
 from kneegp.rules import (
     ALL_TERMINALS,
     FUNCTION_ARITY,
@@ -24,6 +25,7 @@ from kneegp.rules import (
     terminal_value,
     validate_tree,
 )
+from kneegp.sim import sample_durations, solve
 
 from conftest import demo_instance, random_instance
 
@@ -134,9 +136,9 @@ def test_empty_group_rejected(ctx):
         eval_group_priority(leaf("ExpDur"), ctx, [])
 
 
-def _random_state(rng):
+def _random_state(rng, zero_prob=0.0):
     inst = random_instance(rng, n=rng.randint(4, 9), n_modes=2, n_resources=2,
-                           capacity=14, max_demand=6)
+                           capacity=14, max_demand=6, zero_prob=zero_prob)
     done = {0}
     running = {}
     clock = rng.randint(0, 9)
@@ -193,9 +195,131 @@ def test_terminals_invariant_under_time_shift():
             {i: (m, s + shift) for i, (m, s) in ctx.running.items()},
         )
         for i, m in _eligible(inst, ctx):
+            mo = inst.activities[i].modes[m]
             for name in ALL_TERMINALS:
-                assert terminal_value(name, ctx, (i, m)) == pytest.approx(
-                    terminal_value(name, moved, (i, m))), name
+                here = rules._PAIR_TERMINALS[name](ctx, i, mo)
+                there = rules._PAIR_TERMINALS[name](moved, i, mo)
+                assert here == there and type(here) is type(there), name
+
+
+# ---------------------------------------------------------------------------
+# time terminals against the full forward and backward passes
+
+def _ref_forward(ctx):
+    """Earliest completion of every activity, relative to the clock, with
+    unstarted activities at their minimum expected duration."""
+    inst = ctx.instance
+    ana = inst.analysis
+    ect = [0.0] * inst.n_activities
+    for i in ana.topo_order:
+        if i in ctx.completed:
+            continue
+        if i in ctx.running:
+            m, start = ctx.running[i]
+            ect[i] = max(0, start + inst.activities[i].modes[m].expected - ctx.clock)
+            continue
+        start = 0.0
+        for j in inst.activities[i].predecessors:
+            if ect[j] > start:
+                start = ect[j]
+        ect[i] = start + ana.dmin_exp[i]
+    return ect
+
+
+def _ref_times(ctx):
+    """(horizon, latest finish per activity, earliest start per activity)."""
+    inst = ctx.instance
+    ana = inst.analysis
+    ect = _ref_forward(ctx)
+    horizon = max(0.0, ect[inst.dummy_end])
+    lft = [horizon] * inst.n_activities
+    for i in reversed(ana.topo_order):
+        succ = inst.activities[i].successors
+        if succ:
+            lft[i] = min(lft[j] - ana.dmin_exp[j] for j in succ)
+    est = [0.0 if i in ctx.running or i in ctx.completed else
+           max((ect[j] for j in inst.activities[i].predecessors), default=0.0)
+           for i in range(inst.n_activities)]
+    return horizon, lft, est
+
+
+def _exact(a, b) -> bool:
+    return a == b and type(a) is type(b)
+
+
+def _assert_times_exact(ctx) -> bool:
+    """Check every time quantity of `ctx` against the reference passes, value
+    and type; returns whether the horizon fell back on the forward pass."""
+    horizon, lft, est = _ref_times(ctx)
+    assert _exact(ctx.horizon, horizon)
+    tie = "_forward" in vars(ctx)
+    inst = ctx.instance
+    for i, act in enumerate(inst.activities):
+        assert _exact(ctx.latest_finish(i), lft[i]), i
+        assert _exact(ctx.earliest_start(i), est[i]), i
+        for mo in act.modes:
+            for name, ref in (("EST", est[i]), ("EFT", est[i] + mo.expected),
+                              ("LFT", lft[i]), ("LST", lft[i] - mo.expected)):
+                assert _exact(rules._PAIR_TERMINALS[name](ctx, i, mo), ref), (name, i)
+    return tie
+
+
+def test_time_terminals_equal_the_reference_passes():
+    rng = random.Random(123)
+    ties = overdue = zero = 0
+    for _ in range(1500):
+        inst, ctx = _random_state(rng, zero_prob=0.25)
+        ties += _assert_times_exact(ctx)
+        overdue += sum(ctx.remaining_expected(i) == 0 for i in ctx.running)
+        zero += sum(inst.activities[i].modes[m].expected == 0
+                    for i, (m, _) in ctx.running.items())
+    assert ties > 10 and overdue > 100 and zero > 100
+
+
+def test_horizon_ties_take_the_forward_pass_type(demo):
+    # running 2 has 3 expected ticks left, then 4 via activity 4: int 7;
+    # ready 3 takes 4, then 3 via activity 5: float 7.0
+    ctx = DecisionContext(demo, 1, (5,), frozenset({0, 1}), {2: (0, 0)})
+    assert _exact(ctx.horizon, 7)
+    assert _exact(ctx.latest_finish(3), 4)
+    assert _assert_times_exact(ctx)
+    # running 3 has 1 tick left, then 3 via activity 5: int 4;
+    # ready 4 takes 4: float 4.0, which the sink's predecessor set yields first
+    ctx = DecisionContext(demo, 3, (3,), frozenset({0, 1, 2}), {3: (0, 0)})
+    assert _exact(ctx.horizon, 4.0)
+    assert _exact(ctx.latest_finish(5), 4.0)
+    assert _assert_times_exact(ctx)
+
+
+class TimesChecked:
+    """Delegates to a policy after checking the decision context's time
+    quantities against the reference passes."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.decisions = self.ties = 0
+
+    def decide(self, ctx, eligible):
+        self.ties += _assert_times_exact(ctx)
+        self.decisions += 1
+        return self.policy.decide(ctx, eligible)
+
+
+def test_time_terminals_exact_at_every_decision_of_solve():
+    rng = random.Random(58)
+    decisions = ties = 0
+    for k in range(30):
+        inst = random_instance(rng, n=rng.randint(3, 10), capacity=12,
+                               max_demand=7, zero_prob=0.25)
+        time_leaf = leaf(rng.choice(("EST", "EFT", "LST", "LFT")))
+        rules_ = RulePair(func("add", time_leaf, random_tree(rng, 3)),
+                          func("add", leaf("LST"), random_tree(rng, 3)))
+        for name in POLICY_NAMES:
+            policy = TimesChecked(build_policy(rules_, name))
+            solve(inst, policy, sample_durations(inst, seed=k))
+            decisions += policy.decisions
+            ties += policy.ties
+    assert decisions > 500 and ties > 10
 
 
 # ---------------------------------------------------------------------------
