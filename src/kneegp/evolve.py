@@ -61,6 +61,8 @@ class GpConfig:
         if min(self.crossover_prob, self.mutation_prob, self.reproduction_prob) < 0 \
                 or abs(total - 1.0) > 1e-9:
             raise ValueError("operator probabilities must be >= 0 and sum to 1")
+        if self.enumeration_limit < 1:
+            raise ValueError("enumeration limit must be at least 1")
 
     @property
     def single_tree(self) -> bool:

@@ -119,10 +119,8 @@ def generate_instance(spec: GenSpec, seed: int | None = None) -> ProjectInstance
         "resource_factor": spec.resource_factor,
         "resource_strength": spec.resource_strength,
     })
-    achieved = order_strength(inst)
-    meta = dict(inst.metadata)
-    meta["os_achieved"] = achieved
-    return build_instance(acts, capacities, metadata=meta)
+    inst.metadata["os_achieved"] = order_strength(inst)
+    return inst
 
 
 def _draw_modes(rng: random.Random, spec: GenSpec) -> list[Mode]:

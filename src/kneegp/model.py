@@ -52,12 +52,12 @@ class Activity:
 
 @dataclass(frozen=True)
 class ProjectInstance:
-    """Immutable project: activities (dummies included), renewable capacities
-    and the critical-path lower bound on the expected-duration makespan."""
+    """Immutable project: activities (dummies included) and renewable
+    capacities. The critical-path lower bound is derived from the analysis,
+    not stored."""
 
     activities: tuple[Activity, ...]
     capacities: ResourceVector
-    lower_bound: int
     metadata: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -82,6 +82,15 @@ class ProjectInstance:
     @cached_property
     def analysis(self) -> "InstanceAnalysis":
         return InstanceAnalysis(self)
+
+    @property
+    def lower_bound(self) -> int:
+        """Critical-path bound using each activity's minimum expected duration.
+
+        Resource limits are ignored, so any realized makespan with durations at
+        their expected values is >= this bound. It is the source's tail.
+        """
+        return self.analysis.tail[self.dummy_start]
 
 
 class InstanceAnalysis:
@@ -163,7 +172,9 @@ def build_instance(
     capacities: Iterable[int],
     metadata: dict | None = None,
 ) -> ProjectInstance:
-    """Validate the pieces and assemble an instance, computing the lower bound."""
+    """Validate the pieces and assemble an instance, analysing it once.
+
+    The lower bound is derived from that analysis, not stored."""
     acts = tuple(sorted(activities, key=lambda a: a.id))
     caps = tuple(int(c) for c in capacities)
     if len(acts) < 2:
@@ -205,18 +216,9 @@ def build_instance(
                     raise StructuralError(
                         f"activity {a.id} has a mode that can never run (demand > capacity)"
                     )
-    inst = ProjectInstance(acts, caps, 0, dict(metadata or {}))
-    lb = cpm_lower_bound(inst)
-    return ProjectInstance(acts, caps, lb, dict(metadata or {}))
-
-
-def cpm_lower_bound(inst: ProjectInstance) -> int:
-    """Critical-path bound using each activity's minimum expected duration.
-
-    Resource limits are ignored, so any realized makespan with durations at
-    their expected values is >= this bound.
-    """
-    return inst.analysis.tail[inst.dummy_start]
+    inst = ProjectInstance(acts, caps, dict(metadata or {}))
+    inst.analysis  # a precedence cycle raises here, at build time
+    return inst
 
 
 @dataclass(frozen=True)

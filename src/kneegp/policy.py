@@ -241,6 +241,9 @@ def build_policy(rules: RulePair, name: str, knee: KneeConfig | None = None,
     """Instantiate a policy by its command-line name."""
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; pick one of {', '.join(POLICY_NAMES)}")
+    limit = DEFAULT_ENUMERATION_LIMIT if hard_limit is None else hard_limit
+    if limit < 1:
+        raise ValueError("hard limit must be at least 1")
     if name == "sgp":
         def decide(ctx, eligible):
             return (sequential_decide(rules.ordering, ctx, eligible),), len(eligible)
@@ -248,8 +251,6 @@ def build_policy(rules: RulePair, name: str, knee: KneeConfig | None = None,
     if rules.group is None:
         raise ValueError(f"policy {name} needs a group tree")
     if name == "ggp":
-        limit = hard_limit or DEFAULT_ENUMERATION_LIMIT
-
         def decide(ctx, eligible):
             d = full_enumeration_decide(rules, ctx, eligible, limit)
             return d.group, d.filtered_size

@@ -474,22 +474,3 @@ def eval_group_priority(tree: Node, ctx: DecisionContext,
     view = _GroupView(ctx, group)
     return float(rule([t(view) for t in terms]))
 
-
-def validate_tree(node: Node, max_depth: int | None = None) -> None:
-    """Raise ValueError on unknown symbols, arity problems or excess depth."""
-    def walk(n: Node, d: int):
-        if max_depth is not None and d > max_depth:
-            raise ValueError(f"tree deeper than {max_depth}")
-        if n.is_leaf():
-            if n.op not in ALL_TERMINALS:
-                raise ValueError(f"unknown terminal {n.op!r}")
-            return
-        arity = FUNCTION_ARITY.get(n.op)
-        if arity is None:
-            raise ValueError(f"unknown function {n.op!r}")
-        if len(n.children) != arity:
-            raise ValueError(f"{n.op} expects {arity} children")
-        for c in n.children:
-            walk(c, d + 1)
-
-    walk(node, 1)

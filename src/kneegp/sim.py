@@ -92,7 +92,6 @@ class DecisionRecord:
 class SimResult:
     schedule: Schedule
     decisions: tuple[DecisionRecord, ...]
-    ticks: int
 
     @property
     def makespan(self) -> int:
@@ -143,10 +142,8 @@ def solve(inst: ProjectInstance, policy: DecisionPolicy,
     # any schedule finishes within the serial sum of worst-case durations
     guard = 1 + sum(max(mo.max_duration for mo in a.modes) for a in acts)
     t = 0
-    ticks = 0
 
     while not end_preds <= completed:
-        ticks += 1
         done_now = [i for i, (_, _, e) in running.items() if e <= t]
         for i in done_now:
             m, _, _ = running.pop(i)
@@ -190,7 +187,7 @@ def solve(inst: ProjectInstance, policy: DecisionPolicy,
                 "executor stalled: the policy keeps declining to start work"
             )
 
-    return SimResult(make_schedule(entries), tuple(decisions), ticks)
+    return SimResult(make_schedule(entries), tuple(decisions))
 
 
 def _check_group(inst: ProjectInstance, group: tuple[Pair, ...],

@@ -308,6 +308,13 @@ def test_evolve_rejects_bad_inputs(demo):
         evolve(cfg, [zero_lb])
 
 
+def test_config_rejects_enumeration_limit_below_one():
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="enumeration limit"):
+            GpConfig(enumeration_limit=limit)
+    assert GpConfig(enumeration_limit=1).enumeration_limit == 1
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GpConfig(population_size=1)

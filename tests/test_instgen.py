@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from kneegp import instgen, model
 from kneegp.instgen import GenSpec, GenerationError, derive_capacities, generate_instance, order_strength
-from kneegp.model import Mode, instance_to_dict
+from kneegp.model import Mode, instance_from_dict, instance_to_dict
 
 from conftest import chain_instance, demo_instance, parallel_instance
 
@@ -35,6 +37,48 @@ def test_generation_is_deterministic():
     assert json.dumps(instance_to_dict(a)) == json.dumps(instance_to_dict(b))
     c = generate_instance(SMALL, seed=10)
     assert json.dumps(instance_to_dict(a)) != json.dumps(instance_to_dict(c))
+
+
+# sha256 of the saved JSON text; a change here changes every stored instance
+PINNED_INSTANCES = [
+    (SMALL, 9, "1c962a84ef52fb231a99f6bc93864e50436a305f0f989ad36902101df8c8d6f8"),
+    (GenSpec(n_activities=120, n_modes=3, n_resources=8, order_strength=0.25), 3,
+     "0c56101d21a0cefcf34f3b9b5859e0402450af9275aa7edba5b095ded40729c5"),
+]
+
+
+@pytest.mark.parametrize("spec,seed,sha", PINNED_INSTANCES)
+def test_generated_instance_bytes_are_pinned(spec, seed, sha):
+    inst = generate_instance(spec, seed)
+    text = json.dumps(instance_to_dict(inst), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+    assert list(inst.metadata)[-1] == "os_achieved"
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    made = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(module, name, counting)
+    return made
+
+
+def test_generation_builds_and_analyses_each_instance_once(monkeypatch):
+    builds = _count_calls(monkeypatch, instgen, "build_instance")
+    analyses = _count_calls(monkeypatch, model, "InstanceAnalysis")
+    inst = generate_instance(SMALL, seed=9)
+    assert builds == [inst]
+    assert len(analyses) == 1 and inst.analysis is analyses[0]
+    assert inst.lower_bound > 0
+    assert len(analyses) == 1
+
+    data = json.loads(json.dumps(instance_to_dict(inst)))
+    again = instance_from_dict(data)
+    assert len(analyses) == 2 and again.analysis is analyses[1]
 
 
 def test_generated_shape_and_ranges():

@@ -12,7 +12,6 @@ from kneegp.model import (
     ScheduleEntry,
     StructuralError,
     build_instance,
-    cpm_lower_bound,
     instance_from_dict,
     instance_to_dict,
     make_schedule,
@@ -26,7 +25,7 @@ from conftest import chain_instance, demo_instance, parallel_instance, random_in
 
 def test_demo_lower_bound(demo):
     assert demo.lower_bound == 12
-    assert cpm_lower_bound(demo) == 12
+    assert demo.lower_bound == 12
 
 
 def _forward_pass_bound(inst) -> int:
@@ -43,7 +42,7 @@ def test_lower_bound_equals_the_forward_pass():
     for _ in range(200):
         inst = random_instance(rng, n=rng.randint(1, 14), edge_prob=rng.random(),
                                zero_prob=0.2)
-        bound = cpm_lower_bound(inst)
+        bound = inst.lower_bound
         assert bound == inst.lower_bound == _forward_pass_bound(inst)
         assert type(bound) is int
         again = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))

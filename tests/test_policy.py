@@ -344,6 +344,20 @@ def test_build_policy_validates_inputs():
     assert build_policy(rules, "ggp", hard_limit=31).decide(ctx, eligible) == (((5, 0),), 5)
 
 
+def test_build_policy_rejects_limits_below_one():
+    # 2**5 - 1 candidates: a limit of 0 used to fall back to the default
+    inst = _flat_instance([1, 2, 3, 10, 11], [5] * 5, 12)
+    ctx = _context(inst)
+    eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
+    rules = RulePair(leaf("ExpDur"), func("neg", leaf("ExpDur")))
+    for name in ("sgp", "ggp", "kggp-max"):
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="hard limit"):
+                build_policy(rules, name, hard_limit=limit)
+    assert build_policy(rules, "ggp", hard_limit=None).decide(ctx, eligible) == (((5, 0),), 5)
+    assert build_policy(rules, "ggp", hard_limit=1).decide(ctx, [(5, 0)]) == (((5, 0),), 1)
+
+
 def test_maximal_groups_are_the_uncontained_feasible_ones():
     # brute force over skip-or-take assignments of random multi-option slots
     from itertools import product

@@ -23,7 +23,6 @@ from kneegp.rules import (
     parse_sexpr,
     protected_div,
     terminal_value,
-    validate_tree,
 )
 from kneegp.sim import sample_durations, solve
 
@@ -352,13 +351,6 @@ def test_parse_rejects_garbage():
                 "(add ExpDur RR", "(add ExpDur RR) trailing"):
         with pytest.raises(ValueError):
             parse_sexpr(bad)
-
-
-def test_validate_tree_depth_cap():
-    t = parse_sexpr("(neg (neg (neg ExpDur)))")
-    validate_tree(t, max_depth=4)
-    with pytest.raises(ValueError):
-        validate_tree(t, max_depth=3)
 
 
 def test_evaluation_always_finite():
