@@ -29,7 +29,7 @@ from .evolve import (
     rule_size,
 )
 from .instgen import GenSpec, gen_spec_from_dict, generate_instance
-from .model import ProjectInstance
+from .model import ProjectInstance, check_keys
 from .policy import EnumerationOverflowError, build_policy
 from .rules import RulePair, format_sexpr, load_rules, parse_sexpr, save_rules
 from .sim import DecisionRecord, derive_seed, sample_durations, solve
@@ -517,18 +517,15 @@ def experiment_to_dict(exp: Experiment) -> dict:
 
 
 def experiment_from_dict(d: dict) -> Experiment:
+    check_keys(d, Experiment, "experiment")
     gp_raw = dict(d.get("gp", {}))
     gp_raw.pop("policy", None)  # the algorithm list decides this per run
     gp = gp_config_from_dict(gp_raw)
 
     scenarios = []
     for s in d["scenarios"]:
-        scenarios.append(Scenario(
-            name=s["name"],
-            gen=gen_spec_from_dict(s.get("gen", {})),
-            n_train=s.get("n_train", 3),
-            n_test=s.get("n_test", 5),
-        ))
+        check_keys(s, Scenario, "scenario")
+        scenarios.append(Scenario(**dict(s, gen=gen_spec_from_dict(s.get("gen", {})))))
     return Experiment(
         seed=d.get("seed", 0),
         scenarios=tuple(scenarios),

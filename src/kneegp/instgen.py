@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .model import Activity, Mode, ProjectInstance, build_instance
+from .model import Activity, Mode, ProjectInstance, build_instance, check_keys
 
 
 class GenerationError(RuntimeError):
@@ -56,6 +56,7 @@ class GenSpec:
 
 def gen_spec_from_dict(d: dict) -> GenSpec:
     """GenSpec from a JSON-style dict; range fields arrive as 2-lists."""
+    check_keys(d, GenSpec, "generator spec")
     raw = dict(d)
     for key in ("duration_range", "fluctuation_range", "demand_range"):
         if key in raw:

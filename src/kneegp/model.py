@@ -8,7 +8,7 @@ integer time grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -291,25 +291,23 @@ def validate_schedule(inst: ProjectInstance, sched: Schedule) -> ValidationResul
                     )
                 )
 
-    horizon = max(end.values(), default=0)
     for r in range(inst.n_resources):
-        delta = [0] * (horizon + 1)
+        # usage changes only at starts and ends, and the last end brings it to 0
+        delta: dict[int, int] = {}
         for i, e in sched.entries.items():
             d = inst.activities[i].modes[e.mode].demand[r]
             if d and e.duration:
-                delta[e.start] += d
-                delta[e.start + e.duration] -= d
+                delta[e.start] = delta.get(e.start, 0) + d
+                delta[e.start + e.duration] = delta.get(e.start + e.duration, 0) - d
         usage, over_from = 0, None
         cap = inst.capacities[r]
-        for t in range(horizon + 1):
+        for t in sorted(delta):
             usage += delta[t]
             if usage > cap and over_from is None:
                 over_from = t
             elif usage <= cap and over_from is not None:
                 violations.append(_resource_violation(inst, sched, r, over_from, t))
                 over_from = None
-        if over_from is not None:
-            violations.append(_resource_violation(inst, sched, r, over_from, horizon))
 
     true_ms = max((e.start + e.duration for e in sched.entries.values()), default=0)
     if sched.makespan != true_ms:
@@ -338,6 +336,13 @@ def _resource_violation(inst, sched, r, t_from, t_to) -> Violation:
 
 # ---------------------------------------------------------------------------
 # JSON serialization
+
+def check_keys(d: Mapping, cls: type, what: str) -> None:
+    """Reject keys of a JSON-style dict that are not fields of dataclass `cls`."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+
 
 def instance_to_dict(inst: ProjectInstance) -> dict:
     return {

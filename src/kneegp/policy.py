@@ -10,16 +10,17 @@ Three families:
 * full enumeration: consider every skip-or-mode assignment of the eligible
   activities, which is exact and explodes combinatorially.
 
-Both group families draw their candidates from one enumerator,
-`feasible_groups`; they differ only in the slots they hand it. Lower scores
-always win, for pairs and for groups alike.
+Pairs are ranked by one function, `rank_pairs`; both group families draw
+their candidates from one enumerator, `feasible_groups`, and differ only in
+the slots they hand it. Lower scores always win, for pairs and groups alike.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import groupby
 from math import prod
-from operator import le
+from operator import itemgetter, le, sub
 from typing import Callable, Iterator, Sequence
 
 from .rules import DecisionContext, Node, Pair, RulePair, eval_group_priority, eval_pair_priority
@@ -78,15 +79,21 @@ class Policy:
     decide: Callable[[DecisionContext, Sequence[Pair]], tuple[tuple[Pair, ...], int]]
 
 
+def rank_pairs(ordering: Node, ctx: DecisionContext,
+               eligible: Sequence[Pair]) -> list[tuple[float, Pair]]:
+    """(priority, pair) for every eligible pair, best first: the one pair
+    order, ties broken on (activity id, mode index). Priorities are never NaN
+    (`_clamp`), so the tuples sort totally."""
+    return sorted(zip([eval_pair_priority(ordering, ctx, p) for p in eligible],
+                      eligible))
+
+
 def sequential_decide(ordering: Node, ctx: DecisionContext,
                       eligible: Sequence[Pair]) -> Pair:
     """Best single pair; ties break on (activity id, mode index)."""
     if not eligible:
         raise ValueError("eligible set is empty")
-    return min(
-        eligible,
-        key=lambda p: (eval_pair_priority(ordering, ctx, p), p[0], p[1]),
-    )
+    return rank_pairs(ordering, ctx, eligible)[0][1]
 
 
 def knee_index(values: Sequence[float]) -> int:
@@ -134,30 +141,20 @@ def feasible_groups(slots: Sequence[Slot], availability: Sequence[int],
     no slot it skips has an option that still fits. Demands are non-negative,
     so those are exactly the groups no other feasible group contains.
     """
-    free = list(availability)
-    chosen: list[Pair] = []
-    skipped: list[int] = []
-
-    def descend(k: int) -> Iterator[tuple[Pair, ...]]:
+    # (next slot, capacity left, members, skipped slots), never mutated
+    stack = [(0, tuple(availability), (), ())]
+    while stack:
+        k, free, members, skipped = stack.pop()
         if k == len(slots):
-            if chosen and not (maximal and any(
+            if members and not (maximal and any(
                     all(map(le, d, free)) for j in skipped for _, d in slots[j])):
-                yield tuple(chosen)
-            return
-        skipped.append(k)
-        yield from descend(k + 1)
-        skipped.pop()
+                yield members
+            continue
         for pair, demand in slots[k]:
             if all(map(le, demand, free)):
-                for r, d in enumerate(demand):
-                    free[r] -= d
-                chosen.append(pair)
-                yield from descend(k + 1)
-                chosen.pop()
-                for r, d in enumerate(demand):
-                    free[r] += d
-
-    return descend(0)
+                stack.append((k + 1, tuple(map(sub, free, demand)),
+                              members + (pair,), skipped))
+        stack.append((k + 1, free, members, skipped + (k,)))
 
 
 def _best_group(tree: Node, ctx: DecisionContext, slots: Sequence[Slot],
@@ -189,23 +186,18 @@ def knee_group_decide(rules: RulePair, ctx: DecisionContext,
     if rules.group is None:
         raise ValueError("knee group policy needs a group tree")
 
-    scored = sorted(
-        ((eval_pair_priority(rules.ordering, ctx, p), p) for p in eligible),
-        key=lambda sp: (sp[0], sp[1][0], sp[1][1]),
-    )
-    ranked: list[tuple[Pair, float]] = []
-    seen: set[int] = set()
-    for prio, pair in scored:
-        if pair[0] not in seen:
-            seen.add(pair[0])
-            ranked.append((pair, prio))
+    # the best-ranked mode of each activity, in ranking order
+    best: dict[int, tuple[float, Pair]] = {}
+    for prio, pair in rank_pairs(rules.ordering, ctx, eligible):
+        best.setdefault(pair[0], (prio, pair))
+    ranked = list(best.values())
 
-    filtered = knee_cut([p for _, p in ranked]) if cfg.apply_knee else len(ranked)
+    filtered = knee_cut([p for p, _ in ranked]) if cfg.apply_knee else len(ranked)
     # never enumerate more subsets than the hard limit allows
     width = min(filtered, cfg.cap,
                 max(1, (cfg.group_size_hard_limit + 1).bit_length() - 1))
     acts = ctx.instance.activities
-    slots = [[((i, m), acts[i].modes[m].demand)] for (i, m), _ in ranked[:width]]
+    slots = [[((i, m), acts[i].modes[m].demand)] for _, (i, m) in ranked[:width]]
     group, count = _best_group(rules.group, ctx, slots, cfg.retain_maximal_only)
     return Decision(group, filtered, count)
 
@@ -222,16 +214,13 @@ def full_enumeration_decide(rules: RulePair, ctx: DecisionContext,
     if rules.group is None:
         raise ValueError("full enumeration needs a group tree")
 
-    by_act: dict[int, list[int]] = {}
-    for i, m in eligible:
-        by_act.setdefault(i, []).append(m)
-    count = prod(len(ms) + 1 for ms in by_act.values()) - 1
+    acts = ctx.instance.activities
+    slots = [[((i, m), acts[i].modes[m].demand) for _, m in pairs]
+             for i, pairs in groupby(sorted(eligible), key=itemgetter(0))]
+    count = prod(len(slot) + 1 for slot in slots) - 1
     if count > hard_limit:
         raise EnumerationOverflowError(count, hard_limit)
 
-    acts = ctx.instance.activities
-    slots = [[((i, m), acts[i].modes[m].demand) for m in by_act[i]]
-             for i in sorted(by_act)]
     group, _ = _best_group(rules.group, ctx, slots)
     return Decision(group, len(eligible), count)
 

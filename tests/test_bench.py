@@ -304,6 +304,18 @@ def test_experiment_config_round_trip():
     assert experiment_from_dict(json.loads(blob)) == exp
 
 
+def test_experiment_loader_rejects_unknown_keys():
+    good = experiment_to_dict(_tiny_experiment())
+    with pytest.raises(ValueError, match="experiment key.*n_run"):
+        experiment_from_dict(dict(good, n_run=10))
+    scenario = dict(good["scenarios"][0], n_tset=9)
+    with pytest.raises(ValueError, match="scenario key.*n_tset"):
+        experiment_from_dict(dict(good, scenarios=[scenario]))
+    with pytest.raises(ValueError, match="generator spec key.*n_activites"):
+        experiment_from_dict(dict(good, scenarios=[
+            dict(good["scenarios"][0], gen={"n_activites": 6})]))
+
+
 def test_experiment_validation():
     gen = GenSpec(n_activities=6, os_tolerance=0.15)
     dup = (Scenario("x", gen), Scenario("x", gen))

@@ -52,6 +52,14 @@ def test_gen_failure_is_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_rejects_a_misspelt_spec_key(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"n_activities": 6, "order_strenght": 0.5}))
+    assert main(["gen", "--spec", str(spec_path), "--out",
+                 str(tmp_path / "x")]) == 1
+    assert "error: unknown generator spec key(s): order_strenght" in capsys.readouterr().err
+
+
 def test_solve_outputs_artifacts(tmp_path, demo_file, rules_file, capsys):
     sched_path = tmp_path / "schedule.json"
     log_path = tmp_path / "log.csv"

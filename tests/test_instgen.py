@@ -6,7 +6,8 @@ import json
 import pytest
 
 from kneegp import instgen, model
-from kneegp.instgen import GenSpec, GenerationError, derive_capacities, generate_instance, order_strength
+from kneegp.instgen import (GenSpec, GenerationError, derive_capacities, gen_spec_from_dict,
+                            generate_instance, order_strength)
 from kneegp.model import Mode, instance_from_dict, instance_to_dict
 
 from conftest import chain_instance, demo_instance, parallel_instance
@@ -37,6 +38,13 @@ def test_generation_is_deterministic():
     assert json.dumps(instance_to_dict(a)) == json.dumps(instance_to_dict(b))
     c = generate_instance(SMALL, seed=10)
     assert json.dumps(instance_to_dict(a)) != json.dumps(instance_to_dict(c))
+
+
+def test_spec_loader_rejects_unknown_keys():
+    assert gen_spec_from_dict({"n_activities": 6, "demand_range": [1, 3]}) == \
+        GenSpec(n_activities=6, demand_range=(1, 3))
+    with pytest.raises(ValueError, match="n_activites, sead"):
+        gen_spec_from_dict({"n_activites": 6, "sead": 2, "n_modes": 2})
 
 
 # sha256 of the saved JSON text; a change here changes every stored instance

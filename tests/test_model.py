@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from kneegp.model import (
     make_schedule,
     schedule_from_dict,
     schedule_to_dict,
+    _resource_violation,
     validate_schedule,
 )
 
@@ -110,6 +112,67 @@ def test_validate_flags_makespan_mismatch(demo):
     s = Schedule({i: ScheduleEntry(*e) for i, e in SEQ_20.items()}, 99)
     res = validate_schedule(demo, s)
     assert any(v.kind == "makespan" for v in res.violations)
+
+
+def _dense_resource_violations(inst, sched):
+    """Reference resource check: a usage list over every tick to the horizon."""
+    out = []
+    horizon = max((e.start + e.duration for e in sched.entries.values()), default=0)
+    for r in range(inst.n_resources):
+        delta = [0] * (horizon + 1)
+        for i, e in sched.entries.items():
+            d = inst.activities[i].modes[e.mode].demand[r]
+            if d and e.duration:
+                delta[e.start] += d
+                delta[e.start + e.duration] -= d
+        usage, over_from = 0, None
+        cap = inst.capacities[r]
+        for t in range(horizon + 1):
+            usage += delta[t]
+            if usage > cap and over_from is None:
+                over_from = t
+            elif usage <= cap and over_from is not None:
+                out.append(_resource_violation(inst, sched, r, over_from, t))
+                over_from = None
+        if over_from is not None:
+            out.append(_resource_violation(inst, sched, r, over_from, horizon))
+    return out
+
+
+def test_resource_sweep_matches_the_per_tick_reference():
+    rng = random.Random(2024)
+    overloaded = 0
+    for _ in range(300):
+        inst = random_instance(rng, n=rng.randint(1, 9), n_modes=2,
+                               n_resources=rng.randint(1, 3), capacity=10,
+                               max_demand=8)
+        shift = rng.choice([0, 0, 3, 1000])
+        entries = {}
+        for i in inst.non_dummy_ids():
+            m = rng.randrange(2)
+            d = rng.choice([0, inst.activities[i].modes[m].expected])
+            entries[i] = ScheduleEntry(m, shift + rng.randint(0, 6), d)
+        sched = make_schedule(entries)
+        got = validate_schedule(inst, sched).violations
+        want = _dense_resource_violations(inst, sched)
+        assert [v for v in got if v.kind == "resource"] == want
+        overloaded += bool(want)
+    assert overloaded > 100
+
+
+def test_validation_cost_does_not_grow_with_start_times(demo):
+    shift = 10 ** 12
+    ok = {i: (m, s + shift, d) for i, (m, s, d) in SEQ_20.items()}
+    bad = dict(GRP_17)
+    bad[1] = (0, 0, 5)
+    bad[3] = (0, 0, 4)
+    bad = {i: (m, s + shift, d) for i, (m, s, d) in bad.items()}
+    tick = time.perf_counter()
+    assert validate_schedule(demo, _sched(ok)).ok
+    res = validate_schedule(demo, _sched(bad))
+    assert time.perf_counter() - tick < 1.0
+    rv = [v for v in res.violations if v.kind == "resource"]
+    assert [(v.time, v.resource) for v in rv] == [(shift, 0)]
 
 
 def test_validate_structural_errors(demo):

@@ -15,9 +15,11 @@ from kneegp.policy import (
     knee_cut,
     knee_group_decide,
     knee_index,
+    rank_pairs,
     sequential_decide,
 )
-from kneegp.rules import DecisionContext, RulePair, func, leaf, parse_sexpr
+from kneegp import policy as policy_module
+from kneegp.rules import DecisionContext, RulePair, eval_pair_priority, func, leaf, parse_sexpr
 from kneegp.sim import sample_durations, solve
 
 from conftest import random_instance, rescan_eligible
@@ -239,6 +241,9 @@ def test_enumeration_matches_subset_oracle():
         ed = full_enumeration_decide(rules, ctx, eligible)
         assert best is not None
         assert ed.group == best[2]
+        shuffled = list(eligible)
+        rng.shuffle(shuffled)
+        assert full_enumeration_decide(rules, ctx, shuffled) == ed
 
 
 def test_enumeration_overflow_carries_the_count():
@@ -377,7 +382,66 @@ def test_maximal_groups_are_the_uncontained_feasible_ones():
                 feasible.add(tuple(p for p, _ in taken))
         maximal = {g for g in feasible
                    if not any(set(g) < set(h) for h in feasible)}
-        every = list(feasible_groups(slots, avail))
+        slots_before, avail_list = repr(slots), list(avail)
+        every = list(feasible_groups(slots, avail_list))
         assert len(every) == len(set(every))
         assert set(every) == feasible
-        assert set(feasible_groups(slots, avail, maximal=True)) == maximal
+        assert set(feasible_groups(slots, avail_list, maximal=True)) == maximal
+        # members in slot order; the inputs are read, never written
+        assert all([k for k, _ in g] == sorted({k for k, _ in g}) for g in every)
+        assert repr(slots) == slots_before and avail_list == list(avail)
+
+
+def _reference_ranking(ordering, ctx, eligible):
+    """The pair order before `rank_pairs`: a key-lambda sort, then the first
+    pair of each activity kept with a seen-set."""
+    scored = sorted(
+        ((eval_pair_priority(ordering, ctx, p), p) for p in eligible),
+        key=lambda sp: (sp[0], sp[1][0], sp[1][1]),
+    )
+    kept, seen = [], set()
+    for prio, pair in scored:
+        if pair[0] not in seen:
+            seen.add(pair[0])
+            kept.append((prio, pair))
+    return scored, kept
+
+
+TIE_HEAVY_TREES = ["(sub RR RR)", "ExpDur", "(max ExpDur OptDur)", "(min LFT LST)",
+                   "(mul RR (sub EST EST))", "(add LFT (neg ExpDur))"]
+
+
+def test_rank_pairs_equals_the_key_lambda_order(monkeypatch):
+    handed = []
+    real = policy_module.feasible_groups
+
+    def spy(slots, availability, maximal=False):
+        handed.append([pair for slot in slots for pair, _ in slot])
+        return real(slots, availability, maximal)
+
+    monkeypatch.setattr(policy_module, "feasible_groups", spy)
+    rng = random.Random(616)
+    trials = 0
+    for _ in range(80):
+        inst = random_instance(rng, n=rng.randint(2, 12), n_modes=rng.randint(2, 3),
+                               capacity=20, max_demand=6,
+                               edge_prob=rng.choice([0.0, 0.2]))
+        ctx = _context(inst)
+        eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
+        if not eligible:
+            continue
+        rng.shuffle(eligible)
+        for text in TIE_HEAVY_TREES:
+            ordering = parse_sexpr(text)
+            scored, kept = _reference_ranking(ordering, ctx, eligible)
+            assert rank_pairs(ordering, ctx, eligible) == scored
+            assert sequential_decide(ordering, ctx, eligible) == scored[0][1]
+
+            cfg = KneeConfig(cap=rng.randint(1, 6))
+            handed.clear()
+            d = knee_group_decide(RulePair(ordering, leaf("RR")), ctx, eligible, cfg)
+            assert d.filtered_size == knee_cut([p for p, _ in kept])
+            width = min(d.filtered_size, cfg.cap)
+            assert handed == [[pair for _, pair in kept[:width]]]
+            trials += 1
+    assert trials > 300
