@@ -517,24 +517,21 @@ def experiment_to_dict(exp: Experiment) -> dict:
 
 
 def experiment_from_dict(d: dict) -> Experiment:
+    """Experiment from a JSON-style dict; only `scenarios` and each
+    scenario's `name` are required."""
+    d = {"seed": 0, "algorithms": ("sgp", "kggp-max"), "n_runs": 1, "gp": {}, **d}
     check_keys(d, Experiment, "experiment")
-    gp_raw = dict(d.get("gp", {}))
+    gp_raw = dict(d["gp"])
     gp_raw.pop("policy", None)  # the algorithm list decides this per run
-    gp = gp_config_from_dict(gp_raw)
 
     scenarios = []
     for s in d["scenarios"]:
+        s = {"gen": {}, **s}
         check_keys(s, Scenario, "scenario")
-        scenarios.append(Scenario(**dict(s, gen=gen_spec_from_dict(s.get("gen", {})))))
-    return Experiment(
-        seed=d.get("seed", 0),
-        scenarios=tuple(scenarios),
-        algorithms=tuple(d.get("algorithms", ("sgp", "kggp-max"))),
-        n_runs=d.get("n_runs", 1),
-        gp=gp,
-        test_realizations=d.get("test_realizations", 5),
-        wall_limit=d.get("wall_limit"),
-    )
+        scenarios.append(Scenario(**dict(s, gen=gen_spec_from_dict(s["gen"]))))
+    return Experiment(**dict(d, scenarios=tuple(scenarios),
+                             algorithms=tuple(d["algorithms"]),
+                             gp=gp_config_from_dict(gp_raw)))
 
 
 def load_experiment(path: Path) -> Experiment:

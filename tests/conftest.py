@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from typing import Callable, Sequence
 
 import pytest
 
-from kneegp.model import Activity, Mode, ProjectInstance, build_instance
+from kneegp import rules
+from kneegp.model import Activity, Mode, ProjectInstance, _masked_sum, build_instance
+from kneegp.rules import TIME_TERMINALS, DecisionContext, Node
 
 
 def _act(i, preds, succs, modes):
@@ -121,3 +124,135 @@ def random_instance(rng: random.Random, n=8, n_modes=2, n_resources=2,
                          sorted(succs[i]) or [n + 1], modes))
     acts.append(_act(n + 1, sinks, [], [idle]))
     return build_instance(acts, [capacity] * n_resources)
+
+
+# ---------------------------------------------------------------------------
+# reference semantics of the terminals: one function per terminal, evaluated
+# on its own, as the engine computed them before its compiled forms. The
+# engine's rank and group forms are checked against these.
+
+def _left(ctx: DecisionContext, d: Sequence[int]) -> list[int]:
+    return [a - k for a, k in zip(ctx.availability, d)]
+
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
+
+
+# value of a demand vector `d` taking `e` expected time units
+RESOURCE_TERMINALS: dict[str, Callable[[DecisionContext, Sequence[int], float], float]] = {
+    "AvgRR": lambda ctx, d, e: _mean(d),
+    "MaxRR": lambda ctx, d, e: max(d),
+    "MinRR": lambda ctx, d, e: min(d),
+    "AvgRA": lambda ctx, d, e: ctx._avail_stats[0],
+    "MaxRA": lambda ctx, d, e: ctx._avail_stats[1],
+    "MinRA": lambda ctx, d, e: ctx._avail_stats[2],
+    "AvgRLA": lambda ctx, d, e: _mean(_left(ctx, d)),
+    "MaxRLA": lambda ctx, d, e: max(_left(ctx, d)),
+    "MinRLA": lambda ctx, d, e: min(_left(ctx, d)),
+    "RR": lambda ctx, d, e: sum(d),
+    "GRD": lambda ctx, d, e: e * max(d),
+}
+
+def latest_finish(ctx: DecisionContext, i: int) -> float:
+    """The backward pass from the horizon with minimum expected durations,
+    relative to the clock; exact, since every value is an integer."""
+    return ctx.horizon - ctx.instance.analysis.tail[i]
+
+
+# value of a pair: (context, activity id, mode)
+PAIR_TERMINALS: dict[str, Callable[[DecisionContext, int, Mode], float]] = {
+    "EST": lambda ctx, i, mo: ctx.earliest_start(i),
+    "EFT": lambda ctx, i, mo: ctx.earliest_start(i) + mo.expected,
+    "LFT": lambda ctx, i, mo: latest_finish(ctx, i),
+    "LST": lambda ctx, i, mo: latest_finish(ctx, i) - mo.expected,
+    "ExpDur": lambda ctx, i, mo: mo.expected,
+    "OptDur": lambda ctx, i, mo: mo.min_duration,
+    "PessDur": lambda ctx, i, mo: mo.max_duration,
+    "GRPW": lambda ctx, i, mo: mo.expected + ctx.instance.analysis.succ_work[i],
+    "GRPW_all": lambda ctx, i, mo: mo.expected + ctx.instance.analysis.trans_succ_work[i],
+    "TPC": lambda ctx, i, mo: ctx.instance.analysis.trans_pred_mask[i].bit_count(),
+    "DPC": lambda ctx, i, mo: len(ctx.instance.activities[i].predecessors),
+    "TSC": lambda ctx, i, mo: ctx.instance.analysis.trans_succ_mask[i].bit_count(),
+    "DSC": lambda ctx, i, mo: len(ctx.instance.activities[i].successors),
+    **{name: lambda ctx, i, mo, f=f: f(ctx, mo.demand, mo.expected)
+       for name, f in RESOURCE_TERMINALS.items()},
+}
+
+
+class GroupView:
+    """Shared per-evaluation aggregates of one candidate group."""
+
+    __slots__ = ("ctx", "members", "demand", "mean_expected")
+
+    def __init__(self, ctx: DecisionContext, pairs):
+        self.ctx = ctx
+        inst = ctx.instance
+        self.members = [(i, inst.activities[i].modes[m]) for i, m in pairs]
+        total = [0] * inst.n_resources
+        exp = 0
+        for _, mo in self.members:
+            exp += mo.expected
+            for r, k in enumerate(mo.demand):
+                total[r] += k
+        self.demand = total
+        self.mean_expected = exp / len(self.members)
+
+    def union_mask(self, masks: list[int]) -> int:
+        m = 0
+        for i, _ in self.members:
+            m |= masks[i]
+        return m
+
+
+def group_work(view: GroupView, succ_masks: list[int]) -> float:
+    own = sum(mo.expected for _, mo in view.members)
+    dmin = view.ctx.instance.analysis.dmin_exp
+    return own + _masked_sum(dmin, view.union_mask(succ_masks))
+
+
+# value of a group: time terminals average the members' pair values,
+# precedence terminals take the union of the members' sets
+GROUP_TERMINALS: dict[str, Callable[[GroupView], float]] = {
+    **{name: (lambda v, f=PAIR_TERMINALS[name]:
+              sum(f(v.ctx, i, mo) for i, mo in v.members) / len(v.members))
+       for name in TIME_TERMINALS},
+    "GRPW": lambda v: group_work(v, v.ctx.instance.analysis.direct_succ_mask),
+    "GRPW_all": lambda v: group_work(v, v.ctx.instance.analysis.trans_succ_mask),
+    "TPC": lambda v: v.union_mask(v.ctx.instance.analysis.trans_pred_mask).bit_count(),
+    "DPC": lambda v: v.union_mask(v.ctx.instance.analysis.direct_pred_mask).bit_count(),
+    "TSC": lambda v: v.union_mask(v.ctx.instance.analysis.trans_succ_mask).bit_count(),
+    "DSC": lambda v: v.union_mask(v.ctx.instance.analysis.direct_succ_mask).bit_count(),
+    **{name: lambda v, f=f: f(v.ctx, v.demand, v.mean_expected)
+       for name, f in RESOURCE_TERMINALS.items()},
+}
+
+
+def compile_row_rule(tree: Node) -> tuple[Callable[[list], float], tuple, tuple]:
+    """The engine before its rank and group forms: a function of a terminal
+    row, plus the pair and the group terminal of each row slot.
+
+    Each distinct terminal gets one slot `r[k]`; each function node becomes
+    one local assignment from `rules._TEMPLATES`."""
+    slots: dict[str, int] = {}
+    lines: list[str] = []
+
+    def emit(n: Node) -> str:
+        if not n.children:
+            if n.op not in PAIR_TERMINALS:
+                raise ValueError(f"unknown terminal {n.op!r}")
+            return f"r[{slots.setdefault(n.op, len(slots))}]"
+        template = rules._TEMPLATES.get(n.op)
+        if template is None or rules.FUNCTION_ARITY[n.op] != len(n.children):
+            raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
+        value = template.format(*[emit(c) for c in n.children])
+        lines.append(f"    v{len(lines)} = {value}\n")
+        return f"v{len(lines) - 1}"
+
+    result = emit(tree)
+    local: dict = {}
+    exec("def rule(r):\n" + "".join(lines) + f"    return {result}\n",
+         {"_clamp": rules._clamp, "protected_div": rules.protected_div}, local)
+    return (local["rule"],
+            tuple(PAIR_TERMINALS[name] for name in slots),
+            tuple(GROUP_TERMINALS[name] for name in slots))

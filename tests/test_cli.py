@@ -60,6 +60,28 @@ def test_gen_rejects_a_misspelt_spec_key(tmp_path, capsys):
     assert "error: unknown generator spec key(s): order_strenght" in capsys.readouterr().err
 
 
+def test_gen_rejects_a_count_that_is_not_an_integer(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"n_activities": "30"}))
+    assert main(["gen", "--spec", str(spec_path), "--out",
+                 str(tmp_path / "x")]) == 1
+    assert "error: counts, the move budget and range bounds must be integers" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, message", [
+    ({"seed": 1}, "missing experiment key(s): scenarios"),
+    ({"scenarios": [{"gen": {"n_activities": 6}}]}, "missing scenario key(s): name"),
+])
+def test_bench_run_reports_a_missing_key(tmp_path, capsys, experiment, message):
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(experiment))
+    assert main(["bench", "run", "--experiment", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_outputs_artifacts(tmp_path, demo_file, rules_file, capsys):
     sched_path = tmp_path / "schedule.json"
     log_path = tmp_path / "log.csv"

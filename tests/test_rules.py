@@ -7,6 +7,7 @@ import random
 import pytest
 
 from kneegp import rules
+from kneegp.evolve import GpConfig, evolve
 from kneegp.policy import POLICY_NAMES, build_policy
 from kneegp.rules import (
     ALL_TERMINALS,
@@ -26,7 +27,15 @@ from kneegp.rules import (
 )
 from kneegp.sim import sample_durations, solve
 
-from conftest import demo_instance, random_instance
+from conftest import (
+    GROUP_TERMINALS,
+    PAIR_TERMINALS,
+    GroupView,
+    compile_row_rule,
+    demo_instance,
+    latest_finish,
+    random_instance,
+)
 
 
 def fresh_ctx(inst, clock=0):
@@ -196,8 +205,8 @@ def test_terminals_invariant_under_time_shift():
         for i, m in _eligible(inst, ctx):
             mo = inst.activities[i].modes[m]
             for name in ALL_TERMINALS:
-                here = rules._PAIR_TERMINALS[name](ctx, i, mo)
-                there = rules._PAIR_TERMINALS[name](moved, i, mo)
+                here = PAIR_TERMINALS[name](ctx, i, mo)
+                there = PAIR_TERMINALS[name](moved, i, mo)
                 assert here == there and type(here) is type(there), name
 
 
@@ -254,12 +263,14 @@ def _assert_times_exact(ctx) -> bool:
     tie = "_forward" in vars(ctx)
     inst = ctx.instance
     for i, act in enumerate(inst.activities):
-        assert _exact(ctx.latest_finish(i), lft[i]), i
+        assert _exact(latest_finish(ctx, i), lft[i]), i
         assert _exact(ctx.earliest_start(i), est[i]), i
-        for mo in act.modes:
+        for m, mo in enumerate(act.modes):
             for name, ref in (("EST", est[i]), ("EFT", est[i] + mo.expected),
                               ("LFT", lft[i]), ("LST", lft[i] - mo.expected)):
-                assert _exact(rules._PAIR_TERMINALS[name](ctx, i, mo), ref), (name, i)
+                assert _exact(PAIR_TERMINALS[name](ctx, i, mo), ref), (name, i)
+                raw = rules.rank_values(rules._leaf_tree(name), ctx, [(i, m)])[0]
+                assert _exact(raw, ref), (name, i)
     return tie
 
 
@@ -280,13 +291,13 @@ def test_horizon_ties_take_the_forward_pass_type(demo):
     # ready 3 takes 4, then 3 via activity 5: float 7.0
     ctx = DecisionContext(demo, 1, (5,), frozenset({0, 1}), {2: (0, 0)})
     assert _exact(ctx.horizon, 7)
-    assert _exact(ctx.latest_finish(3), 4)
+    assert _exact(latest_finish(ctx, 3), 4)
     assert _assert_times_exact(ctx)
     # running 3 has 1 tick left, then 3 via activity 5: int 4;
     # ready 4 takes 4: float 4.0, which the sink's predecessor set yields first
     ctx = DecisionContext(demo, 3, (3,), frozenset({0, 1, 2}), {3: (0, 0)})
     assert _exact(ctx.horizon, 4.0)
-    assert _exact(ctx.latest_finish(5), 4.0)
+    assert _exact(latest_finish(ctx, 5), 4.0)
     assert _assert_times_exact(ctx)
 
 
@@ -425,35 +436,90 @@ def _hostile_tree(rng, depth):
     return func(op, *kids)
 
 
+def _unstarted(inst, ctx):
+    """Every pair of an activity that is neither completed nor running,
+    whether its predecessors are complete or not."""
+    return [(i, m) for i in inst.non_dummy_ids()
+            if i not in ctx.completed and i not in ctx.running
+            for m in range(inst.activities[i].n_modes)]
+
+
 def test_compiled_trees_equal_the_interpreter_exactly():
+    """Both compiled forms against node-by-node evaluation of the reference
+    terminals: the raw value and its type, for every pair of a rank call
+    and for a group. The engine before the two forms must agree too."""
     rng = random.Random(7)
-    clamped = zero_div = 0
-    for _ in range(150):
-        inst, ctx = _random_state(rng)
-        pairs = _eligible(inst, ctx)
+    clamped = zero_div = not_ready = zero_modes = 0
+    for k in range(150):
+        inst, ctx = _random_state(rng, zero_prob=0.25 if k % 2 else 0.0)
+        pairs = _unstarted(inst, ctx)
         if not pairs:
             continue
+        rows = inst.analysis.rows
+        not_ready += sum(not inst.activities[i].predecessors <= ctx.completed
+                         for i, _ in pairs)
+        zero_modes += sum(inst.activities[i].modes[m].expected == 0 for i, m in pairs)
         for _ in range(8):
             t = _hostile_tree(rng, rng.randint(1, 8))
-            rule, pair_terms, group_terms = t._compiled
-            i, m = pair = rng.choice(pairs)
-            mo = inst.activities[i].modes[m]
-            ref = _interpret(t, lambda name: rules._PAIR_TERMINALS[name](ctx, i, mo))
-            raw = rule([f(ctx, i, mo) for f in pair_terms])
-            assert raw == ref and type(raw) is type(ref), format_sexpr(t)
-            assert eval_pair_priority(t, ctx, pair) == float(ref)
-            clamped += abs(ref) == 1e300
+            row_rule, pair_terms, group_terms = compile_row_rule(t)
+            raw = t._rank(ctx, pairs, rows)
+            assert len(raw) == len(pairs)
+            for (i, m), got in zip(pairs, raw):
+                mo = inst.activities[i].modes[m]
+                ref = _interpret(t, lambda name: PAIR_TERMINALS[name](ctx, i, mo))
+                assert _exact(got, ref), (format_sexpr(t), i, m)
+                assert _exact(row_rule([f(ctx, i, mo) for f in pair_terms]), ref)
+                assert eval_pair_priority(t, ctx, (i, m)) == float(ref)
+                clamped += abs(ref) == 1e300
 
             g = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
             if len({a for a, _ in g}) < len(g):
                 continue
-            view = rules._GroupView(ctx, g)
-            ref = _interpret(t, lambda name: rules._GROUP_TERMINALS[name](view))
-            raw = rule([f(view) for f in group_terms])
-            assert raw == ref and type(raw) is type(ref), format_sexpr(t)
+            view = GroupView(ctx, g)
+            ref = _interpret(t, lambda name: GROUP_TERMINALS[name](view))
+            got = t._score(ctx, g, rows)
+            assert _exact(got, ref), format_sexpr(t)
+            assert _exact(row_rule([f(view) for f in group_terms]), ref)
             assert eval_group_priority(t, ctx, g) == float(ref)
             zero_div += "div" in format_sexpr(t)
-    assert clamped > 0 and zero_div > 0
+    assert clamped > 0 and zero_div > 0 and not_ready > 100 and zero_modes > 20
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_a_solve_builds_only_the_forms_its_policy_uses(name):
+    ordering = parse_sexpr("(add LFT (mul ExpDur RR))")
+    group = parse_sexpr("(neg (add GRD DSC))")
+    inst = demo_instance()
+    solve(inst, build_policy(RulePair(ordering, group), name),
+          sample_durations(inst, seed=3))
+    ranks = name != "ggp"  # exact enumeration never ranks pairs
+    assert ("_rank" in vars(ordering)) == ranks
+    assert "_score" not in vars(ordering)
+    assert "_rank" not in vars(group)
+    assert ("_score" in vars(group)) == (name != "sgp")
+
+
+def test_static_rows_are_built_once_per_instance(monkeypatch):
+    built = []
+    real = rules.static_rows
+
+    def counting(ana):
+        built.append(ana)
+        return real(ana)
+
+    monkeypatch.setattr(rules, "static_rows", counting)
+    rng = random.Random(31)
+    instances = [random_instance(rng, n=6) for _ in range(3)]
+    assert built == []  # building an instance leaves its rows unbuilt
+    cfg = GpConfig(population_size=6, max_generations=2, tournament_size=2,
+                   init_depth=(1, 3), max_depth=4, seed=5, policy="kggp-max")
+    evolve(cfg, instances[:2])
+    for k in range(4):
+        rules_ = RulePair(random_tree(rng, 4), random_tree(rng, 4))
+        for name in POLICY_NAMES:
+            solve(instances[2], build_policy(rules_, name),
+                  sample_durations(instances[2], seed=k))
+    assert sorted(map(id, built)) == sorted(id(i.analysis) for i in instances)
 
 
 def test_evaluated_rule_pair_pickles_and_compares_equal():
@@ -462,6 +528,8 @@ def test_evaluated_rule_pair_pickles_and_compares_equal():
     pair = RulePair(t, g)
     ctx = fresh_ctx(demo_instance())
     before = eval_pair_priority(t, ctx, (1, 0)), eval_group_priority(g, ctx, [(1, 0)])
+    eval_group_priority(t, ctx, [(1, 0)]), eval_pair_priority(g, ctx, (1, 0))
+    assert all({"_rank", "_score"} <= set(vars(tree)) for tree in (t, g))
     copy = pickle.loads(pickle.dumps(pair))
     assert copy == pair and hash(copy) == hash(pair)
     assert (eval_pair_priority(copy.ordering, ctx, (1, 0)),
@@ -481,3 +549,9 @@ def test_malformed_nodes_are_rejected(ctx):
                 Node("exec", (leaf("RR"), leaf("RR")))):
         with pytest.raises(ValueError):
             eval_pair_priority(bad, ctx, (1, 0))
+        with pytest.raises(ValueError):
+            eval_group_priority(bad, ctx, [(1, 0)])
+        for form in ("_rank", "_score"):
+            with pytest.raises(ValueError):
+                getattr(bad, form)
+            assert form not in vars(bad)
