@@ -14,7 +14,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from operator import add
 from pathlib import Path
 from statistics import median
@@ -29,9 +29,9 @@ from .evolve import (
     rule_size,
 )
 from .instgen import GenSpec, gen_spec_from_dict, generate_instance
-from .model import ProjectInstance, check_keys
+from .model import ProjectInstance, check_keys, check_types
 from .policy import EnumerationOverflowError, build_policy
-from .rules import RulePair, format_sexpr, load_rules, parse_sexpr, save_rules
+from .rules import RulePair, format_sexpr, parse_sexpr
 from .sim import DecisionRecord, derive_seed, sample_durations, solve
 
 
@@ -71,25 +71,28 @@ class Experiment:
 
 @dataclass(frozen=True)
 class RunReport:
+    """One cell of the grid. The defaulted fields mean "absent": a run keeps
+    them when training or testing did not finish."""
+
     scenario: str
     algorithm: str
     run_index: int
     seed: int
     status: str  # ok | timeout | overflow
-    rules: RulePair | None
-    test_objective: float | None
+    train_seconds: float
+    rules: RulePair | None = None
+    test_objective: float | None = None
     # training fitness of the winner and of the generation-0 champion, both
     # under the shared final re-evaluation; final_fitness <= gen0_fitness
-    final_fitness: float | None
-    gen0_fitness: float | None
-    ordering_size: int
-    group_size: int
-    best_generation: int
-    history: tuple[GenerationStat, ...]
-    eligible_mean: float | None
-    filtered_mean: float | None
-    reduction_pct: float | None
-    train_seconds: float
+    final_fitness: float | None = None
+    gen0_fitness: float | None = None
+    ordering_size: int = 0
+    group_size: int = 0
+    best_generation: int = -1
+    history: tuple[GenerationStat, ...] = ()
+    eligible_mean: float | None = None
+    filtered_mean: float | None = None
+    reduction_pct: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -132,50 +135,30 @@ def run_one(exp: Experiment, scn: Scenario, algorithm: str, run_index: int,
             tests: Sequence[ProjectInstance]) -> RunReport:
     run_seed = derive_seed(exp.seed, scn.name, algorithm, run_index)
     cfg = replace(exp.gp, policy=algorithm, seed=run_seed)
+    head = dict(scenario=scn.name, algorithm=algorithm, run_index=run_index,
+                seed=run_seed)
     tick = time.perf_counter()
     try:
         trained = evolve(cfg, trains, wall_limit=exp.wall_limit)
     except TrainingTimeout as exc:
-        return RunReport(scn.name, algorithm, run_index, run_seed, "timeout",
-                         None, None, None, None, 0, 0, -1, exc.history,
-                         None, None, None, time.perf_counter() - tick)
+        return RunReport(**head, status="timeout", history=exc.history,
+                         train_seconds=time.perf_counter() - tick)
     except EnumerationOverflowError:
-        return RunReport(scn.name, algorithm, run_index, run_seed, "overflow",
-                         None, None, None, None, 0, 0, -1, (),
-                         None, None, None, time.perf_counter() - tick)
-    train_seconds = time.perf_counter() - tick
-
+        return RunReport(**head, status="overflow",
+                         train_seconds=time.perf_counter() - tick)
+    head["train_seconds"] = time.perf_counter() - tick
+    o_size, g_size = rule_size(trained.best)
+    head.update(rules=trained.best, final_fitness=trained.best_fitness,
+                gen0_fitness=trained.candidates[0].final_fitness,
+                ordering_size=o_size, group_size=g_size,
+                best_generation=trained.best_generation, history=trained.history)
     try:
         objective, decisions = evaluate_on_tests(exp, scn, trained.best,
                                                  algorithm, tests)
     except EnumerationOverflowError:
-        o_size, g_size = rule_size(trained.best)
-        return RunReport(scn.name, algorithm, run_index, run_seed, "overflow",
-                         trained.best, None, trained.best_fitness,
-                         trained.candidates[0].final_fitness, o_size, g_size,
-                         trained.best_generation, trained.history,
-                         None, None, None, train_seconds)
-    stats = reduction_report(decisions)
-    o_size, g_size = rule_size(trained.best)
-    return RunReport(
-        scenario=scn.name,
-        algorithm=algorithm,
-        run_index=run_index,
-        seed=run_seed,
-        status="ok",
-        rules=trained.best,
-        test_objective=objective,
-        final_fitness=trained.best_fitness,
-        gen0_fitness=trained.candidates[0].final_fitness,
-        ordering_size=o_size,
-        group_size=g_size,
-        best_generation=trained.best_generation,
-        history=trained.history,
-        eligible_mean=stats.mean_eligible,
-        filtered_mean=stats.mean_filtered,
-        reduction_pct=stats.reduction_pct,
-        train_seconds=train_seconds,
-    )
+        return RunReport(**head, status="overflow")
+    return RunReport(**head, status="ok", test_objective=objective,
+                     **asdict(reduction_report(decisions)))
 
 
 def run_experiment(exp: Experiment, progress=None,
@@ -310,8 +293,8 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float],
 
 @dataclass(frozen=True)
 class ReductionStats:
-    mean_eligible: float
-    mean_filtered: float
+    eligible_mean: float
+    filtered_mean: float
     reduction_pct: float
 
 
@@ -324,8 +307,8 @@ def reduction_report(decisions: Sequence[DecisionRecord]) -> ReductionStats:
         if d.eligible_size > 0:
             cut += 1 - d.filtered_size / d.eligible_size
     return ReductionStats(
-        mean_eligible=sum(d.eligible_size for d in decisions) / len(decisions),
-        mean_filtered=sum(d.filtered_size for d in decisions) / len(decisions),
+        eligible_mean=sum(d.eligible_size for d in decisions) / len(decisions),
+        filtered_mean=sum(d.filtered_size for d in decisions) / len(decisions),
         reduction_pct=100 * cut / len(decisions),
     )
 
@@ -392,27 +375,29 @@ def format_table(table: dict) -> str:
 # ---------------------------------------------------------------------------
 # artifacts
 
+# report.json keeps every field but the rule pair, which it holds as the
+# `ordering` and `group` s-expressions, and what the CSV files hold
+_JSON_FIELDS = tuple(f.name for f in fields(RunReport)
+                     if f.name not in ("rules", "history", "train_seconds"))
+_JSON_KEYS = frozenset(_JSON_FIELDS) | {"ordering", "group"}
+
+
 def report_to_dict(r: RunReport) -> dict:
-    """Deterministic view of a report: wall-clock fields are left out."""
+    """Deterministic view of a report: history and wall-clock time are left
+    to history.csv and timings.csv."""
     return {
-        "scenario": r.scenario,
-        "algorithm": r.algorithm,
-        "run_index": r.run_index,
-        "seed": r.seed,
-        "status": r.status,
+        **{name: getattr(r, name) for name in _JSON_FIELDS},
         "ordering": format_sexpr(r.rules.ordering) if r.rules else None,
-        "group": (format_sexpr(r.rules.group)
-                  if r.rules and r.rules.group else None),
-        "test_objective": r.test_objective,
-        "final_fitness": r.final_fitness,
-        "gen0_fitness": r.gen0_fitness,
-        "ordering_size": r.ordering_size,
-        "group_size": r.group_size,
-        "best_generation": r.best_generation,
-        "eligible_mean": r.eligible_mean,
-        "filtered_mean": r.filtered_mean,
-        "reduction_pct": r.reduction_pct,
+        "group": format_sexpr(r.rules.group) if r.rules and r.rules.group else None,
     }
+
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path
 
 
 def write_reports(reports: Sequence[RunReport], outdir: Path,
@@ -424,37 +409,27 @@ def write_reports(reports: Sequence[RunReport], outdir: Path,
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "report": outdir / "report.json",
-        "history": outdir / "history.csv",
-        "timings": outdir / "timings.csv",
-    }
     payload = {"reports": [report_to_dict(r) for r in reports]}
     if experiment is not None:
         payload["experiment"] = experiment_to_dict(experiment)
-    with paths["report"].open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    with paths["history"].open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario", "algorithm", "run", "generation",
-                    "best_fitness", "mean_fitness", "ordering_size", "group_size"])
-        for r in reports:
-            for h in r.history:
-                w.writerow([r.scenario, r.algorithm, r.run_index, h.generation,
-                            repr(h.best_fitness), repr(h.mean_fitness),
-                            repr(h.mean_ordering_size), repr(h.mean_group_size)])
-
-    with paths["timings"].open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario", "algorithm", "run", "status",
-                    "train_seconds", "censored"])
-        for r in reports:
-            w.writerow([r.scenario, r.algorithm, r.run_index, r.status,
-                        f"{r.train_seconds:.3f}",
-                        int(r.status != "ok")])
-    return paths
+    report = outdir / "report.json"
+    report.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return {
+        "report": report,
+        "history": _write_csv(
+            outdir / "history.csv",
+            ["scenario", "algorithm", "run", "generation", "best_fitness",
+             "mean_fitness", "ordering_size", "group_size"],
+            ([r.scenario, r.algorithm, r.run_index, h.generation,
+              repr(h.best_fitness), repr(h.mean_fitness),
+              repr(h.mean_ordering_size), repr(h.mean_group_size)]
+             for r in reports for h in r.history)),
+        "timings": _write_csv(
+            outdir / "timings.csv",
+            ["scenario", "algorithm", "run", "status", "train_seconds", "censored"],
+            ([r.scenario, r.algorithm, r.run_index, r.status,
+              f"{r.train_seconds:.3f}", int(r.status != "ok")] for r in reports)),
+    }
 
 
 def emit_plot_data(reports: Sequence[RunReport], outdir: Path) -> dict[str, Path]:
@@ -470,40 +445,29 @@ def emit_plot_data(reports: Sequence[RunReport], outdir: Path) -> dict[str, Path
         for r in reports for h in r.history
     ]
     if conv_rows:
-        path = outdir / "convergence.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["scenario", "algorithm", "run", "generation", "best_fitness"])
-            w.writerows(conv_rows)
-        written["convergence"] = path
+        written["convergence"] = _write_csv(
+            outdir / "convergence.csv",
+            ["scenario", "algorithm", "run", "generation", "best_fitness"], conv_rows)
     else:
         warnings.warn("no history rows, skipping convergence.csv")
 
     ok = [r for r in reports if r.status == "ok"]
     if ok:
-        path = outdir / "sizes.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["scenario", "algorithm", "run", "ordering_size",
-                        "group_size", "eligible_mean", "filtered_mean",
-                        "reduction_pct"])
-            for r in ok:
-                w.writerow([r.scenario, r.algorithm, r.run_index,
-                            r.ordering_size, r.group_size,
-                            repr(r.eligible_mean), repr(r.filtered_mean),
-                            repr(r.reduction_pct)])
-        written["sizes"] = path
+        written["sizes"] = _write_csv(
+            outdir / "sizes.csv",
+            ["scenario", "algorithm", "run", "ordering_size", "group_size",
+             "eligible_mean", "filtered_mean", "reduction_pct"],
+            ([r.scenario, r.algorithm, r.run_index, r.ordering_size, r.group_size,
+              repr(r.eligible_mean), repr(r.filtered_mean), repr(r.reduction_pct)]
+             for r in ok))
     else:
         warnings.warn("no finished runs, skipping sizes.csv")
 
-    path = outdir / "runtime.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario", "algorithm", "run", "train_seconds", "censored"])
-        for r in reports:
-            w.writerow([r.scenario, r.algorithm, r.run_index,
-                        f"{r.train_seconds:.3f}", int(r.status != "ok")])
-    written["runtime"] = path
+    written["runtime"] = _write_csv(
+        outdir / "runtime.csv",
+        ["scenario", "algorithm", "run", "train_seconds", "censored"],
+        ([r.scenario, r.algorithm, r.run_index, f"{r.train_seconds:.3f}",
+          int(r.status != "ok")] for r in reports))
     return written
 
 
@@ -521,6 +485,7 @@ def experiment_from_dict(d: dict) -> Experiment:
     scenario's `name` are required."""
     d = {"seed": 0, "algorithms": ("sgp", "kggp-max"), "n_runs": 1, "gp": {}, **d}
     check_keys(d, Experiment, "experiment")
+    check_types(d, Experiment, "experiment")
     gp_raw = dict(d["gp"])
     gp_raw.pop("policy", None)  # the algorithm list decides this per run
 
@@ -528,6 +493,7 @@ def experiment_from_dict(d: dict) -> Experiment:
     for s in d["scenarios"]:
         s = {"gen": {}, **s}
         check_keys(s, Scenario, "scenario")
+        check_types(s, Scenario, "scenario")
         scenarios.append(Scenario(**dict(s, gen=gen_spec_from_dict(s["gen"]))))
     return Experiment(**dict(d, scenarios=tuple(scenarios),
                              algorithms=tuple(d["algorithms"]),
@@ -539,58 +505,44 @@ def load_experiment(path: Path) -> Experiment:
         return experiment_from_dict(json.load(fh))
 
 
+def _read_csv(path: Path) -> dict[tuple, list[dict]]:
+    """Rows of a result CSV by run (scenario, algorithm, run); none if absent."""
+    runs: dict[tuple, list[dict]] = {}
+    if path.exists():
+        with path.open(newline="") as fh:
+            for row in csv.DictReader(fh):
+                key = (row["scenario"], row["algorithm"], int(row["run"]))
+                runs.setdefault(key, []).append(row)
+    return runs
+
+
 def read_reports(indir: Path) -> list[RunReport]:
     """Rebuild run reports from a result directory written by write_reports."""
     indir = Path(indir)
     payload = json.loads((indir / "report.json").read_text())
-
-    hist: dict[tuple, list[GenerationStat]] = {}
-    hist_path = indir / "history.csv"
-    if hist_path.exists():
-        with hist_path.open(newline="") as fh:
-            for row in csv.DictReader(fh):
-                key = (row["scenario"], row["algorithm"], int(row["run"]))
-                hist.setdefault(key, []).append(GenerationStat(
-                    generation=int(row["generation"]),
-                    best_fitness=float(row["best_fitness"]),
-                    mean_fitness=float(row["mean_fitness"]),
-                    mean_ordering_size=float(row["ordering_size"]),
-                    mean_group_size=float(row["group_size"]),
-                    wall_seconds=0.0,
-                ))
-
-    seconds: dict[tuple, float] = {}
-    timing_path = indir / "timings.csv"
-    if timing_path.exists():
-        with timing_path.open(newline="") as fh:
-            for row in csv.DictReader(fh):
-                key = (row["scenario"], row["algorithm"], int(row["run"]))
-                seconds[key] = float(row["train_seconds"])
+    history = _read_csv(indir / "history.csv")
+    seconds = {key: float(rows[-1]["train_seconds"])
+               for key, rows in _read_csv(indir / "timings.csv").items()}
 
     reports = []
     for d in payload["reports"]:
+        if set(d) != _JSON_KEYS:
+            raise ValueError(
+                f"report.json entry: missing key(s) {sorted(_JSON_KEYS - set(d))}, "
+                f"unknown key(s) {sorted(set(d) - _JSON_KEYS)}")
         rules = None
         if d["ordering"] is not None:
             rules = RulePair(parse_sexpr(d["ordering"]),
                              parse_sexpr(d["group"]) if d["group"] else None)
         key = (d["scenario"], d["algorithm"], d["run_index"])
         reports.append(RunReport(
-            scenario=d["scenario"],
-            algorithm=d["algorithm"],
-            run_index=d["run_index"],
-            seed=d["seed"],
-            status=d["status"],
+            **{name: d[name] for name in _JSON_FIELDS},
             rules=rules,
-            test_objective=d["test_objective"],
-            final_fitness=d["final_fitness"],
-            gen0_fitness=d["gen0_fitness"],
-            ordering_size=d["ordering_size"],
-            group_size=d["group_size"],
-            best_generation=d["best_generation"],
-            history=tuple(hist.get(key, ())),
-            eligible_mean=d["eligible_mean"],
-            filtered_mean=d["filtered_mean"],
-            reduction_pct=d["reduction_pct"],
+            history=tuple(
+                GenerationStat(int(row["generation"]), float(row["best_fitness"]),
+                               float(row["mean_fitness"]), float(row["ordering_size"]),
+                               float(row["group_size"]), wall_seconds=0.0)
+                for row in history.get(key, ())),
             train_seconds=seconds.get(key, 0.0),
         ))
     return reports

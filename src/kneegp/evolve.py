@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
 
-from .model import ProjectInstance, check_keys
+from .model import ProjectInstance, check_keys, check_types
 from .policy import DEFAULT_ENUMERATION_LIMIT, KneeConfig, build_policy
 from .rules import ALL_TERMINALS, FUNCTION_ARITY, Node, RulePair, leaf
 from .sim import DurationTable, derive_seed, sample_durations, solve
@@ -72,11 +72,13 @@ class GpConfig:
 def gp_config_from_dict(d: dict) -> GpConfig:
     """GpConfig from a JSON-style dict."""
     check_keys(d, GpConfig, "GP config")
+    check_types(d, GpConfig, "GP config")
     raw = dict(d)
     if "init_depth" in raw:
         raw["init_depth"] = tuple(raw["init_depth"])
     if "knee" in raw:
         check_keys(raw["knee"], KneeConfig, "knee config")
+        check_types(raw["knee"], KneeConfig, "knee config")
         raw["knee"] = KneeConfig(**raw["knee"])
     return GpConfig(**raw)
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .model import Activity, Mode, ProjectInstance, build_instance, check_keys
+from .model import (Activity, Mode, ProjectInstance, build_instance, check_keys,
+                    check_types)
 
 
 class GenerationError(RuntimeError):
@@ -45,6 +46,8 @@ class GenSpec:
                  *self.duration_range, *self.fluctuation_range, *self.demand_range)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in whole):
             raise ValueError("counts, the move budget and range bounds must be integers")
+        # not in gen_spec_from_dict: a non-integer count keeps the message above
+        check_types(vars(self), GenSpec, "generator spec")
         if self.n_activities < 1 or self.n_modes < 1 or self.n_resources < 1:
             raise ValueError("counts must be positive")
         for lo, hi in (self.duration_range, self.fluctuation_range, self.demand_range):

@@ -8,9 +8,9 @@ integer time grid.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, get_args, get_origin, get_type_hints
 
 ResourceVector = tuple[int, ...]
 
@@ -357,6 +357,34 @@ def check_keys(d: Mapping, cls: type, what: str) -> None:
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
+
+
+def check_types(d: Mapping, cls: type, what: str) -> None:
+    """Reject a JSON-style dict with a value that cannot stand for its field
+    of dataclass `cls`: ints stand for floats, lists for tuples and objects
+    for nested dataclasses, and a bool is only a bool."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in d and not _fits(d[f.name], hints[f.name]):
+            raise ValueError(
+                f"{what} key {f.name} must be {f.type}, not {d[f.name]!r}")
+
+
+def _fits(value, hint) -> bool:
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if args:  # a union such as `float | None`
+        return any(_fits(value, a) for a in args)
+    if isinstance(value, bool) or hint is bool:
+        return hint is bool and isinstance(value, bool)
+    if is_dataclass(hint):
+        return isinstance(value, (Mapping, hint))
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def instance_to_dict(inst: ProjectInstance) -> dict:

@@ -500,17 +500,6 @@ def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair], lis
         ["n = len(group)", *left, *lines, f"return {result}"])
 
 
-# one leaf tree per terminal, so the one-terminal API reuses compiled forms
-_LEAVES = {name: Node(name) for name in ALL_TERMINALS}
-
-
-def _leaf_tree(name: str) -> Node:
-    tree = _LEAVES.get(name)
-    if tree is None:
-        raise ValueError(f"unknown terminal {name!r}")
-    return tree
-
-
 def rank_values(tree: Node, ctx: DecisionContext, pairs: Sequence[Pair]) -> list:
     """The tree's raw value at every pair, in order, from one compiled call."""
     return tree._rank(ctx, pairs, ctx.instance.analysis.rows)
@@ -527,12 +516,3 @@ def eval_group_priority(tree: Node, ctx: DecisionContext,
     if not group:
         raise ValueError("group must be non-empty")
     return float(tree._score(ctx, group, ctx.instance.analysis.rows))
-
-
-def terminal_value(name: str, ctx: DecisionContext, pair: Pair) -> float:
-    return eval_pair_priority(_leaf_tree(name), ctx, pair)
-
-
-def group_terminal_value(name: str, ctx: DecisionContext,
-                         group: Sequence[Pair]) -> float:
-    return eval_group_priority(_leaf_tree(name), ctx, group)

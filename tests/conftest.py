@@ -7,7 +7,14 @@ import pytest
 
 from kneegp import rules
 from kneegp.model import Activity, Mode, ProjectInstance, _masked_sum, build_instance
-from kneegp.rules import TIME_TERMINALS, DecisionContext, Node
+from kneegp.rules import (
+    ALL_TERMINALS,
+    TIME_TERMINALS,
+    DecisionContext,
+    Node,
+    eval_group_priority,
+    eval_pair_priority,
+)
 
 
 def _act(i, preds, succs, modes):
@@ -124,6 +131,21 @@ def random_instance(rng: random.Random, n=8, n_modes=2, n_resources=2,
                          sorted(succs[i]) or [n + 1], modes))
     acts.append(_act(n + 1, sinks, [], [idle]))
     return build_instance(acts, [capacity] * n_resources)
+
+
+# ---------------------------------------------------------------------------
+# one terminal at a time, through the engine's compiled forms
+
+# one leaf tree per terminal, so repeated calls reuse its compiled forms
+LEAVES = {name: Node(name) for name in ALL_TERMINALS}
+
+
+def terminal_value(name: str, ctx: DecisionContext, pair) -> float:
+    return eval_pair_priority(LEAVES[name], ctx, pair)
+
+
+def group_terminal_value(name: str, ctx: DecisionContext, group) -> float:
+    return eval_group_priority(LEAVES[name], ctx, group)
 
 
 # ---------------------------------------------------------------------------

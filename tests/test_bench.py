@@ -2,6 +2,7 @@
 import json
 import random
 import time
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -22,14 +23,17 @@ from kneegp.bench import (
     read_reports,
     reduction_report,
     run_experiment,
+    run_one,
     summarize,
     wilcoxon_rank_sum,
     write_reports,
 )
-from kneegp.evolve import GpConfig
+from kneegp.evolve import GpConfig, evolve, rule_size
 from kneegp.instgen import GenSpec
 from kneegp.rules import RulePair, leaf, load_rules, parse_sexpr, save_rules
-from kneegp.sim import DecisionRecord
+from kneegp.sim import DecisionRecord, derive_seed
+
+from conftest import chain_instance, parallel_instance
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +173,8 @@ def test_reduction_single_decision():
 def test_reduction_averages_per_decision():
     stats = reduction_report([_decision(10, 4), _decision(20, 16)])
     assert stats.reduction_pct == pytest.approx(40.0)
-    assert stats.mean_eligible == 15.0
-    assert stats.mean_filtered == 10.0
+    assert stats.eligible_mean == 15.0
+    assert stats.filtered_mean == 10.0
 
 
 def test_reduction_requires_decisions():
@@ -270,6 +274,36 @@ def test_enumeration_overflow_is_reported_not_raised():
     assert [r.status for r in reports] == ["overflow"]
 
 
+@pytest.fixture(scope="module")
+def late_overflow_report():
+    """A `ggp` run that trains on a chain, where every decision has one pair,
+    and overflows the enumeration limit on a wide antichain at test time."""
+    exp = _tiny_experiment(
+        algorithms=("ggp",), n_runs=1,
+        gp=GpConfig(population_size=4, max_generations=1, tournament_size=2,
+                    init_depth=(2, 3), enumeration_limit=10))
+    scn = replace(exp.scenarios[0], name="wide")
+    return exp, scn, run_one(exp, scn, "ggp", 0, [chain_instance([3, 1, 4, 2])],
+                             [parallel_instance([2, 3, 4, 5, 6])])
+
+
+def test_overflow_at_test_time_keeps_the_training_result(late_overflow_report):
+    exp, scn, report = late_overflow_report
+    trained = evolve(replace(exp.gp, policy="ggp",
+                             seed=derive_seed(exp.seed, scn.name, "ggp", 0)),
+                     [chain_instance([3, 1, 4, 2])])
+    assert report.status == "overflow"
+    assert report.rules == trained.best
+    assert report.final_fitness == trained.best_fitness
+    assert report.gen0_fitness == trained.candidates[0].final_fitness
+    assert (report.ordering_size, report.group_size) == rule_size(trained.best)
+    assert report.best_generation == trained.best_generation
+    assert ([replace(h, wall_seconds=0.0) for h in report.history]
+            == [replace(h, wall_seconds=0.0) for h in trained.history])
+    assert report.test_objective is None
+    assert report.eligible_mean is report.filtered_mean is report.reduction_pct is None
+
+
 def test_plot_data_shapes(tmp_path, tiny_reports):
     written = emit_plot_data(tiny_reports, tmp_path)
     conv = written["convergence"].read_text().splitlines()
@@ -284,18 +318,26 @@ def test_plot_data_shapes(tmp_path, tiny_reports):
         emit_plot_data([], tmp_path)
 
 
-def test_report_directory_round_trip(tmp_path, tiny_reports):
-    write_reports(tiny_reports, tmp_path, _tiny_experiment())
+def test_report_directory_round_trip(tmp_path, tiny_reports, late_overflow_report):
+    timeouts = [replace(r, scenario="late")
+                for r in run_experiment(_tiny_experiment(wall_limit=0.0, n_runs=1))]
+    # a timeout after some generations keeps their history
+    timeouts.append(RunReport("later", "sgp", 0, 7, "timeout", 0.0125,
+                              history=tiny_reports[0].history))
+    overflow = run_experiment(_tiny_experiment(
+        algorithms=("ggp",), n_runs=1,
+        gp=GpConfig(population_size=4, max_generations=1, tournament_size=2,
+                    init_depth=(2, 3), enumeration_limit=3)))
+    reports = [*tiny_reports, *timeouts, *overflow, late_overflow_report[2]]
+    assert [r.status for r in reports[4:]] == ["timeout"] * 3 + ["overflow"] * 2
+    write_reports(reports, tmp_path, _tiny_experiment())
     loaded = read_reports(tmp_path)
-    assert len(loaded) == len(tiny_reports)
-    for got, want in zip(loaded, tiny_reports):
-        assert got.scenario == want.scenario
-        assert got.algorithm == want.algorithm
-        assert got.rules == want.rules
-        assert got.test_objective == want.test_objective
-        assert got.reduction_pct == want.reduction_pct
-        assert [(h.generation, h.best_fitness) for h in got.history] == \
-               [(h.generation, h.best_fitness) for h in want.history]
+    assert len(loaded) == len(reports)
+    for got, want in zip(loaded, reports):
+        # timings.csv keeps seconds to 3 decimals, history.csv no wall time
+        assert got == replace(
+            want, train_seconds=float(f"{want.train_seconds:.3f}"),
+            history=tuple(replace(h, wall_seconds=0.0) for h in want.history))
 
 
 def test_experiment_config_round_trip():

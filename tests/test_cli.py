@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from kneegp.bench import RunReport, report_to_dict
 from kneegp.cli import main
 from kneegp.model import load_instance, schedule_from_dict, validate_schedule
 from kneegp.rules import load_rules
@@ -80,6 +81,39 @@ def test_bench_run_reports_a_missing_key(tmp_path, capsys, experiment, message):
                  "--out", str(tmp_path / "out")]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_SCENARIO = {"name": "tiny", "gen": {"n_activities": 6}}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("gen", {"order_strength": "0.5"},
+     "generator spec key order_strength must be float, not '0.5'"),
+    ("evolve", {"population_size": "10"},
+     "GP config key population_size must be int, not '10'"),
+    ("evolve", {"knee": {"cap": "3"}}, "knee config key cap must be int, not '3'"),
+    ("evolve", {"init_depth": 3},
+     "GP config key init_depth must be tuple[int, int], not 3"),
+    ("bench run", {"scenarios": [dict(_SCENARIO, n_train="1")]},
+     "scenario key n_train must be int, not '1'"),
+    ("bench run", {"scenarios": [_SCENARIO], "wall_limit": "5"},
+     "experiment key wall_limit must be float | None, not '5'"),
+], ids=["gen-float", "evolve-int", "evolve-knee", "evolve-tuple", "bench-scenario",
+        "bench-experiment"])
+def test_a_wrongly_typed_config_value_is_reported(tmp_path, demo_file, capsys,
+                                                 command, config, message):
+    path = tmp_path / "config.json"
+    out = str(tmp_path / "out")
+    argv = {
+        "gen": ["gen", "--spec", str(path), "--out", out],
+        "evolve": ["evolve", "--config", str(path), "--out", out],
+        "bench run": ["bench", "run", "--experiment", str(path), "--out", out],
+    }[command]
+    if command == "evolve":
+        config = dict(config, instances=[str(demo_file)])
+    path.write_text(json.dumps(config))
+    assert main(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_solve_outputs_artifacts(tmp_path, demo_file, rules_file, capsys):
@@ -186,6 +220,19 @@ def test_bench_pipeline(tmp_path, capsys):
     assert (out / "plots" / "convergence.csv").exists()
     assert (out / "plots" / "sizes.csv").exists()
     assert (out / "plots" / "runtime.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda entry: entry.pop("seed"), "missing key(s) ['seed']"),
+    (lambda entry: entry.update(sede=1), "unknown key(s) ['sede']"),
+], ids=["missing", "unknown"])
+def test_bench_stats_reports_a_bad_report_entry(tmp_path, capsys, edit, message):
+    entry = report_to_dict(RunReport("tiny", "sgp", 0, 1, "timeout", 0.5))
+    edit(entry)
+    (tmp_path / "report.json").write_text(json.dumps({"reports": [entry]}))
+    assert main(["bench", "stats", "--in", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: report.json entry") and message in err
 
 
 def test_bench_workers_do_not_change_results(tmp_path):

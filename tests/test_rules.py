@@ -19,22 +19,23 @@ from kneegp.rules import (
     eval_pair_priority,
     format_sexpr,
     func,
-    group_terminal_value,
     leaf,
     parse_sexpr,
     protected_div,
-    terminal_value,
 )
 from kneegp.sim import sample_durations, solve
 
 from conftest import (
     GROUP_TERMINALS,
     PAIR_TERMINALS,
+    LEAVES,
     GroupView,
     compile_row_rule,
     demo_instance,
+    group_terminal_value,
     latest_finish,
     random_instance,
+    terminal_value,
 )
 
 
@@ -269,7 +270,7 @@ def _assert_times_exact(ctx) -> bool:
             for name, ref in (("EST", est[i]), ("EFT", est[i] + mo.expected),
                               ("LFT", lft[i]), ("LST", lft[i] - mo.expected)):
                 assert _exact(PAIR_TERMINALS[name](ctx, i, mo), ref), (name, i)
-                raw = rules.rank_values(rules._leaf_tree(name), ctx, [(i, m)])[0]
+                raw = rules.rank_values(LEAVES[name], ctx, [(i, m)])[0]
                 assert _exact(raw, ref), (name, i)
     return tie
 
