@@ -520,16 +520,21 @@ def read_reports(indir: Path) -> list[RunReport]:
     """Rebuild run reports from a result directory written by write_reports."""
     indir = Path(indir)
     payload = json.loads((indir / "report.json").read_text())
+    if not isinstance(payload, dict) or not isinstance(payload.get("reports"), list):
+        raise ValueError("report.json must be an object with a 'reports' list")
     history = _read_csv(indir / "history.csv")
     seconds = {key: float(rows[-1]["train_seconds"])
                for key, rows in _read_csv(indir / "timings.csv").items()}
 
     reports = []
     for d in payload["reports"]:
+        if not isinstance(d, dict):
+            raise ValueError(f"report.json entry must be an object, not {d!r}")
         if set(d) != _JSON_KEYS:
             raise ValueError(
                 f"report.json entry: missing key(s) {sorted(_JSON_KEYS - set(d))}, "
                 f"unknown key(s) {sorted(set(d) - _JSON_KEYS)}")
+        check_types(d, RunReport, "report.json entry")
         rules = None
         if d["ordering"] is not None:
             rules = RulePair(parse_sexpr(d["ordering"]),

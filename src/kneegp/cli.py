@@ -74,9 +74,14 @@ def cmd_solve(args) -> int:
 def cmd_evolve(args) -> int:
     raw = json.loads(Path(args.config).read_text())
     paths = raw.pop("instances", [])
+    if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
+        raise ValueError(f"training config key instances must be a list of paths, not {paths!r}")
     if not paths:
         raise ValueError("training config needs a non-empty 'instances' list")
     wall_limit = raw.pop("wall_limit", None)
+    if isinstance(wall_limit, bool) or not isinstance(wall_limit, (int, float, type(None))):
+        raise ValueError(
+            f"training config key wall_limit must be float | None, not {wall_limit!r}")
     cfg = gp_config_from_dict(raw)
 
     base = Path(args.config).parent

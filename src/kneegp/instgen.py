@@ -46,7 +46,8 @@ class GenSpec:
                  *self.duration_range, *self.fluctuation_range, *self.demand_range)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in whole):
             raise ValueError("counts, the move budget and range bounds must be integers")
-        # not in gen_spec_from_dict: a non-integer count keeps the message above
+        # only the ranges are checked in gen_spec_from_dict: a count that is
+        # not an integer keeps the message above
         check_types(vars(self), GenSpec, "generator spec")
         if self.n_activities < 1 or self.n_modes < 1 or self.n_resources < 1:
             raise ValueError("counts must be positive")
@@ -67,6 +68,7 @@ def gen_spec_from_dict(d: dict) -> GenSpec:
     raw = dict(d)
     for key in ("duration_range", "fluctuation_range", "demand_range"):
         if key in raw:
+            check_types({key: raw[key]}, GenSpec, "generator spec")
             raw[key] = tuple(raw[key])
     return GenSpec(**raw)
 

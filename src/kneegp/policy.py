@@ -10,9 +10,10 @@ Three families:
 * full enumeration: consider every skip-or-mode assignment of the eligible
   activities, which is exact and explodes combinatorially.
 
-Pairs are ranked by one function, `rank_pairs`; both group families draw
-their candidates from one enumerator, `feasible_groups`, and differ only in
-the slots they hand it. Lower scores always win, for pairs and groups alike.
+Pairs are ranked by one function, `rank_pairs`. Both group families choose
+with one call to the group tree's compiled decision form, which walks the
+feasible groups of the slots it is handed and scores each; they differ only
+in the slots. Lower scores always win, for pairs and groups alike.
 """
 from __future__ import annotations
 
@@ -20,11 +21,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import groupby
 from math import prod
-from operator import itemgetter, le, sub
-from typing import Callable, Iterator, Sequence
+from operator import itemgetter, le
+from typing import Callable, Sequence
 
-from .rules import DecisionContext, Node, Pair, RulePair, eval_group_priority, rank_values
-from .rules import eval_pair_priority  # noqa: F401  perfbench's tracer patches this name
+from .rules import DecisionContext, Node, Pair, RulePair, rank_values
+# perfbench's tracer patches these names
+from .rules import eval_group_priority, eval_pair_priority  # noqa: F401
 
 POLICY_NAMES = ("sgp", "ggp", "kggp-max", "kggp-all")
 
@@ -132,48 +134,19 @@ def knee_cut(prios: Sequence[float]) -> int:
     return bisect_right(prios, prios[knee_index(prios)])
 
 
-def feasible_groups(slots: Sequence[Slot], availability: Sequence[int],
-                    maximal: bool = False) -> Iterator[tuple[Pair, ...]]:
-    """Every non-empty group of at most one option per slot that fits.
-
-    Depth first over skip-or-take choices in slot order, members in slot
-    order; a branch stops as soon as it overdraws a resource, so infeasible
-    supersets are never visited. With `maximal`, a group is yielded only if
-    no slot it skips has an option that still fits. Demands are non-negative,
-    so those are exactly the groups no other feasible group contains.
-    """
-    # (next slot, capacity left, members, skipped slots), never mutated
-    stack = [(0, tuple(availability), (), ())]
-    while stack:
-        k, free, members, skipped = stack.pop()
-        if k == len(slots):
-            if members and not (maximal and any(
-                    all(map(le, d, free)) for j in skipped for _, d in slots[j])):
-                yield members
-            continue
-        for pair, demand in slots[k]:
-            if all(map(le, demand, free)):
-                stack.append((k + 1, tuple(map(sub, free, demand)),
-                              members + (pair,), skipped))
-        stack.append((k + 1, free, members, skipped + (k,)))
-
-
 def _best_group(tree: Node, ctx: DecisionContext, slots: Sequence[Slot],
                 maximal: bool = False) -> tuple[tuple[Pair, ...], int]:
-    """Lowest-scoring feasible group and how many groups were scored.
+    """Lowest-scoring feasible group of at most one option per slot, and
+    how many groups were scored: one call to the group tree's decision form.
 
-    Ties break on the sorted activity ids, then on the group itself.
+    Ties break on the sorted activity ids, then on the group itself. A lone
+    option that fits is the only feasible group, so it is taken unscored.
     """
-    best: tuple[Pair, ...] = ()
-    best_key = None
-    scored = 0
-    for group in feasible_groups(slots, ctx.availability, maximal):
-        key = (eval_group_priority(tree, ctx, group),
-               sorted(i for i, _ in group), group)
-        scored += 1
-        if best_key is None or key < best_key:
-            best, best_key = group, key
-    return best, scored
+    if len(slots) == 1 and len(slots[0]) == 1:
+        (pair, demand), = slots[0]
+        if all(map(le, demand, ctx.availability)):
+            return (pair,), 1
+    return tree._best(ctx, slots, ctx.instance.analysis.rows, maximal)
 
 
 def knee_group_decide(rules: RulePair, ctx: DecisionContext,

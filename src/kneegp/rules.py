@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import add, sub
+from operator import le, sub
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -98,6 +98,10 @@ class Node:
     @cached_property
     def _score(self) -> Callable:
         return _compile_score(self)
+
+    @cached_property
+    def _best(self) -> Callable:
+        return _compile_best(self)
 
     def __getstate__(self) -> dict:
         return {"op": self.op, "children": self.children}
@@ -306,14 +310,17 @@ class DecisionContext:
 #
 # Each terminal is one entry of the tables below: a source expression for its
 # value at one pair and one for its value at a group. A tree compiles them
-# into two forms, each generated the first time it is used:
+# into three forms, each generated the first time it is used:
 #
 #   rank(ctx, pairs, rows)  -> the tree's value at every pair, in order;
-#   score(ctx, group, rows) -> its value at one group.
+#   score(ctx, group, rows) -> its value at one group;
+#   best(ctx, slots, rows, maximal) -> (group, count): the lowest-scoring
+#       feasible group of a decision and how many groups were scored.
 #
 # `rows` is `ctx.instance.analysis.rows`, one static row per (activity, mode)
-# pair. The forms return the tree's raw value, int or float as the
-# arithmetic leaves it; the public wrappers convert it to float.
+# pair. `rank` and `score` return the tree's raw value, int or float as the
+# arithmetic leaves it; the public wrappers convert it to float, and `best`
+# compares the converted values.
 
 # resource terminals, over a demand vector {d} and an expected duration {e};
 # `ra` is (mean, max, min) of the free capacity and `left` the capacity left
@@ -389,13 +396,22 @@ _GROUP: dict[str, str] = {
     **{name: t.format(d="D", e="(s_ExpDur / n)") for name, t in _RESOURCE.items()},
 }
 
-# what each member (activity `i`, row `r`) adds to a group aggregate:
-# name -> (start value, update)
-_MEMBER: dict[str, tuple[str, str]] = {
-    **{f"s_{name}": ("0", f"s_{name} += {_PAIR[name]}") for name in TIME_TERMINALS},
-    **{u: ("0", f"{u} |= r[{k}]") for k, u in
+# the aggregates a group carries over its members, taken in member order:
+# name -> (value with no member, a member's share, how the share is added).
+# A member is activity `i` with static row `r`; `free` is the capacity the
+# members leave.
+_AGGREGATE: dict[str, tuple[str, str, str]] = {
+    **{f"s_{name}": ("0", _PAIR[name], "{} + {}") for name in TIME_TERMINALS},
+    **{u: ("0", f"r[{k}]", "{} | {}") for k, u in
        enumerate(("u_succ", "u_tsucc", "u_tpred", "u_pred"), start=_DEMAND + 1)},
-    "D": ("[0] * len(av)", f"D = list(map(add, D, r[{_DEMAND}]))"),
+    "free": ("av", f"r[{_DEMAND}]", "tuple(map(sub, {}, {}))"),
+}
+
+# what the group terminals read of the group besides the aggregates
+_AT_GROUP: dict[str, str] = {
+    "n": "len(group)",
+    "D": "list(map(sub, av, free))",
+    "left": "free",
 }
 
 # what the forms read once per decision
@@ -408,11 +424,26 @@ _DECISION: dict[str, str] = {
     "av": "ctx.availability",
 }
 
+
+def _extendable(slots, skipped: tuple[int, ...], free: Sequence[int]) -> bool:
+    """Whether an option of a skipped slot still fits the free capacity.
+    Demands are non-negative, so a group is maximal exactly when not."""
+    return any(all(map(le, d, free)) for j in skipped for _, d in slots[j])
+
+
+def _precedes(group: tuple[Pair, ...], other: tuple[Pair, ...]) -> bool:
+    """The tie-break between groups of equal score: sorted activity ids
+    first, then the groups themselves."""
+    return (sorted(i for i, _ in group), group) < (sorted(i for i, _ in other), other)
+
+
 # the names generated code reads besides its locals, shared by all of it
 _RULE_GLOBALS = {"_clamp": _clamp, "protected_div": protected_div,
-                 "_masked_sum": _masked_sum, "add": add, "sub": sub,
+                 "_masked_sum": _masked_sum, "_extendable": _extendable,
+                 "_precedes": _precedes, "sub": sub, "le": le,
                  "min": min, "max": max, "abs": abs, "sum": sum, "len": len,
-                 "list": list, "map": map}
+                 "all": all, "float": float, "list": list, "tuple": tuple,
+                 "map": map}
 
 
 @cache
@@ -463,9 +494,14 @@ def _define(name: str, head: list[str], loop: str, inner: list[str],
     if loop:
         src += [f"    {loop}"] + [f"        {s}" for s in inner]
     src += [f"    {s}" for s in tail]
+    return _exec("\n".join(src) + "\n", name.partition("(")[0])
+
+
+def _exec(src: str, name: str) -> Callable:
+    """The function `name` that the source `src` defines."""
     local: dict = {}
-    exec("\n".join(src) + "\n", _RULE_GLOBALS, local)
-    return local[name.partition("(")[0]]
+    exec(src, _RULE_GLOBALS, local)
+    return local[name]
 
 
 def _decision_reads(used: set[str]) -> list[str]:
@@ -484,20 +520,91 @@ def _compile_rank(tree: Node) -> Callable[[DecisionContext, Sequence[Pair], list
         ["return out"])
 
 
-def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair], list], float]:
-    """The group form: one pass over the members for the aggregates the tree
-    reads, then the tree once."""
+def _group_parts(tree: Node) -> tuple[dict[str, tuple[str, str, str]], list[str], str, set[str]]:
+    """What scoring `tree` at a group takes: the aggregates it reads, the
+    statements from them to its value, the local holding the value, and the
+    names that the table entries involved read."""
     exprs, lines, result = _body(tree, _GROUP)
-    left = ["left = list(map(sub, av, D))"] if "left" in _names(exprs) else []
-    used = _names(exprs + left)
-    members = {k: v for k, v in _MEMBER.items() if k in used}
-    starts = [f"{k} = {start}" for k, (start, _) in members.items()]
-    updates = [update for _, update in members.values()]
+    at_group = [f"{k} = {v}" for k, v in _AT_GROUP.items() if k in _names(exprs)]
+    used = _names(exprs + at_group)
+    aggregates = {k: v for k, v in _AGGREGATE.items() if k in used}
+    used |= _names([s for start, share, _ in aggregates.values() for s in (start, share)])
+    return aggregates, at_group + lines, result, used
+
+
+def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair], list], float]:
+    """The one-group form: one pass over the members for the aggregates the
+    tree reads, then the tree once."""
+    aggregates, lines, result, used = _group_parts(tree)
     return _define(
         "score(ctx, group, rows)",
-        _decision_reads(used | _names(starts + updates)) + starts,
-        "for i, m in group:" if members else "", ["r = rows[i][m]", *updates],
-        ["n = len(group)", *left, *lines, f"return {result}"])
+        _decision_reads(used) + [f"{k} = {start}" for k, (start, _, _) in aggregates.items()],
+        "for i, m in group:" if aggregates else "",
+        ["r = rows[i][m]",
+         *(f"{k} = {add.format(k, share)}" for k, (_, share, add) in aggregates.items())],
+        [*lines, f"return {result}"])
+
+
+# the decision form; `{...}` marks what a tree fills in
+_BEST = """\
+def best(ctx, slots, rows, maximal):
+{reads}
+    opts = []
+    for slot in slots:
+        row = []
+        for pair, d in slot:
+            i, m = pair
+            r = rows[i][m]
+            row.append((pair, d{shares}))
+        opts.append(row)
+    end = len(slots)
+    chosen, low, count = (), None, 0
+    stack = [(0, av, (), (){starts})]
+    pop, push = stack.pop, stack.append
+    while stack:
+        k, free, group, skipped{names} = pop()
+        if k == end:
+            if group and not (maximal and _extendable(slots, skipped, free)):
+{leaf}
+                value = float({result})
+                count += 1
+                if count == 1 or value < low or value == low and _precedes(group, chosen):
+                    chosen, low = group, value
+            continue
+        for pair, d{xs} in opts[k]:
+            if all(map(le, d, free)):
+                push((k + 1, tuple(map(sub, free, d)), group + (pair,), skipped{sums}))
+        push((k + 1, free, group, skipped + (k,){names}))
+    return chosen, count
+"""
+
+
+def _compile_best(tree: Node) -> Callable[[DecisionContext, Sequence, list, bool],
+                                          tuple[tuple[Pair, ...], int]]:
+    """The decision form: the lowest-scoring feasible group of at most one
+    option per slot, and how many groups were scored.
+
+    A depth-first walk over skip-or-take choices in slot order, skip first;
+    a branch stops as soon as it overdraws a resource. Each state carries
+    the aggregates the tree reads, each option's shares taken once per
+    decision, so a group is scored where the walk reaches it, without a pass
+    over its members. With `maximal`, a group is scored only if no option of
+    a slot it skips still fits. Ties break on `_precedes`.
+    """
+    aggregates, lines, result, used = _group_parts(tree)
+    aggregates.pop("free", None)  # every state carries it
+    xs = [f"x{j}" for j in range(len(aggregates))]
+
+    def more(items) -> str:
+        return "".join(f", {s}" for s in items)
+
+    return _exec(_BEST.format(
+        reads="\n".join(f"    {s}" for s in _decision_reads(used | {"av"})),
+        shares=more(share for _, share, _ in aggregates.values()),
+        starts=more(start for start, _, _ in aggregates.values()),
+        names=more(aggregates), xs=more(xs),
+        sums=more(add.format(k, x) for (k, (_, _, add)), x in zip(aggregates.items(), xs)),
+        leaf="\n".join(f"                {s}" for s in lines), result=result), "best")
 
 
 def rank_values(tree: Node, ctx: DecisionContext, pairs: Sequence[Pair]) -> list:

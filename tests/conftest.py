@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from operator import le, sub
+from typing import Callable, Iterator, Sequence
 
 import pytest
 
@@ -131,6 +132,43 @@ def random_instance(rng: random.Random, n=8, n_modes=2, n_resources=2,
                          sorted(succs[i]) or [n + 1], modes))
     acts.append(_act(n + 1, sinks, [], [idle]))
     return build_instance(acts, [capacity] * n_resources)
+
+
+def feasible_groups(slots, availability: Sequence[int],
+                    maximal: bool = False) -> Iterator[tuple]:
+    """Reference enumerator for the decision form (`Node._best`): every
+    non-empty group of at most one option per slot that fits.
+
+    Depth first over skip-or-take choices in slot order, members in slot
+    order; a branch stops as soon as it overdraws a resource, so infeasible
+    supersets are never visited. With `maximal`, a group is yielded only if
+    no slot it skips has an option that still fits. Demands are non-negative,
+    so those are exactly the groups no other feasible group contains.
+    """
+    # (next slot, capacity left, members, skipped slots), never mutated
+    stack = [(0, tuple(availability), (), ())]
+    while stack:
+        k, free, members, skipped = stack.pop()
+        if k == len(slots):
+            if members and not (maximal and any(
+                    all(map(le, d, free)) for j in skipped for _, d in slots[j])):
+                yield members
+            continue
+        for pair, demand in slots[k]:
+            if all(map(le, demand, free)):
+                stack.append((k + 1, tuple(map(sub, free, demand)),
+                              members + (pair,), skipped))
+        stack.append((k + 1, free, members, skipped + (k,)))
+
+
+def reference_best_group(tree: Node, ctx: DecisionContext, slots,
+                         maximal: bool = False) -> tuple[tuple, int]:
+    """Reference group choice for the decision form: every group from
+    `feasible_groups`, each scored with `eval_group_priority`, the lowest
+    (score, sorted activity ids, group) kept; and how many were scored."""
+    keys = [(eval_group_priority(tree, ctx, group), sorted(i for i, _ in group), group)
+            for group in feasible_groups(slots, ctx.availability, maximal)]
+    return (min(keys)[2] if keys else ()), len(keys)
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,14 @@ _SCENARIO = {"name": "tiny", "gen": {"n_activities": 6}}
      "scenario key n_train must be int, not '1'"),
     ("bench run", {"scenarios": [_SCENARIO], "wall_limit": "5"},
      "experiment key wall_limit must be float | None, not '5'"),
+    ("evolve", {"wall_limit": "5"},
+     "training config key wall_limit must be float | None, not '5'"),
+    ("evolve", {"instances": "a.json"},
+     "training config key instances must be a list of paths, not 'a.json'"),
+    ("gen", {"duration_range": 5},
+     "generator spec key duration_range must be tuple[int, int], not 5"),
 ], ids=["gen-float", "evolve-int", "evolve-knee", "evolve-tuple", "bench-scenario",
-        "bench-experiment"])
+        "bench-experiment", "evolve-wall-limit", "evolve-instances", "gen-range"])
 def test_a_wrongly_typed_config_value_is_reported(tmp_path, demo_file, capsys,
                                                  command, config, message):
     path = tmp_path / "config.json"
@@ -110,7 +116,7 @@ def test_a_wrongly_typed_config_value_is_reported(tmp_path, demo_file, capsys,
         "bench run": ["bench", "run", "--experiment", str(path), "--out", out],
     }[command]
     if command == "evolve":
-        config = dict(config, instances=[str(demo_file)])
+        config = {"instances": [str(demo_file)], **config}
     path.write_text(json.dumps(config))
     assert main(argv) == 1
     assert f"error: {message}" in capsys.readouterr().err
@@ -222,17 +228,25 @@ def test_bench_pipeline(tmp_path, capsys):
     assert (out / "plots" / "runtime.csv").exists()
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda entry: entry.pop("seed"), "missing key(s) ['seed']"),
-    (lambda entry: entry.update(sede=1), "unknown key(s) ['sede']"),
-], ids=["missing", "unknown"])
-def test_bench_stats_reports_a_bad_report_entry(tmp_path, capsys, edit, message):
-    entry = report_to_dict(RunReport("tiny", "sgp", 0, 1, "timeout", 0.5))
-    edit(entry)
-    (tmp_path / "report.json").write_text(json.dumps({"reports": [entry]}))
+_ENTRY = report_to_dict(RunReport("tiny", "sgp", 0, 1, "timeout", 0.5))
+_NO_REPORTS = "report.json must be an object with a 'reports' list"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"reports": [{k: v for k, v in _ENTRY.items() if k != "seed"}]},
+     "report.json entry: missing key(s) ['seed']"),
+    ({"reports": [dict(_ENTRY, sede=1)]},
+     "report.json entry: missing key(s) [], unknown key(s) ['sede']"),
+    ({"reports": [dict(_ENTRY, seed="1")]}, "report.json entry key seed must be int, not '1'"),
+    ({"reports": [[]]}, "report.json entry must be an object, not []"),
+    ([], _NO_REPORTS),
+    ({"runs": []}, _NO_REPORTS),
+], ids=["missing", "unknown", "wrongly-typed", "not-an-object", "a-list", "no-reports"])
+def test_bench_stats_reports_a_bad_report_entry(tmp_path, capsys, payload, message):
+    (tmp_path / "report.json").write_text(json.dumps(payload))
     assert main(["bench", "stats", "--in", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: report.json entry") and message in err
+    assert err.startswith("error: report.json") and message in err
 
 
 def test_bench_workers_do_not_change_results(tmp_path):

@@ -9,8 +9,9 @@ from kneegp.policy import (
     DEFAULT_ENUMERATION_LIMIT,
     EnumerationOverflowError,
     KneeConfig,
+    Decision,
+    Policy,
     build_policy,
-    feasible_groups,
     full_enumeration_decide,
     knee_cut,
     knee_group_decide,
@@ -19,10 +20,21 @@ from kneegp.policy import (
     sequential_decide,
 )
 from kneegp import policy as policy_module
-from kneegp.rules import DecisionContext, RulePair, eval_pair_priority, func, leaf, parse_sexpr
+from kneegp import rules as rules_module
+from kneegp.evolve import random_tree
+from kneegp.rules import (
+    DecisionContext,
+    RulePair,
+    eval_group_priority,
+    eval_pair_priority,
+    format_sexpr,
+    func,
+    leaf,
+    parse_sexpr,
+)
 from kneegp.sim import sample_durations, solve
 
-from conftest import random_instance, rescan_eligible
+from conftest import feasible_groups, random_instance, reference_best_group, rescan_eligible
 
 
 def _knee_oracle(values):
@@ -413,13 +425,14 @@ TIE_HEAVY_TREES = ["(sub RR RR)", "ExpDur", "(max ExpDur OptDur)", "(min LFT LST
 
 def test_rank_pairs_equals_the_key_lambda_order(monkeypatch):
     handed = []
-    real = policy_module.feasible_groups
+    group_tree = leaf("RR")
+    real = rules_module._compile_best(group_tree)
 
-    def spy(slots, availability, maximal=False):
+    def spy(ctx, slots, rows, maximal):
         handed.append([pair for slot in slots for pair, _ in slot])
-        return real(slots, availability, maximal)
+        return real(ctx, slots, rows, maximal)
 
-    monkeypatch.setattr(policy_module, "feasible_groups", spy)
+    monkeypatch.setitem(vars(group_tree), "_best", spy)
     rng = random.Random(616)
     trials = 0
     for _ in range(80):
@@ -439,9 +452,132 @@ def test_rank_pairs_equals_the_key_lambda_order(monkeypatch):
 
             cfg = KneeConfig(cap=rng.randint(1, 6))
             handed.clear()
-            d = knee_group_decide(RulePair(ordering, leaf("RR")), ctx, eligible, cfg)
+            d = knee_group_decide(RulePair(ordering, group_tree), ctx, eligible, cfg)
             assert d.filtered_size == knee_cut([p for p, _ in kept])
             width = min(d.filtered_size, cfg.cap)
-            assert handed == [[pair for _, pair in kept[:width]]]
+            if width > 1:
+                assert handed == [[pair for _, pair in kept[:width]]]
+            else:  # a lone option that fits is taken without the form
+                assert handed == [] and d.group == (kept[0][1],) and d.count == 1
             trials += 1
     assert trials > 300
+
+
+def _random_modes_instance(rng, n_res):
+    """Independent activities with 1-3 modes each; a mode may take no time
+    and may demand nothing."""
+    n = rng.randint(1, 6)
+    acts = [Activity(0, frozenset(), frozenset(range(1, n + 1)),
+                     (Mode(0, 0, 0, (0,) * n_res),))]
+    for k in range(1, n + 1):
+        modes = []
+        for _ in range(rng.randint(1, 3)):
+            e = rng.choice([0, 0, 2, 3, 5])
+            modes.append(Mode(e, e, e + rng.randint(0, 2),
+                              tuple(rng.choice([0, 0, 1, 2, 4]) for _ in range(n_res))))
+        acts.append(Activity(k, frozenset({0}), frozenset({n + 1}), tuple(modes)))
+    acts.append(Activity(n + 1, frozenset(range(1, n + 1)), frozenset(),
+                         (Mode(0, 0, 0, (0,) * n_res),)))
+    return build_instance(acts, (8,) * n_res)
+
+
+def _mode_slots(ctx, eligible):
+    """The slots full enumeration hands on: every mode of each activity."""
+    by_act = {}
+    for i, m in sorted(eligible):
+        by_act.setdefault(i, []).append(((i, m), ctx.instance.activities[i].modes[m].demand))
+    return list(by_act.values())
+
+
+def _knee_slots(rules, ctx, eligible, cfg):
+    """The slots knee_group_decide hands on: the best-ranked mode of each
+    activity, cut at the knee and the cap."""
+    ranked = {}
+    for prio, pair in rank_pairs(rules.ordering, ctx, eligible):
+        ranked.setdefault(pair[0], (prio, pair))
+    kept = list(ranked.values())
+    filtered = knee_cut([p for p, _ in kept]) if cfg.apply_knee else len(kept)
+    width = min(filtered, cfg.cap, (cfg.group_size_hard_limit + 1).bit_length() - 1)
+    modes = ctx.instance.activities
+    return filtered, [[(pair, modes[pair[0]].modes[pair[1]].demand)]
+                      for _, pair in kept[:width]]
+
+
+TIE_HEAVY_GROUP_TREES = ["(sub RR RR)", "DSC", "TPC", "(min DSC DPC)", "ExpDur",
+                         "(neg (add GRD DSC))", "(div EST (sub LFT LFT))"]
+
+
+def test_group_choice_equals_the_reference_on_random_slots():
+    """Group and count against feasible_groups + eval_group_priority + the
+    minimum (score, sorted ids, group), on slots of 1-3 options with zero
+    demands and zero availability, maximal on and off."""
+    rng = random.Random(4242)
+    empty = several = multi_option = 0
+    for trial in range(250):
+        n_res = rng.randint(1, 3)
+        inst = _random_modes_instance(rng, n_res)
+        avail = ((0,) * n_res if trial % 5 == 0
+                 else tuple(rng.randint(0, 8) for _ in range(n_res)))
+        ctx = DecisionContext(inst, 0, avail, frozenset({0}), {})
+        pairs = [(i, m) for i in inst.non_dummy_ids()
+                 for m in range(inst.activities[i].n_modes)]
+        eligible = rng.sample(pairs, rng.randint(1, len(pairs)))
+        texts = TIE_HEAVY_GROUP_TREES + [format_sexpr(random_tree(rng, 4))]
+        for text in rng.sample(texts, 3):
+            rules = RulePair(random_tree(rng, 3), parse_sexpr(text))
+            slots = _mode_slots(ctx, eligible)
+            group, scored = reference_best_group(rules.group, ctx, slots)
+            ed = full_enumeration_decide(rules, ctx, eligible)
+            assert ed.group == group, text
+            assert ed.count == math.prod(len(s) + 1 for s in slots) - 1
+            for maximal in (False, True):
+                # multi-option slots with the maximal test, as no policy hands them on
+                assert (policy_module._best_group(rules.group, ctx, slots, maximal)
+                        == reference_best_group(rules.group, ctx, slots, maximal)), text
+                cfg = KneeConfig(retain_maximal_only=maximal, apply_knee=trial % 2 == 0)
+                filtered, knee = _knee_slots(rules, ctx, eligible, cfg)
+                chosen, count = reference_best_group(rules.group, ctx, knee, maximal)
+                assert (knee_group_decide(rules, ctx, eligible, cfg)
+                        == Decision(chosen, filtered, count)), text
+            empty += not group
+            several += scored > 1
+            multi_option += any(len(s) > 1 for s in slots)
+    assert empty > 100 and several > 300 and multi_option > 300
+
+
+@pytest.mark.parametrize("name", ["kggp-max", "kggp-all", "ggp"])
+def test_every_group_decision_of_a_solve_equals_the_reference(name):
+    """Every decision of solves on random projects with zero-duration modes:
+    the group (and, for the knee policies, the count) of the reference."""
+    rng = random.Random(name)
+    decisions = ties = 0
+    for k in range(20):
+        inst = random_instance(rng, n=rng.randint(4, 9), n_modes=rng.randint(1, 3),
+                               n_resources=rng.randint(1, 3), capacity=10, max_demand=5,
+                               edge_prob=rng.choice([0.1, 0.3]), zero_prob=0.3)
+        text = rng.choice(TIE_HEAVY_GROUP_TREES + [format_sexpr(random_tree(rng, 4))])
+        rules = RulePair(random_tree(rng, 4), parse_sexpr(text))
+        cfg = KneeConfig(cap=rng.randint(2, 8), retain_maximal_only=name == "kggp-max")
+
+        def decide(ctx, eligible):
+            nonlocal decisions, ties
+            if name == "ggp":
+                slots = _mode_slots(ctx, eligible)
+                d = full_enumeration_decide(rules, ctx, eligible)
+                group, _ = reference_best_group(rules.group, ctx, slots)
+                assert d.group == group, text
+            else:
+                filtered, slots = _knee_slots(rules, ctx, eligible, cfg)
+                d = knee_group_decide(rules, ctx, eligible, cfg)
+                group, count = reference_best_group(rules.group, ctx, slots,
+                                                    cfg.retain_maximal_only)
+                assert (d.group, d.count, d.filtered_size) == (group, count, filtered), text
+            scores = [eval_group_priority(rules.group, ctx, g)
+                      for g in feasible_groups(slots, ctx.availability)]
+            ties += len(scores) > 1 and scores.count(min(scores)) > 1
+            decisions += 1
+            return d.group, d.filtered_size
+
+        res = solve(inst, Policy(decide), sample_durations(inst, seed=k))
+        assert len(res.decisions) > 0
+    assert decisions > 100 and ties > 20

@@ -8,7 +8,7 @@ import pytest
 
 from kneegp import rules
 from kneegp.evolve import GpConfig, evolve
-from kneegp.policy import POLICY_NAMES, build_policy
+from kneegp.policy import POLICY_NAMES, build_policy, full_enumeration_decide
 from kneegp.rules import (
     ALL_TERMINALS,
     FUNCTION_ARITY,
@@ -495,9 +495,11 @@ def test_a_solve_builds_only_the_forms_its_policy_uses(name):
           sample_durations(inst, seed=3))
     ranks = name != "ggp"  # exact enumeration never ranks pairs
     assert ("_rank" in vars(ordering)) == ranks
-    assert "_score" not in vars(ordering)
+    assert "_best" not in vars(ordering)
     assert "_rank" not in vars(group)
-    assert ("_score" in vars(group)) == (name != "sgp")
+    assert ("_best" in vars(group)) == (name != "sgp")
+    # the one-group form is for eval_group_priority only
+    assert "_score" not in vars(ordering) and "_score" not in vars(group)
 
 
 def test_static_rows_are_built_once_per_instance(monkeypatch):
@@ -528,13 +530,17 @@ def test_evaluated_rule_pair_pickles_and_compares_equal():
     g = parse_sexpr("(max DSC (mul ExpDur ExpDur))")
     pair = RulePair(t, g)
     ctx = fresh_ctx(demo_instance())
-    before = eval_pair_priority(t, ctx, (1, 0)), eval_group_priority(g, ctx, [(1, 0)])
+    eligible = [(1, 0), (1, 1), (2, 0)]
+    before = (eval_pair_priority(t, ctx, (1, 0)), eval_group_priority(g, ctx, [(1, 0)]),
+              full_enumeration_decide(pair, ctx, eligible))
     eval_group_priority(t, ctx, [(1, 0)]), eval_pair_priority(g, ctx, (1, 0))
-    assert all({"_rank", "_score"} <= set(vars(tree)) for tree in (t, g))
+    full_enumeration_decide(RulePair(g, t), ctx, eligible)
+    assert all({"_rank", "_score", "_best"} <= set(vars(tree)) for tree in (t, g))
     copy = pickle.loads(pickle.dumps(pair))
     assert copy == pair and hash(copy) == hash(pair)
     assert (eval_pair_priority(copy.ordering, ctx, (1, 0)),
-            eval_group_priority(copy.group, ctx, [(1, 0)])) == before
+            eval_group_priority(copy.group, ctx, [(1, 0)]),
+            full_enumeration_decide(copy, ctx, eligible)) == before
 
 
 def test_deep_trees_compile():
@@ -552,7 +558,9 @@ def test_malformed_nodes_are_rejected(ctx):
             eval_pair_priority(bad, ctx, (1, 0))
         with pytest.raises(ValueError):
             eval_group_priority(bad, ctx, [(1, 0)])
-        for form in ("_rank", "_score"):
+        with pytest.raises(ValueError):
+            full_enumeration_decide(RulePair(leaf("RR"), bad), ctx, [(1, 0), (2, 0)])
+        for form in ("_rank", "_score", "_best"):
             with pytest.raises(ValueError):
                 getattr(bad, form)
             assert form not in vars(bad)
