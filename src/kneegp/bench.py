@@ -14,22 +14,15 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from operator import add
 from pathlib import Path
 from statistics import median
-from typing import Sequence
+from typing import ClassVar, Sequence
 
-from .evolve import (
-    GenerationStat,
-    GpConfig,
-    TrainingTimeout,
-    evolve,
-    gp_config_from_dict,
-    rule_size,
-)
-from .instgen import GenSpec, gen_spec_from_dict, generate_instance
-from .model import ProjectInstance, check_keys, check_types
+from .evolve import GenerationStat, GpConfig, TrainingTimeout, evolve, rule_size
+from .instgen import GenSpec, generate_instance
+from .model import ProjectInstance, check_types, from_dict
 from .policy import EnumerationOverflowError, build_policy
 from .rules import RulePair, format_sexpr, parse_sexpr
 from .sim import DecisionRecord, derive_seed, sample_durations, solve
@@ -39,8 +32,9 @@ from .sim import DecisionRecord, derive_seed, sample_durations, solve
 class Scenario:
     """One cell of the experiment grid: a generator setting plus data sizes."""
 
+    what: ClassVar[str] = "scenario"
     name: str
-    gen: GenSpec
+    gen: GenSpec = field(default_factory=GenSpec)
     n_train: int = 3
     n_test: int = 5
 
@@ -51,11 +45,12 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Experiment:
-    seed: int
+    what: ClassVar[str] = "experiment"
     scenarios: tuple[Scenario, ...]
-    algorithms: tuple[str, ...]
-    n_runs: int
-    gp: GpConfig
+    seed: int = 0
+    algorithms: tuple[str, ...] = ("sgp", "kggp-max")
+    n_runs: int = 1
+    gp: GpConfig = field(default_factory=GpConfig)
     test_realizations: int = 5
     wall_limit: float | None = None
 
@@ -475,29 +470,15 @@ def emit_plot_data(reports: Sequence[RunReport], outdir: Path) -> dict[str, Path
 # config files
 
 def experiment_to_dict(exp: Experiment) -> dict:
-    d = asdict(exp)
-    d["scenarios"] = [asdict(s) for s in exp.scenarios]
-    return d
+    return asdict(exp)
 
 
 def experiment_from_dict(d: dict) -> Experiment:
     """Experiment from a JSON-style dict; only `scenarios` and each
-    scenario's `name` are required."""
-    d = {"seed": 0, "algorithms": ("sgp", "kggp-max"), "n_runs": 1, "gp": {}, **d}
-    check_keys(d, Experiment, "experiment")
-    check_types(d, Experiment, "experiment")
-    gp_raw = dict(d["gp"])
-    gp_raw.pop("policy", None)  # the algorithm list decides this per run
-
-    scenarios = []
-    for s in d["scenarios"]:
-        s = {"gen": {}, **s}
-        check_keys(s, Scenario, "scenario")
-        check_types(s, Scenario, "scenario")
-        scenarios.append(Scenario(**dict(s, gen=gen_spec_from_dict(s["gen"]))))
-    return Experiment(**dict(d, scenarios=tuple(scenarios),
-                             algorithms=tuple(d["algorithms"]),
-                             gp=gp_config_from_dict(gp_raw)))
+    scenario's `name` are required. `gp.policy` is ignored: the algorithm
+    list decides it per run."""
+    exp = from_dict(Experiment, d)
+    return replace(exp, gp=replace(exp.gp, policy=GpConfig.policy))
 
 
 def load_experiment(path: Path) -> Experiment:
@@ -505,12 +486,18 @@ def load_experiment(path: Path) -> Experiment:
         return experiment_from_dict(json.load(fh))
 
 
-def _read_csv(path: Path) -> dict[tuple, list[dict]]:
-    """Rows of a result CSV by run (scenario, algorithm, run); none if absent."""
+def _read_csv(path: Path, *columns: str) -> dict[tuple, list[dict]]:
+    """Rows of a result CSV by run (scenario, algorithm, run); none if absent.
+    The header must name the run columns and `columns`."""
     runs: dict[tuple, list[dict]] = {}
     if path.exists():
         with path.open(newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            missing = [c for c in ("scenario", "algorithm", "run", *columns)
+                       if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path.name}: missing column(s) {', '.join(missing)}")
+            for row in reader:
                 key = (row["scenario"], row["algorithm"], int(row["run"]))
                 runs.setdefault(key, []).append(row)
     return runs
@@ -522,9 +509,10 @@ def read_reports(indir: Path) -> list[RunReport]:
     payload = json.loads((indir / "report.json").read_text())
     if not isinstance(payload, dict) or not isinstance(payload.get("reports"), list):
         raise ValueError("report.json must be an object with a 'reports' list")
-    history = _read_csv(indir / "history.csv")
+    history = _read_csv(indir / "history.csv", "generation", "best_fitness",
+                        "mean_fitness", "ordering_size", "group_size")
     seconds = {key: float(rows[-1]["train_seconds"])
-               for key, rows in _read_csv(indir / "timings.csv").items()}
+               for key, rows in _read_csv(indir / "timings.csv", "train_seconds").items()}
 
     reports = []
     for d in payload["reports"]:

@@ -24,16 +24,16 @@ from .bench import (
     summarize,
     write_reports,
 )
-from .evolve import TrainingTimeout, evolve, gp_config_from_dict, rule_size
-from .instgen import GenerationError, gen_spec_from_dict, generate_instance
-from .model import load_instance, save_instance, schedule_to_dict, validate_schedule
+from .evolve import GpConfig, TrainingRun, TrainingTimeout, evolve, rule_size
+from .instgen import GenerationError, GenSpec, generate_instance
+from .model import from_dict, load_instance, save_instance, schedule_to_dict, validate_schedule
 from .policy import POLICY_NAMES, EnumerationOverflowError, KneeConfig, build_policy
 from .rules import load_rules, save_rules
 from .sim import decision_log_to_csv, expected_durations, sample_durations, solve
 
 
 def cmd_gen(args) -> int:
-    spec = gen_spec_from_dict(json.loads(Path(args.spec).read_text()))
+    spec = from_dict(GenSpec, json.loads(Path(args.spec).read_text()))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
@@ -73,24 +73,21 @@ def cmd_solve(args) -> int:
 
 def cmd_evolve(args) -> int:
     raw = json.loads(Path(args.config).read_text())
-    paths = raw.pop("instances", [])
-    if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
-        raise ValueError(f"training config key instances must be a list of paths, not {paths!r}")
-    if not paths:
+    gp = {}
+    if isinstance(raw, dict):  # any other shape fails in from_dict below
+        gp = {k: raw.pop(k) for k in list(raw) if k not in ("instances", "wall_limit")}
+    run = from_dict(TrainingRun, raw)
+    if not run.instances:
         raise ValueError("training config needs a non-empty 'instances' list")
-    wall_limit = raw.pop("wall_limit", None)
-    if isinstance(wall_limit, bool) or not isinstance(wall_limit, (int, float, type(None))):
-        raise ValueError(
-            f"training config key wall_limit must be float | None, not {wall_limit!r}")
-    cfg = gp_config_from_dict(raw)
+    cfg = from_dict(GpConfig, gp)
 
     base = Path(args.config).parent
     instances = []
-    for p in paths:
+    for p in run.instances:
         p = Path(p)
         instances.append(load_instance(p if p.is_absolute() else base / p))
 
-    result = evolve(cfg, instances, wall_limit=wall_limit)
+    result = evolve(cfg, instances, wall_limit=run.wall_limit)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     save_rules(result.best, outdir / "best.rules")

@@ -13,9 +13,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import Sequence
+from typing import ClassVar, Sequence
 
-from .model import ProjectInstance, check_keys, check_types
+from .model import ProjectInstance
 from .policy import DEFAULT_ENUMERATION_LIMIT, KneeConfig, build_policy
 from .rules import ALL_TERMINALS, FUNCTION_ARITY, Node, RulePair, leaf
 from .sim import DurationTable, derive_seed, sample_durations, solve
@@ -34,6 +34,7 @@ class TrainingTimeout(RuntimeError):
 
 @dataclass(frozen=True)
 class GpConfig:
+    what: ClassVar[str] = "GP config"
     population_size: int = 200
     max_generations: int = 50
     crossover_prob: float = 0.80
@@ -69,18 +70,13 @@ class GpConfig:
         return self.policy == "sgp"
 
 
-def gp_config_from_dict(d: dict) -> GpConfig:
-    """GpConfig from a JSON-style dict."""
-    check_keys(d, GpConfig, "GP config")
-    check_types(d, GpConfig, "GP config")
-    raw = dict(d)
-    if "init_depth" in raw:
-        raw["init_depth"] = tuple(raw["init_depth"])
-    if "knee" in raw:
-        check_keys(raw["knee"], KneeConfig, "knee config")
-        check_types(raw["knee"], KneeConfig, "knee config")
-        raw["knee"] = KneeConfig(**raw["knee"])
-    return GpConfig(**raw)
+@dataclass(frozen=True)
+class TrainingRun:
+    """The keys of a training config besides its GP config keys."""
+
+    what: ClassVar[str] = "training config"
+    instances: tuple[str, ...] = ()  # paths, relative to the config file
+    wall_limit: float | None = None
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import ClassVar
 
-from .model import (Activity, Mode, ProjectInstance, build_instance, check_keys,
-                    check_types)
+from .model import Activity, Mode, ProjectInstance, build_instance
 
 
 class GenerationError(RuntimeError):
@@ -28,6 +28,7 @@ class GenSpec:
     """Generator knobs. `n_activities` counts real activities; the two
     dummies are added on top."""
 
+    what: ClassVar[str] = "generator spec"
     n_activities: int = 30
     n_modes: int = 3
     n_resources: int = 4
@@ -42,13 +43,6 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        whole = (self.n_activities, self.n_modes, self.n_resources, self.move_budget,
-                 *self.duration_range, *self.fluctuation_range, *self.demand_range)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in whole):
-            raise ValueError("counts, the move budget and range bounds must be integers")
-        # only the ranges are checked in gen_spec_from_dict: a count that is
-        # not an integer keeps the message above
-        check_types(vars(self), GenSpec, "generator spec")
         if self.n_activities < 1 or self.n_modes < 1 or self.n_resources < 1:
             raise ValueError("counts must be positive")
         for lo, hi in (self.duration_range, self.fluctuation_range, self.demand_range):
@@ -60,17 +54,6 @@ class GenSpec:
             raise ValueError("resource factor must lie in (0, 1]")
         if not 0.0 <= self.resource_strength <= 1.0:
             raise ValueError("resource strength must lie in [0, 1]")
-
-
-def gen_spec_from_dict(d: dict) -> GenSpec:
-    """GenSpec from a JSON-style dict; range fields arrive as 2-lists."""
-    check_keys(d, GenSpec, "generator spec")
-    raw = dict(d)
-    for key in ("duration_range", "fluctuation_range", "demand_range"):
-        if key in raw:
-            check_types({key: raw[key]}, GenSpec, "generator spec")
-            raw[key] = tuple(raw[key])
-    return GenSpec(**raw)
 
 
 def order_strength(inst: ProjectInstance) -> float:

@@ -347,6 +347,31 @@ def _resource_violation(inst, sched, r, t_from, t_to) -> Violation:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
+def from_dict(cls: type, raw):
+    """Build config dataclass `cls` from a checked JSON-style dict: lists
+    become tuples, objects nested dataclasses. Errors name `cls.what`."""
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"{cls.what} must be an object, not {raw!r}")
+    check_keys(raw, cls, cls.what)
+    check_types(raw, cls, cls.what)
+    hints = get_type_hints(cls)
+    return cls(**{key: _build(value, hints[key]) for key, value in raw.items()})
+
+
+def _build(value, hint):
+    """`value`, which fits `hint`, as the type `hint` names."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return tuple(map(_build, value, args))
+    if args:  # a union: the first member the value fits
+        return next(_build(value, a) for a in args if _fits(value, a))
+    if is_dataclass(hint) and isinstance(value, Mapping):
+        return from_dict(hint, value)
+    return value
+
+
 def check_keys(d: Mapping, cls: type, what: str) -> None:
     """Reject a JSON-style dict with keys that are not fields of dataclass
     `cls`, or without a field of `cls` that has no default."""
@@ -412,28 +437,36 @@ def instance_to_dict(inst: ProjectInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> ProjectInstance:
-    raw = data["activities"]
-    preds = {int(a["id"]): set(map(int, a["predecessors"])) for a in raw}
-    succs: dict[int, set[int]] = {i: set() for i in preds}
-    for i, ps in preds.items():
-        for j in ps:
-            if j not in succs:
-                raise StructuralError(f"activity {i} references unknown id {j}")
-            succs[j].add(i)
-    acts = [
-        Activity(
-            id=int(a["id"]),
-            predecessors=frozenset(preds[int(a["id"])]),
-            successors=frozenset(succs[int(a["id"])]),
-            modes=tuple(
-                Mode(int(m["expected"]), int(m["min"]), int(m["max"]),
-                     tuple(int(d) for d in m["demand"]))
-                for m in a["modes"]
-            ),
-        )
-        for a in raw
-    ]
-    inst = build_instance(acts, data["capacities"], data.get("metadata"))
+    if not isinstance(data, Mapping):
+        raise StructuralError(f"instance must be an object, not {type(data).__name__}")
+    try:
+        raw = data["activities"]
+        preds = {int(a["id"]): set(map(int, a["predecessors"])) for a in raw}
+        succs: dict[int, set[int]] = {i: set() for i in preds}
+        for i, ps in preds.items():
+            for j in ps:
+                if j not in succs:
+                    raise StructuralError(f"activity {i} references unknown id {j}")
+                succs[j].add(i)
+        acts = [
+            Activity(
+                id=int(a["id"]),
+                predecessors=frozenset(preds[int(a["id"])]),
+                successors=frozenset(succs[int(a["id"])]),
+                modes=tuple(
+                    Mode(int(m["expected"]), int(m["min"]), int(m["max"]),
+                         tuple(int(d) for d in m["demand"]))
+                    for m in a["modes"]
+                ),
+            )
+            for a in raw
+        ]
+        caps = data["capacities"]
+    except KeyError as exc:
+        raise StructuralError(f"instance is missing key {exc}") from None
+    except TypeError as exc:
+        raise StructuralError(f"malformed instance: {exc}") from None
+    inst = build_instance(acts, caps, data.get("metadata"))
     if "lower_bound" in data and int(data["lower_bound"]) != inst.lower_bound:
         raise StructuralError(
             f"stored lower bound {data['lower_bound']} != recomputed {inst.lower_bound}"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from itertools import groupby
 from math import prod
 from operator import itemgetter, le
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .rules import DecisionContext, Node, Pair, RulePair, rank_values
 # perfbench's tracer patches these names
@@ -54,6 +54,7 @@ class KneeConfig:
     `group_size_hard_limit` caps the subset count as a safety net.
     """
 
+    what: ClassVar[str] = "knee config"
     cap: int = 10
     retain_maximal_only: bool = True
     group_size_hard_limit: int = DEFAULT_ENUMERATION_LIMIT

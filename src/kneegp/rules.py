@@ -75,8 +75,9 @@ _ALIASES = {"LF": "LFT", "LS": "LST", "ES": "EST", "EF": "EFT"}
 class Node:
     """Expression tree node; leaves carry a terminal name, no children.
 
-    A node caches its hash and each of its two compiled forms (`_rank` over
-    pairs, `_score` over a group) on first use. None of them takes part in
+    A node caches its hash and each of its three compiled forms (`_rank`
+    over pairs, `_score` over a group, `_best` over a decision's feasible
+    groups) on first use. None of them takes part in
     equality or in the pickled state: string hashes differ between
     processes, and generated functions do not pickle.
     """

@@ -2,7 +2,7 @@
 import json
 import random
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import combinations
 
 import pytest
@@ -30,6 +30,8 @@ from kneegp.bench import (
 )
 from kneegp.evolve import GpConfig, evolve, rule_size
 from kneegp.instgen import GenSpec
+from kneegp.model import from_dict
+from kneegp.policy import KneeConfig
 from kneegp.rules import RulePair, leaf, load_rules, parse_sexpr, save_rules
 from kneegp.sim import DecisionRecord, derive_seed
 
@@ -344,6 +346,35 @@ def test_experiment_config_round_trip():
     exp = _tiny_experiment()
     blob = json.dumps(experiment_to_dict(exp))
     assert experiment_from_dict(json.loads(blob)) == exp
+
+
+_KNEE = KneeConfig(cap=4, retain_maximal_only=False, group_size_hard_limit=50,
+                   apply_knee=False)
+_GP = GpConfig(population_size=6, crossover_prob=0.7, mutation_prob=0.25,
+               init_depth=(1, 3), max_depth=5, knee=_KNEE, enumeration_limit=99)
+
+
+@pytest.mark.parametrize("config", [
+    GenSpec(),
+    GenSpec(n_activities=6, duration_range=(2, 4), demand_range=(2, 2),
+            order_strength=0.75, resource_factor=0.5, seed=3),
+    KneeConfig(),
+    _KNEE,
+    GpConfig(),
+    replace(_GP, policy="sgp", seed=8),
+    Experiment(scenarios=(Scenario("x"),)),
+    Experiment(scenarios=(Scenario("a", GenSpec(n_modes=2, seed=4), n_train=2),
+                          Scenario("b", n_test=1)),
+               seed=5, algorithms=("kggp-all",), n_runs=3, gp=_GP,
+               test_realizations=2, wall_limit=2.5),
+], ids=["spec", "spec-set", "knee", "knee-set", "gp", "gp-set", "experiment",
+        "experiment-set"])
+def test_every_config_round_trips_through_json(config):
+    if isinstance(config, Experiment):
+        blob = json.dumps(experiment_to_dict(config))
+        assert experiment_from_dict(json.loads(blob)) == config
+    else:
+        assert from_dict(type(config), json.loads(json.dumps(asdict(config)))) == config
 
 
 def test_experiment_loader_rejects_unknown_keys():

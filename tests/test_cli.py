@@ -66,7 +66,7 @@ def test_gen_rejects_a_count_that_is_not_an_integer(tmp_path, capsys):
     spec_path.write_text(json.dumps({"n_activities": "30"}))
     assert main(["gen", "--spec", str(spec_path), "--out",
                  str(tmp_path / "x")]) == 1
-    assert "error: counts, the move budget and range bounds must be integers" \
+    assert "error: generator spec key n_activities must be int, not '30'" \
         in capsys.readouterr().err
 
 
@@ -101,11 +101,17 @@ _SCENARIO = {"name": "tiny", "gen": {"n_activities": 6}}
     ("evolve", {"wall_limit": "5"},
      "training config key wall_limit must be float | None, not '5'"),
     ("evolve", {"instances": "a.json"},
-     "training config key instances must be a list of paths, not 'a.json'"),
+     "training config key instances must be tuple[str, ...], not 'a.json'"),
     ("gen", {"duration_range": 5},
      "generator spec key duration_range must be tuple[int, int], not 5"),
+    ("gen", [], "generator spec must be an object, not []"),
+    ("evolve", [], "training config must be an object, not []"),
+    ("bench run", [], "experiment must be an object, not []"),
+    ("bench run", {"scenarios": [{"name": "x", "gen": []}]},
+     "scenario key gen must be GenSpec, not []"),
 ], ids=["gen-float", "evolve-int", "evolve-knee", "evolve-tuple", "bench-scenario",
-        "bench-experiment", "evolve-wall-limit", "evolve-instances", "gen-range"])
+        "bench-experiment", "evolve-wall-limit", "evolve-instances", "gen-range",
+        "gen-list", "evolve-list", "bench-list", "bench-scenario-gen-list"])
 def test_a_wrongly_typed_config_value_is_reported(tmp_path, demo_file, capsys,
                                                  command, config, message):
     path = tmp_path / "config.json"
@@ -115,7 +121,7 @@ def test_a_wrongly_typed_config_value_is_reported(tmp_path, demo_file, capsys,
         "evolve": ["evolve", "--config", str(path), "--out", out],
         "bench run": ["bench", "run", "--experiment", str(path), "--out", out],
     }[command]
-    if command == "evolve":
+    if command == "evolve" and isinstance(config, dict):
         config = {"instances": [str(demo_file)], **config}
     path.write_text(json.dumps(config))
     assert main(argv) == 1
@@ -146,6 +152,25 @@ def test_solve_seeded_run_is_deterministic(tmp_path, demo_file, rules_file, caps
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def _without_predecessors(demo_file):
+    data = json.loads(demo_file.read_text())
+    del data["activities"][1]["predecessors"]
+    return data
+
+
+@pytest.mark.parametrize("payload, message", [
+    (lambda _: {}, "instance is missing key 'activities'"),
+    (lambda _: [], "instance must be an object, not list"),
+    (_without_predecessors, "instance is missing key 'predecessors'"),
+], ids=["empty-object", "a-list", "no-predecessors"])
+def test_solve_reports_a_malformed_instance(tmp_path, demo_file, rules_file, capsys,
+                                            payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload(demo_file)))
+    assert main(["solve", "--instance", str(path), "--rules", str(rules_file)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_solve_rejects_group_policy_without_group_tree(tmp_path, demo_file, capsys):
@@ -247,6 +272,19 @@ def test_bench_stats_reports_a_bad_report_entry(tmp_path, capsys, payload, messa
     assert main(["bench", "stats", "--in", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: report.json") and message in err
+
+
+@pytest.mark.parametrize("name, header, message", [
+    ("history.csv", "scenario,algorithm,run,best_fitness,mean_fitness,ordering_size,"
+     "group_size", "history.csv: missing column(s) generation"),
+    ("timings.csv", "scenario,algorithm,run,status,censored",
+     "timings.csv: missing column(s) train_seconds"),
+], ids=["history", "timings"])
+def test_bench_stats_reports_a_missing_csv_column(tmp_path, capsys, name, header, message):
+    (tmp_path / "report.json").write_text(json.dumps({"reports": [_ENTRY]}))
+    (tmp_path / name).write_text(f"{header}\ntiny,sgp,0,timeout,1\n")
+    assert main(["bench", "stats", "--in", str(tmp_path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_bench_workers_do_not_change_results(tmp_path):

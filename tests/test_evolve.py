@@ -12,7 +12,6 @@ from kneegp.evolve import (
     evaluate_rules,
     evolve,
     generation_tables,
-    gp_config_from_dict,
     mutate,
     pair_crossover,
     pair_mutate,
@@ -21,6 +20,7 @@ from kneegp.evolve import (
     rule_size,
     truncate_depth,
 )
+from kneegp.model import from_dict
 from kneegp.policy import KneeConfig, build_policy
 from kneegp.rules import ALL_TERMINALS, FUNCTION_ARITY, Node, RulePair, func, leaf
 from kneegp.sim import derive_seed, sample_durations, solve
@@ -319,13 +319,13 @@ def test_config_rejects_enumeration_limit_below_one():
 def test_config_loader_rejects_unknown_keys():
     raw = {"population_size": 4, "tournament_size": 2, "policy": "sgp",
            "init_depth": [2, 3], "knee": {"cap": 4}}
-    assert gp_config_from_dict(raw) == GpConfig(
+    assert from_dict(GpConfig, raw) == GpConfig(
         population_size=4, tournament_size=2, policy="sgp", init_depth=(2, 3),
         knee=KneeConfig(cap=4))
     with pytest.raises(ValueError, match="GP config key.*populaton_size"):
-        gp_config_from_dict(dict(raw, populaton_size=8))
+        from_dict(GpConfig, dict(raw, populaton_size=8))
     with pytest.raises(ValueError, match="knee config key.*capp"):
-        gp_config_from_dict(dict(raw, knee={"capp": 4}))
+        from_dict(GpConfig, dict(raw, knee={"capp": 4}))
 
 
 def test_config_validation():

@@ -6,9 +6,9 @@ import json
 import pytest
 
 from kneegp import instgen, model
-from kneegp.instgen import (GenSpec, GenerationError, derive_capacities, gen_spec_from_dict,
-                            generate_instance, order_strength)
-from kneegp.model import Mode, instance_from_dict, instance_to_dict
+from kneegp.instgen import (GenSpec, GenerationError, derive_capacities, generate_instance,
+                            order_strength)
+from kneegp.model import Mode, from_dict, instance_from_dict, instance_to_dict
 
 from conftest import chain_instance, demo_instance, parallel_instance
 
@@ -41,10 +41,10 @@ def test_generation_is_deterministic():
 
 
 def test_spec_loader_rejects_unknown_keys():
-    assert gen_spec_from_dict({"n_activities": 6, "demand_range": [1, 3]}) == \
+    assert from_dict(GenSpec, {"n_activities": 6, "demand_range": [1, 3]}) == \
         GenSpec(n_activities=6, demand_range=(1, 3))
     with pytest.raises(ValueError, match="n_activites, sead"):
-        gen_spec_from_dict({"n_activites": 6, "sead": 2, "n_modes": 2})
+        from_dict(GenSpec, {"n_activites": 6, "sead": 2, "n_modes": 2})
 
 
 # sha256 of the saved JSON text; a change here changes every stored instance
