@@ -235,7 +235,11 @@ def rule_size(rules: RulePair) -> tuple[int, int]:
 
 def generation_tables(cfg: GpConfig, instances: Sequence[ProjectInstance],
                       generation: int) -> list[DurationTable]:
-    """Shared duration draw for one generation, one table per instance."""
+    """Shared duration draw for one generation, one table per instance.
+
+    Each table draws a pair on its first read, so the whole population
+    draws each (activity, mode) pair at most once per generation, and only
+    the pairs some schedule starts."""
     return [
         sample_durations(inst, derive_seed(cfg.seed, "gen", generation, idx))
         for idx, inst in enumerate(instances)

@@ -436,12 +436,21 @@ def instance_to_dict(inst: ProjectInstance) -> dict:
     }
 
 
+def _int_list(value, what: str):
+    """`value`, if it is a list of integers; a string is not one."""
+    if not _fits(value, tuple[int, ...]):
+        raise StructuralError(f"{what} must be a list of integers, not {value!r}")
+    return value
+
+
 def instance_from_dict(data: dict) -> ProjectInstance:
     if not isinstance(data, Mapping):
         raise StructuralError(f"instance must be an object, not {type(data).__name__}")
     try:
         raw = data["activities"]
-        preds = {int(a["id"]): set(map(int, a["predecessors"])) for a in raw}
+        preds = {int(a["id"]): set(_int_list(a["predecessors"],
+                                             f"activity {a['id']} predecessors"))
+                 for a in raw}
         succs: dict[int, set[int]] = {i: set() for i in preds}
         for i, ps in preds.items():
             for j in ps:
@@ -455,13 +464,13 @@ def instance_from_dict(data: dict) -> ProjectInstance:
                 successors=frozenset(succs[int(a["id"])]),
                 modes=tuple(
                     Mode(int(m["expected"]), int(m["min"]), int(m["max"]),
-                         tuple(int(d) for d in m["demand"]))
+                         tuple(_int_list(m["demand"], f"activity {a['id']} demand")))
                     for m in a["modes"]
                 ),
             )
             for a in raw
         ]
-        caps = data["capacities"]
+        caps = _int_list(data["capacities"], "capacities")
     except KeyError as exc:
         raise StructuralError(f"instance is missing key {exc}") from None
     except TypeError as exc:

@@ -1,8 +1,8 @@
 """Discrete-time executor for the dynamic multi-mode scheduling problem.
 
-Durations are uncertain: the executor fixes an activity's realized duration
-only at the moment it starts, drawing from an independent per-pair stream, so
-pre-sampling a whole table and lazy revelation produce identical runs.
+Durations are uncertain: an activity's realized duration is drawn when it
+starts in a mode, from an independent per-pair stream, so a table that draws
+each pair on its first read gives the same runs as one drawn whole in advance.
 Policies see a DecisionContext snapshot and never a realized duration of
 anything unfinished.
 """
@@ -13,7 +13,7 @@ import hashlib
 import random
 from operator import le
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from .model import ProjectInstance, Schedule, ScheduleEntry, make_schedule
 from .rules import DecisionContext, Pair
@@ -34,32 +34,42 @@ def realized_duration(inst: ProjectInstance, seed: int, i: int, m: int) -> int:
     return rng.randint(mo.min_duration, mo.max_duration)
 
 
-@dataclass(frozen=True)
 class DurationTable:
-    """One realization of every (activity, mode) duration."""
+    """One realization of every (activity, mode) duration, drawn on demand.
 
-    realized: Mapping[Pair, int]
-    seed: int | None = None
+    `duration(i, m)` draws a pair on its first read and keeps the value, so
+    a table shared by many solves draws each pair at most once. A table
+    without a seed reads the expected durations."""
+
+    def __init__(self, inst: ProjectInstance, seed: int | None = None):
+        self.inst = inst
+        self.seed = seed
+        self._drawn: dict[Pair, int] = {}
 
     def duration(self, i: int, m: int) -> int:
-        return self.realized[(i, m)]
+        d = self._drawn.get((i, m))
+        if d is None:
+            if self.seed is None:
+                d = self.inst.activities[i].modes[m].expected
+            else:
+                d = realized_duration(self.inst, self.seed, i, m)
+            self._drawn[i, m] = d
+        return d
+
+    @property
+    def realized(self) -> dict[Pair, int]:
+        """Every pair's duration, drawing what no read has drawn yet."""
+        return {(a.id, m): self.duration(a.id, m)
+                for a in self.inst.activities for m in range(a.n_modes)}
 
 
 def sample_durations(inst: ProjectInstance, seed: int) -> DurationTable:
-    table = {}
-    for a in inst.activities:
-        for m in range(a.n_modes):
-            table[(a.id, m)] = realized_duration(inst, seed, a.id, m)
-    return DurationTable(table, seed)
+    return DurationTable(inst, seed)
 
 
 def expected_durations(inst: ProjectInstance) -> DurationTable:
     """Degenerate realization pinned at the expected values."""
-    table = {}
-    for a in inst.activities:
-        for m, mo in enumerate(a.modes):
-            table[(a.id, m)] = mo.expected
-    return DurationTable(table, None)
+    return DurationTable(inst)
 
 
 class DecisionPolicy(Protocol):
@@ -118,7 +128,11 @@ def solve(inst: ProjectInstance, policy: DecisionPolicy,
     tick if nothing is running), so the schedule and decision log are those a
     tick-by-tick executor would produce. The ready set (unstarted activities
     whose predecessors are all complete) is kept up to date as activities
-    start and complete, instead of being rescanned at every decision.
+    start and complete, instead of being rescanned at every decision. Within
+    one clock free capacity only shrinks, so after a start the next eligible
+    list is the last one minus the started activities and the modes that no
+    longer fit; the ready set is rescanned when the clock advances or a
+    zero-duration start completes.
     """
     acts = inst.activities
     completed = {inst.dummy_start}
@@ -151,10 +165,8 @@ def solve(inst: ProjectInstance, policy: DecisionPolicy,
                 avail[r] += k
             complete(i)
 
-        while True:
-            elig = eligible_set(inst, ready, avail)
-            if not elig:
-                break
+        elig = eligible_set(inst, ready, avail)
+        while elig:
             ctx = DecisionContext(
                 inst, t, tuple(avail), frozenset(completed),
                 {i: (m, s) for i, (m, s, _) in running.items()},
@@ -165,16 +177,23 @@ def solve(inst: ProjectInstance, policy: DecisionPolicy,
                 break
             _check_group(inst, group, elig, avail)
             decisions.append(DecisionRecord(t, len(elig), filtered, group))
+            zero_start = False
             for i, m in group:
                 ready.discard(i)
                 d = durations.duration(i, m)
                 entries[i] = ScheduleEntry(m, t, d)
                 if d == 0:
                     complete(i)
+                    zero_start = True
                 else:
                     for r, k in enumerate(acts[i].modes[m].demand):
                         avail[r] -= k
                     running[i] = (m, t, t + d)
+            if zero_start:  # a completion may have readied successors
+                elig = eligible_set(inst, ready, avail)
+            else:
+                elig = [(i, m) for i, m in elig if i in ready
+                        and all(map(le, acts[i].modes[m].demand, avail))]
 
         if end_preds <= completed:
             break

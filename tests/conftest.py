@@ -69,6 +69,21 @@ def rescan_eligible(inst: ProjectInstance, completed, running,
     return out
 
 
+def count_calls(monkeypatch, name: str) -> list[tuple]:
+    """Wrap `kneegp.sim.<name>`; the returned list gets the arguments of
+    each call, without the instance."""
+    import kneegp.sim
+
+    calls, real = [], getattr(kneegp.sim, name)
+
+    def wrapper(inst, *args):
+        calls.append(args)
+        return real(inst, *args)
+
+    monkeypatch.setattr(kneegp.sim, name, wrapper)
+    return calls
+
+
 @pytest.fixture
 def demo() -> ProjectInstance:
     return demo_instance()

@@ -160,11 +160,33 @@ def _without_predecessors(demo_file):
     return data
 
 
+def _string_predecessors(demo_file):
+    data = json.loads(demo_file.read_text())
+    data["activities"][3]["predecessors"] = "10"
+    return data
+
+
+def _string_capacities(demo_file):
+    data = json.loads(demo_file.read_text())
+    data["capacities"] = "12"
+    return data
+
+
+def _string_in_demand(demo_file):
+    data = json.loads(demo_file.read_text())
+    data["activities"][1]["modes"][0]["demand"] = ["10"]
+    return data
+
+
 @pytest.mark.parametrize("payload, message", [
     (lambda _: {}, "instance is missing key 'activities'"),
     (lambda _: [], "instance must be an object, not list"),
     (_without_predecessors, "instance is missing key 'predecessors'"),
-], ids=["empty-object", "a-list", "no-predecessors"])
+    (_string_predecessors, "activity 3 predecessors must be a list of integers, not '10'"),
+    (_string_capacities, "capacities must be a list of integers, not '12'"),
+    (_string_in_demand, "activity 1 demand must be a list of integers, not ['10']"),
+], ids=["empty-object", "a-list", "no-predecessors", "string-predecessors",
+        "string-capacities", "string-in-demand"])
 def test_solve_reports_a_malformed_instance(tmp_path, demo_file, rules_file, capsys,
                                             payload, message):
     path = tmp_path / "bad.json"

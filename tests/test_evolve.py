@@ -25,7 +25,7 @@ from kneegp.policy import KneeConfig, build_policy
 from kneegp.rules import ALL_TERMINALS, FUNCTION_ARITY, Node, RulePair, func, leaf
 from kneegp.sim import derive_seed, sample_durations, solve
 
-from conftest import chain_instance
+from conftest import chain_instance, count_calls, random_instance
 
 
 def _assert_well_formed(t: Node):
@@ -194,6 +194,19 @@ def test_generation_tables_are_deterministic_and_fresh(demo):
     t1 = generation_tables(cfg, [demo], 1)[0]
     assert t0a.realized == t0b.realized
     assert t0a.realized != t1.realized
+
+
+def test_shared_generation_tables_draw_each_pair_once(monkeypatch):
+    draws = count_calls(monkeypatch, "realized_duration")  # (seed, i, m)
+    rng = random.Random(17)
+    instances = [random_instance(rng, n=8, n_modes=3) for _ in range(3)]
+    cfg = GpConfig(population_size=2, tournament_size=2, policy="kggp-max", seed=5)
+    tables = generation_tables(cfg, instances, 0)
+    for _ in range(8):
+        rules = RulePair(random_tree(rng, 4), random_tree(rng, 4))
+        evaluate_rules(rules, instances, tables, cfg)
+    pairs = sum(a.n_modes for inst in instances for a in inst.activities)
+    assert 0 < len(draws) == len(set(draws)) <= pairs
 
 
 def _strip(result):

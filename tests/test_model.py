@@ -225,6 +225,38 @@ def test_load_rejects_wrong_lower_bound(demo):
         instance_from_dict(data)
 
 
+def _set_predecessors(data, value):
+    data["activities"][3]["predecessors"] = value
+
+
+def _set_demand(data, value):
+    data["activities"][3]["modes"][0]["demand"] = value
+
+
+def _set_capacities(data, value):
+    data["capacities"] = value
+
+
+@pytest.mark.parametrize("edit, value, message", [
+    (_set_predecessors, "10", "activity 3 predecessors must be a list of integers, not '10'"),
+    (_set_predecessors, ["1"], "activity 3 predecessors must be a list of integers, not ['1']"),
+    (_set_predecessors, 1, "activity 3 predecessors must be a list of integers, not 1"),
+    (_set_demand, "9", "activity 3 demand must be a list of integers, not '9'"),
+    (_set_demand, [9.5], "activity 3 demand must be a list of integers, not [9.5]"),
+    (_set_demand, [True], "activity 3 demand must be a list of integers, not [True]"),
+    (_set_capacities, "12", "capacities must be a list of integers, not '12'"),
+    (_set_capacities, [12.0], "capacities must be a list of integers, not [12.0]"),
+], ids=["preds-string", "preds-string-item", "preds-int", "demand-string",
+        "demand-float-item", "demand-bool-item", "caps-string", "caps-float-item"])
+def test_load_rejects_a_value_that_is_not_a_list_of_integers(demo, edit, value, message):
+    # a string is a sequence too: "10" would read as the ids {1, 0}
+    data = json.loads(json.dumps(instance_to_dict(demo)))
+    edit(data, value)
+    with pytest.raises(StructuralError) as exc:
+        instance_from_dict(data)
+    assert str(exc.value) == message
+
+
 def test_schedule_json_roundtrip():
     s = _sched(GRP_17)
     assert schedule_from_dict(schedule_to_dict(s)) == s

@@ -21,7 +21,9 @@ from kneegp.sim import (
     solve,
 )
 
-from conftest import demo_instance, random_instance, rescan_eligible
+from conftest import (
+    chain_instance, count_calls, demo_instance, random_instance, rescan_eligible,
+)
 
 
 class LowestIdFirst:
@@ -197,6 +199,72 @@ def test_sampling_bounds_and_determinism(demo):
                 assert mo.min_duration <= t.duration(i, m) <= mo.max_duration
         assert t.duration(0, 0) == 0
         assert t.duration(demo.dummy_end, 0) == 0
+
+
+def _eager_realized(inst, seed):
+    """The whole table drawn in advance, as the executor once did."""
+    table = {}
+    for a in inst.activities:
+        for m in range(a.n_modes):
+            table[(a.id, m)] = realized_duration(inst, seed, a.id, m)
+    return table
+
+
+def test_lazy_draws_equal_eager_draws(demo):
+    rng = random.Random(12)
+    cases = [random_instance(rng, n=rng.randint(3, 10), n_modes=3, zero_prob=0.3)
+             for _ in range(20)] + [chain_instance([3, 0, 5]), demo]
+    fixed = sum(mo.min_duration == mo.max_duration
+                for inst in cases for a in inst.activities for mo in a.modes)
+    assert fixed > 50  # zero-duration, single-valued and dummy modes
+    for k, inst in enumerate(cases):
+        seed = 700 + k
+        pairs = [(a.id, m) for a in inst.activities for m in range(a.n_modes)]
+        rng.shuffle(pairs)
+        table = sample_durations(inst, seed)
+        for i, m in pairs:
+            assert table.duration(i, m) == realized_duration(inst, seed, i, m)
+        assert table.realized == _eager_realized(inst, seed)
+        assert sample_durations(inst, seed).realized == _eager_realized(inst, seed)
+        assert expected_durations(inst).realized == {
+            (a.id, m): mo.expected
+            for a in inst.activities for m, mo in enumerate(a.modes)}
+
+
+def test_solve_draws_once_per_started_activity(monkeypatch):
+    draws = count_calls(monkeypatch, "realized_duration")
+    rng = random.Random(41)
+    for k in range(30):
+        inst = random_instance(rng, n=rng.randint(3, 9), n_modes=3, zero_prob=0.2)
+        rules = RulePair(random_tree(rng, 4), random_tree(rng, 4))
+        for name in POLICY_NAMES:
+            draws.clear()
+            res = solve(inst, build_policy(rules, name), sample_durations(inst, k))
+            started = {(k, i, e.mode) for i, e in res.schedule.entries.items()}
+            assert len(draws) == len(set(draws)) <= len(started)
+            assert set(draws) <= started
+
+
+def test_eligible_set_rescans_once_per_clock_and_zero_duration_start(monkeypatch):
+    scans = count_calls(monkeypatch, "eligible_set")
+    rng = random.Random(43)
+    rescan_per_decision = total_scans = 0
+    for k in range(30):
+        inst = random_instance(rng, n=rng.randint(3, 9), capacity=12,
+                               max_demand=5, zero_prob=0.2)
+        rules = RulePair(random_tree(rng, 4), random_tree(rng, 4))
+        for name in POLICY_NAMES:
+            scans.clear()
+            res = solve(inst, build_policy(rules, name), sample_durations(inst, k))
+            entries = res.schedule.entries.values()
+            # every policy here starts something whenever it can, so the
+            # clock visits 0 and completion times only
+            clocks = {0} | {e.start + e.duration for e in entries if e.duration}
+            zero_starts = sum(e.duration == 0 for e in entries)
+            assert len(scans) <= len(clocks) + zero_starts
+            total_scans += len(scans)
+            rescan_per_decision += len(clocks) + len(res.decisions)
+    assert total_scans < 0.8 * rescan_per_decision
 
 
 def test_degenerate_interval_needs_no_draw():
