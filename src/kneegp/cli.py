@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import (
@@ -27,7 +28,8 @@ from .bench import (
 from .evolve import GpConfig, TrainingRun, TrainingTimeout, evolve, rule_size
 from .instgen import GenerationError, GenSpec, generate_instance
 from .model import from_dict, load_instance, save_instance, schedule_to_dict, validate_schedule
-from .policy import POLICY_NAMES, EnumerationOverflowError, KneeConfig, build_policy
+from .policy import (DEFAULT_ENUMERATION_LIMIT, POLICY_NAMES, EnumerationOverflowError,
+                     KneeConfig, build_policy)
 from .rules import load_rules, save_rules
 from .sim import decision_log_to_csv, expected_durations, sample_durations, solve
 
@@ -75,7 +77,8 @@ def cmd_evolve(args) -> int:
     raw = json.loads(Path(args.config).read_text())
     gp = {}
     if isinstance(raw, dict):  # any other shape fails in from_dict below
-        gp = {k: raw.pop(k) for k in list(raw) if k not in ("instances", "wall_limit")}
+        run_keys = {f.name for f in fields(TrainingRun)}
+        gp = {k: raw.pop(k) for k in list(raw) if k not in run_keys}
     run = from_dict(TrainingRun, raw)
     if not run.instances:
         raise ValueError("training config needs a non-empty 'instances' list")
@@ -165,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--rules", required=True, help="rule file with ordering:/group: lines")
     p.add_argument("--policy", choices=POLICY_NAMES, default="kggp-max")
-    p.add_argument("--knee-cap", type=int, default=10)
-    p.add_argument("--group-limit", type=int, default=1_000_000)
+    p.add_argument("--knee-cap", type=int, default=KneeConfig.cap)
+    p.add_argument("--group-limit", type=int, default=DEFAULT_ENUMERATION_LIMIT)
     p.add_argument("--duration-seed", type=int, default=0)
     p.add_argument("--expected", action="store_true",
                    help="pin durations to their expected values")

@@ -34,12 +34,14 @@ class TrainingTimeout(RuntimeError):
 
 @dataclass(frozen=True)
 class GpConfig:
+    """Training settings. Breeding draws crossover or mutation with their
+    probabilities, and reproduction takes the rest, 1 - crossover - mutation."""
+
     what: ClassVar[str] = "GP config"
     population_size: int = 200
     max_generations: int = 50
     crossover_prob: float = 0.80
     mutation_prob: float = 0.15
-    reproduction_prob: float = 0.05
     tournament_size: int = 5
     init_depth: tuple[int, int] = (2, 6)
     max_depth: int = 8
@@ -58,10 +60,10 @@ class GpConfig:
         lo, hi = self.init_depth
         if not 1 <= lo <= hi <= self.max_depth:
             raise ValueError("init depths must satisfy 1 <= lo <= hi <= max")
-        total = self.crossover_prob + self.mutation_prob + self.reproduction_prob
-        if min(self.crossover_prob, self.mutation_prob, self.reproduction_prob) < 0 \
-                or abs(total - 1.0) > 1e-9:
-            raise ValueError("operator probabilities must be >= 0 and sum to 1")
+        if min(self.crossover_prob, self.mutation_prob) < 0 \
+                or self.crossover_prob + self.mutation_prob > 1:
+            raise ValueError("crossover and mutation probabilities must be >= 0 "
+                             "and sum to at most 1")
         if self.enumeration_limit < 1:
             raise ValueError("enumeration limit must be at least 1")
 
@@ -124,8 +126,6 @@ def random_tree(rng: Random, depth: int, method: str = "grow",
         return Node(op, tuple(build(budget - 1, False)
                               for _ in range(FUNCTION_ARITY[op])))
 
-    if depth == 1:
-        return leaf(rng.choice(_TERMINALS))
     return build(depth, True)
 
 

@@ -436,10 +436,12 @@ def instance_to_dict(inst: ProjectInstance) -> dict:
     }
 
 
-def _int_list(value, what: str):
-    """`value`, if it is a list of integers; a string is not one."""
-    if not _fits(value, tuple[int, ...]):
-        raise StructuralError(f"{what} must be a list of integers, not {value!r}")
+def _checked(value, hint, what: str):
+    """`value`, if it fits `hint`: `int` or `tuple[int, ...]`. A bool is not
+    an integer and a string is not a list."""
+    if not _fits(value, hint):
+        kind = "an integer" if hint is int else "a list of integers"
+        raise StructuralError(f"{what} must be {kind}, not {value!r}")
     return value
 
 
@@ -448,9 +450,10 @@ def instance_from_dict(data: dict) -> ProjectInstance:
         raise StructuralError(f"instance must be an object, not {type(data).__name__}")
     try:
         raw = data["activities"]
-        preds = {int(a["id"]): set(_int_list(a["predecessors"],
-                                             f"activity {a['id']} predecessors"))
-                 for a in raw}
+        ids = [_checked(a["id"], int, "activity id") for a in raw]
+        preds = {i: set(_checked(a["predecessors"], tuple[int, ...],
+                                 f"activity {i} predecessors"))
+                 for i, a in zip(ids, raw)}
         succs: dict[int, set[int]] = {i: set() for i in preds}
         for i, ps in preds.items():
             for j in ps:
@@ -459,26 +462,29 @@ def instance_from_dict(data: dict) -> ProjectInstance:
                 succs[j].add(i)
         acts = [
             Activity(
-                id=int(a["id"]),
-                predecessors=frozenset(preds[int(a["id"])]),
-                successors=frozenset(succs[int(a["id"])]),
+                id=i,
+                predecessors=frozenset(preds[i]),
+                successors=frozenset(succs[i]),
                 modes=tuple(
-                    Mode(int(m["expected"]), int(m["min"]), int(m["max"]),
-                         tuple(_int_list(m["demand"], f"activity {a['id']} demand")))
+                    Mode(*(_checked(m[k], int, f"activity {i} {k}")
+                           for k in ("expected", "min", "max")),
+                         tuple(_checked(m["demand"], tuple[int, ...],
+                                        f"activity {i} demand")))
                     for m in a["modes"]
                 ),
             )
-            for a in raw
+            for i, a in zip(ids, raw)
         ]
-        caps = _int_list(data["capacities"], "capacities")
+        caps = _checked(data["capacities"], tuple[int, ...], "capacities")
     except KeyError as exc:
         raise StructuralError(f"instance is missing key {exc}") from None
     except TypeError as exc:
         raise StructuralError(f"malformed instance: {exc}") from None
     inst = build_instance(acts, caps, data.get("metadata"))
-    if "lower_bound" in data and int(data["lower_bound"]) != inst.lower_bound:
+    stored = _checked(data.get("lower_bound", inst.lower_bound), int, "lower_bound")
+    if stored != inst.lower_bound:
         raise StructuralError(
-            f"stored lower bound {data['lower_bound']} != recomputed {inst.lower_bound}"
+            f"stored lower bound {stored} != recomputed {inst.lower_bound}"
         )
     return inst
 
@@ -502,11 +508,3 @@ def schedule_to_dict(sched: Schedule) -> dict:
         },
         "makespan": sched.makespan,
     }
-
-
-def schedule_from_dict(data: dict) -> Schedule:
-    entries = {
-        int(i): ScheduleEntry(int(e["mode"]), int(e["start"]), int(e["duration"]))
-        for i, e in data["entries"].items()
-    }
-    return Schedule(entries, int(data["makespan"]))

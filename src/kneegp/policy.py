@@ -18,7 +18,7 @@ in the slots. Lower scores always win, for pairs and groups alike.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from math import prod
 from operator import itemgetter, le
@@ -51,12 +51,12 @@ class KneeConfig:
 
     `cap` bounds how many promising pairs are enumerated, `apply_knee` can
     switch the knee cut off for exhaustive comparisons, and
-    `group_size_hard_limit` caps the subset count as a safety net.
+    `group_size_hard_limit` caps the subset count as a safety net. Whether
+    only maximal groups are scored is the policy's name, not a setting.
     """
 
     what: ClassVar[str] = "knee config"
     cap: int = 10
-    retain_maximal_only: bool = True
     group_size_hard_limit: int = DEFAULT_ENUMERATION_LIMIT
     apply_knee: bool = True
 
@@ -78,7 +78,13 @@ class Decision:
 
 @dataclass(frozen=True)
 class Policy:
-    """What the executor calls: `decide(ctx, eligible) -> (group, filtered_size)`."""
+    """What the executor calls: `decide(ctx, eligible) -> (group, filtered_size)`.
+
+    The group is a jointly resource-feasible set of pairs drawn from the
+    eligible set with at most one mode per activity, possibly empty;
+    `filtered_size` is the number of pairs that survived the policy's own
+    filtering, for the decision log.
+    """
 
     decide: Callable[[DecisionContext, Sequence[Pair]], tuple[tuple[Pair, ...], int]]
 
@@ -152,11 +158,14 @@ def _best_group(tree: Node, ctx: DecisionContext, slots: Sequence[Slot],
 
 def knee_group_decide(rules: RulePair, ctx: DecisionContext,
                       eligible: Sequence[Pair],
-                      cfg: KneeConfig = KneeConfig()) -> Decision:
+                      cfg: KneeConfig = KneeConfig(),
+                      maximal: bool = True) -> Decision:
     """Pick the group to start now. Total: never raises on valid input.
 
     The group is drawn from the pairs that survive the knee cut and the cap;
-    if none of them fits the free capacity, nothing starts.
+    if none of them fits the free capacity, nothing starts. With `maximal`
+    (`kggp-max`) only groups that no further surviving pair can join are
+    scored.
     """
     if rules.group is None:
         raise ValueError("knee group policy needs a group tree")
@@ -173,7 +182,7 @@ def knee_group_decide(rules: RulePair, ctx: DecisionContext,
                 max(1, (cfg.group_size_hard_limit + 1).bit_length() - 1))
     acts = ctx.instance.activities
     slots = [[((i, m), acts[i].modes[m].demand)] for _, (i, m) in ranked[:width]]
-    group, count = _best_group(rules.group, ctx, slots, cfg.retain_maximal_only)
+    group, count = _best_group(rules.group, ctx, slots, maximal)
     return Decision(group, filtered, count)
 
 
@@ -219,9 +228,9 @@ def build_policy(rules: RulePair, name: str, knee: KneeConfig | None = None,
             d = full_enumeration_decide(rules, ctx, eligible, limit)
             return d.group, d.filtered_size
     else:
-        cfg = replace(knee or KneeConfig(), retain_maximal_only=name == "kggp-max")
+        cfg, maximal = knee or KneeConfig(), name == "kggp-max"
 
         def decide(ctx, eligible):
-            d = knee_group_decide(rules, ctx, eligible, cfg)
+            d = knee_group_decide(rules, ctx, eligible, cfg, maximal)
             return d.group, d.filtered_size
     return Policy(decide)

@@ -13,9 +13,10 @@ import hashlib
 import random
 from operator import le
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 from .model import ProjectInstance, Schedule, ScheduleEntry, make_schedule
+from .policy import Policy
 from .rules import DecisionContext, Pair
 
 
@@ -56,12 +57,6 @@ class DurationTable:
             self._drawn[i, m] = d
         return d
 
-    @property
-    def realized(self) -> dict[Pair, int]:
-        """Every pair's duration, drawing what no read has drawn yet."""
-        return {(a.id, m): self.duration(a.id, m)
-                for a in self.inst.activities for m in range(a.n_modes)}
-
 
 def sample_durations(inst: ProjectInstance, seed: int) -> DurationTable:
     return DurationTable(inst, seed)
@@ -70,20 +65,6 @@ def sample_durations(inst: ProjectInstance, seed: int) -> DurationTable:
 def expected_durations(inst: ProjectInstance) -> DurationTable:
     """Degenerate realization pinned at the expected values."""
     return DurationTable(inst)
-
-
-class DecisionPolicy(Protocol):
-    """A policy picks the next group to start.
-
-    Returns (group, filtered_size): a jointly resource-feasible set of pairs
-    drawn from the eligible set with at most one mode per activity (possibly
-    empty), plus the number of pairs that survived the policy's own
-    filtering, for the decision log.
-    """
-
-    def decide(self, ctx: DecisionContext,
-               eligible: Sequence[Pair]) -> tuple[Sequence[Pair], int]:
-        ...
 
 
 class PolicyContractError(RuntimeError):
@@ -120,7 +101,7 @@ def eligible_set(inst: ProjectInstance, ready: Iterable[int],
     return out
 
 
-def solve(inst: ProjectInstance, policy: DecisionPolicy,
+def solve(inst: ProjectInstance, policy: Policy,
           durations: DurationTable) -> SimResult:
     """Run the parallel generation scheme to completion.
 

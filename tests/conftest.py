@@ -7,7 +7,8 @@ from typing import Callable, Iterator, Sequence
 import pytest
 
 from kneegp import rules
-from kneegp.model import Activity, Mode, ProjectInstance, _masked_sum, build_instance
+from kneegp.model import (Activity, Mode, ProjectInstance, Schedule, ScheduleEntry,
+                          _masked_sum, build_instance)
 from kneegp.rules import (
     ALL_TERMINALS,
     TIME_TERMINALS,
@@ -82,6 +83,22 @@ def count_calls(monkeypatch, name: str) -> list[tuple]:
 
     monkeypatch.setattr(kneegp.sim, name, wrapper)
     return calls
+
+
+def realized(table) -> dict[tuple[int, int], int]:
+    """Every pair's duration in a `DurationTable`, drawing what no read has
+    drawn yet."""
+    return {(a.id, m): table.duration(a.id, m)
+            for a in table.inst.activities for m in range(a.n_modes)}
+
+
+def schedule_from_dict(data: dict) -> Schedule:
+    """Inverse of `model.schedule_to_dict`."""
+    entries = {
+        int(i): ScheduleEntry(int(e["mode"]), int(e["start"]), int(e["duration"]))
+        for i, e in data["entries"].items()
+    }
+    return Schedule(entries, int(data["makespan"]))
 
 
 @pytest.fixture

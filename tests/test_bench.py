@@ -2,7 +2,7 @@
 import json
 import random
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from itertools import combinations
 
 import pytest
@@ -28,7 +28,7 @@ from kneegp.bench import (
     wilcoxon_rank_sum,
     write_reports,
 )
-from kneegp.evolve import GpConfig, evolve, rule_size
+from kneegp.evolve import GpConfig, TrainingRun, evolve, rule_size
 from kneegp.instgen import GenSpec
 from kneegp.model import from_dict
 from kneegp.policy import KneeConfig
@@ -348,8 +348,7 @@ def test_experiment_config_round_trip():
     assert experiment_from_dict(json.loads(blob)) == exp
 
 
-_KNEE = KneeConfig(cap=4, retain_maximal_only=False, group_size_hard_limit=50,
-                   apply_knee=False)
+_KNEE = KneeConfig(cap=4, group_size_hard_limit=50, apply_knee=False)
 _GP = GpConfig(population_size=6, crossover_prob=0.7, mutation_prob=0.25,
                init_depth=(1, 3), max_depth=5, knee=_KNEE, enumeration_limit=99)
 
@@ -375,6 +374,26 @@ def test_every_config_round_trips_through_json(config):
         assert experiment_from_dict(json.loads(blob)) == config
     else:
         assert from_dict(type(config), json.loads(json.dumps(asdict(config)))) == config
+
+
+def test_every_config_key_is_listed_here():
+    """The option surface: adding, renaming or removing a config key is a
+    visible edit of this table."""
+    assert {cls.__name__: tuple(f.name for f in fields(cls)) for cls in (
+        GenSpec, GpConfig, KneeConfig, Scenario, Experiment, TrainingRun)} == {
+        "GenSpec": ("n_activities", "n_modes", "n_resources", "duration_range",
+                    "fluctuation_range", "demand_range", "order_strength",
+                    "os_tolerance", "resource_factor", "resource_strength",
+                    "move_budget", "seed"),
+        "GpConfig": ("population_size", "max_generations", "crossover_prob",
+                     "mutation_prob", "tournament_size", "init_depth", "max_depth",
+                     "seed", "policy", "knee", "enumeration_limit"),
+        "KneeConfig": ("cap", "group_size_hard_limit", "apply_knee"),
+        "Scenario": ("name", "gen", "n_train", "n_test"),
+        "Experiment": ("scenarios", "seed", "algorithms", "n_runs", "gp",
+                       "test_realizations", "wall_limit"),
+        "TrainingRun": ("instances", "wall_limit"),
+    }
 
 
 def test_experiment_loader_rejects_unknown_keys():

@@ -5,10 +5,10 @@ import pytest
 
 from kneegp.bench import RunReport, report_to_dict
 from kneegp.cli import main
-from kneegp.model import load_instance, schedule_from_dict, validate_schedule
+from kneegp.model import load_instance, validate_schedule
 from kneegp.rules import load_rules
 
-from conftest import demo_instance
+from conftest import demo_instance, schedule_from_dict
 
 
 @pytest.fixture
@@ -109,9 +109,17 @@ _SCENARIO = {"name": "tiny", "gen": {"n_activities": 6}}
     ("bench run", [], "experiment must be an object, not []"),
     ("bench run", {"scenarios": [{"name": "x", "gen": []}]},
      "scenario key gen must be GenSpec, not []"),
+    # removed keys: the policy name picks maximal groups, and reproduction
+    # takes what crossover and mutation leave
+    ("bench run", {"scenarios": [_SCENARIO], "gp": {"knee": {"retain_maximal_only": True}}},
+     "unknown knee config key(s): retain_maximal_only"),
+    ("bench run", {"scenarios": [_SCENARIO], "gp": {"reproduction_prob": 0.05}},
+     "unknown GP config key(s): reproduction_prob"),
+    ("evolve", {"reproduction_prob": 0.05}, "unknown GP config key(s): reproduction_prob"),
 ], ids=["gen-float", "evolve-int", "evolve-knee", "evolve-tuple", "bench-scenario",
         "bench-experiment", "evolve-wall-limit", "evolve-instances", "gen-range",
-        "gen-list", "evolve-list", "bench-list", "bench-scenario-gen-list"])
+        "gen-list", "evolve-list", "bench-list", "bench-scenario-gen-list",
+        "bench-removed-maximal", "bench-removed-reproduction", "evolve-removed-reproduction"])
 def test_a_wrongly_typed_config_value_is_reported(tmp_path, demo_file, capsys,
                                                  command, config, message):
     path = tmp_path / "config.json"
@@ -178,6 +186,13 @@ def _string_in_demand(demo_file):
     return data
 
 
+def _edited(path, activity=(), **mode):
+    data = json.loads(path.read_text())
+    data["activities"][3].update(activity)
+    data["activities"][3]["modes"][0].update(mode)
+    return data
+
+
 @pytest.mark.parametrize("payload, message", [
     (lambda _: {}, "instance is missing key 'activities'"),
     (lambda _: [], "instance must be an object, not list"),
@@ -185,8 +200,12 @@ def _string_in_demand(demo_file):
     (_string_predecessors, "activity 3 predecessors must be a list of integers, not '10'"),
     (_string_capacities, "capacities must be a list of integers, not '12'"),
     (_string_in_demand, "activity 1 demand must be a list of integers, not ['10']"),
+    (lambda p: _edited(p, expected=5.9), "activity 3 expected must be an integer, not 5.9"),
+    (lambda p: _edited(p, activity={"id": "3"}), "activity id must be an integer, not '3'"),
+    (lambda p: _edited(p, min=True), "activity 3 min must be an integer, not True"),
 ], ids=["empty-object", "a-list", "no-predecessors", "string-predecessors",
-        "string-capacities", "string-in-demand"])
+        "string-capacities", "string-in-demand", "float-expected", "string-id",
+        "bool-min"])
 def test_solve_reports_a_malformed_instance(tmp_path, demo_file, rules_file, capsys,
                                             payload, message):
     path = tmp_path / "bad.json"

@@ -25,7 +25,7 @@ from kneegp.policy import KneeConfig, build_policy
 from kneegp.rules import ALL_TERMINALS, FUNCTION_ARITY, Node, RulePair, func, leaf
 from kneegp.sim import derive_seed, sample_durations, solve
 
-from conftest import chain_instance, count_calls, random_instance
+from conftest import chain_instance, count_calls, random_instance, realized
 
 
 def _assert_well_formed(t: Node):
@@ -192,8 +192,8 @@ def test_generation_tables_are_deterministic_and_fresh(demo):
     t0a = generation_tables(cfg, [demo], 0)[0]
     t0b = generation_tables(cfg, [demo], 0)[0]
     t1 = generation_tables(cfg, [demo], 1)[0]
-    assert t0a.realized == t0b.realized
-    assert t0a.realized != t1.realized
+    assert realized(t0a) == realized(t0b)
+    assert realized(t0a) != realized(t1)
 
 
 def test_shared_generation_tables_draw_each_pair_once(monkeypatch):
@@ -265,8 +265,7 @@ def _uncached_evolve(cfg, instances):
 
 def test_fitness_cache_scores_each_distinct_individual_once(demo, monkeypatch):
     cfg = GpConfig(population_size=10, max_generations=6, tournament_size=4,
-                   init_depth=(2, 3), crossover_prob=0.3, mutation_prob=0.1,
-                   reproduction_prob=0.6, seed=3)
+                   init_depth=(2, 3), crossover_prob=0.3, mutation_prob=0.1, seed=3)
     chain = chain_instance([3, 4, 2])
     pops, champions, expected = _uncached_evolve(cfg, [demo, chain])
 
@@ -345,7 +344,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GpConfig(population_size=1)
     with pytest.raises(ValueError):
-        GpConfig(crossover_prob=0.5, mutation_prob=0.1, reproduction_prob=0.1)
+        GpConfig(crossover_prob=0.9, mutation_prob=0.15)
+    with pytest.raises(ValueError):
+        GpConfig(crossover_prob=0.8, mutation_prob=-0.05)
     with pytest.raises(ValueError):
         GpConfig(tournament_size=0)
     with pytest.raises(ValueError):

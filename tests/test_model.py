@@ -16,13 +16,13 @@ from kneegp.model import (
     instance_from_dict,
     instance_to_dict,
     make_schedule,
-    schedule_from_dict,
     schedule_to_dict,
     _resource_violation,
     validate_schedule,
 )
 
-from conftest import chain_instance, demo_instance, parallel_instance, random_instance
+from conftest import (chain_instance, demo_instance, parallel_instance, random_instance,
+                      schedule_from_dict)
 
 
 def test_demo_lower_bound(demo):
@@ -237,6 +237,22 @@ def _set_capacities(data, value):
     data["capacities"] = value
 
 
+def _set_id(data, value):
+    data["activities"][2]["id"] = value
+
+
+def _set_expected(data, value):
+    data["activities"][3]["modes"][0]["expected"] = value
+
+
+def _set_max(data, value):
+    data["activities"][3]["modes"][1]["max"] = value
+
+
+def _set_lower_bound(data, value):
+    data["lower_bound"] = value
+
+
 @pytest.mark.parametrize("edit, value, message", [
     (_set_predecessors, "10", "activity 3 predecessors must be a list of integers, not '10'"),
     (_set_predecessors, ["1"], "activity 3 predecessors must be a list of integers, not ['1']"),
@@ -246,10 +262,17 @@ def _set_capacities(data, value):
     (_set_demand, [True], "activity 3 demand must be a list of integers, not [True]"),
     (_set_capacities, "12", "capacities must be a list of integers, not '12'"),
     (_set_capacities, [12.0], "capacities must be a list of integers, not [12.0]"),
+    (_set_expected, 5.9, "activity 3 expected must be an integer, not 5.9"),
+    (_set_id, "2", "activity id must be an integer, not '2'"),
+    (_set_id, True, "activity id must be an integer, not True"),
+    (_set_max, True, "activity 3 max must be an integer, not True"),
+    (_set_lower_bound, 12.0, "lower_bound must be an integer, not 12.0"),
 ], ids=["preds-string", "preds-string-item", "preds-int", "demand-string",
-        "demand-float-item", "demand-bool-item", "caps-string", "caps-float-item"])
+        "demand-float-item", "demand-bool-item", "caps-string", "caps-float-item",
+        "expected-float", "id-string", "id-bool", "max-bool", "lower-bound-float"])
 def test_load_rejects_a_value_that_is_not_a_list_of_integers(demo, edit, value, message):
-    # a string is a sequence too: "10" would read as the ids {1, 0}
+    # a string is a sequence too: "10" would read as the ids {1, 0}; the
+    # scalar fields must be integers: int() would read 5.9 as 5 and "2" as 2
     data = json.loads(json.dumps(instance_to_dict(demo)))
     edit(data, value)
     with pytest.raises(StructuralError) as exc:

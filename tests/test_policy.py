@@ -115,8 +115,7 @@ def test_walkthrough_scenario():
     assert gd.filtered_size == 3
     assert gd.group == ((2, 0), (3, 0))  # longest feasible 2-set wins
 
-    keep_all = knee_group_decide(rules, ctx, eligible,
-                                 KneeConfig(retain_maximal_only=False))
+    keep_all = knee_group_decide(rules, ctx, eligible, KneeConfig(), maximal=False)
     assert keep_all.group == ((3, 0),)  # the lone longest activity
 
     exact = full_enumeration_decide(rules, ctx, eligible)
@@ -291,10 +290,8 @@ def test_keep_all_equals_maximal_when_bigger_is_always_better():
         eligible = rescan_eligible(inst, ctx.completed, {}, ctx.availability)
         if not eligible:
             continue
-        gmax = knee_group_decide(rules, ctx, eligible,
-                                 KneeConfig(retain_maximal_only=True))
-        gall = knee_group_decide(rules, ctx, eligible,
-                                 KneeConfig(retain_maximal_only=False))
+        gmax = knee_group_decide(rules, ctx, eligible, KneeConfig(), maximal=True)
+        gall = knee_group_decide(rules, ctx, eligible, KneeConfig(), maximal=False)
         assert gmax.group == gall.group
         assert gmax.count <= gall.count
 
@@ -311,8 +308,8 @@ def test_single_mode_knee_disabled_matches_full_enumeration():
         sigma = parse_sexpr("(add LFT (mul GRPW AvgRR))")
         gamma = parse_sexpr("(sub GRD (max RR MinRLA))")
         rules = RulePair(sigma, gamma)
-        cfg = KneeConfig(apply_knee=False, retain_maximal_only=False)
-        gd = knee_group_decide(rules, ctx, eligible, cfg)
+        cfg = KneeConfig(apply_knee=False)
+        gd = knee_group_decide(rules, ctx, eligible, cfg, maximal=False)
         ed = full_enumeration_decide(rules, ctx, eligible)
         assert gd.group == ed.group
         assert gd.filtered_size == len(eligible)
@@ -534,10 +531,10 @@ def test_group_choice_equals_the_reference_on_random_slots():
                 # multi-option slots with the maximal test, as no policy hands them on
                 assert (policy_module._best_group(rules.group, ctx, slots, maximal)
                         == reference_best_group(rules.group, ctx, slots, maximal)), text
-                cfg = KneeConfig(retain_maximal_only=maximal, apply_knee=trial % 2 == 0)
+                cfg = KneeConfig(apply_knee=trial % 2 == 0)
                 filtered, knee = _knee_slots(rules, ctx, eligible, cfg)
                 chosen, count = reference_best_group(rules.group, ctx, knee, maximal)
-                assert (knee_group_decide(rules, ctx, eligible, cfg)
+                assert (knee_group_decide(rules, ctx, eligible, cfg, maximal)
                         == Decision(chosen, filtered, count)), text
             empty += not group
             several += scored > 1
@@ -557,7 +554,7 @@ def test_every_group_decision_of_a_solve_equals_the_reference(name):
                                edge_prob=rng.choice([0.1, 0.3]), zero_prob=0.3)
         text = rng.choice(TIE_HEAVY_GROUP_TREES + [format_sexpr(random_tree(rng, 4))])
         rules = RulePair(random_tree(rng, 4), parse_sexpr(text))
-        cfg = KneeConfig(cap=rng.randint(2, 8), retain_maximal_only=name == "kggp-max")
+        cfg, maximal = KneeConfig(cap=rng.randint(2, 8)), name == "kggp-max"
 
         def decide(ctx, eligible):
             nonlocal decisions, ties
@@ -568,9 +565,8 @@ def test_every_group_decision_of_a_solve_equals_the_reference(name):
                 assert d.group == group, text
             else:
                 filtered, slots = _knee_slots(rules, ctx, eligible, cfg)
-                d = knee_group_decide(rules, ctx, eligible, cfg)
-                group, count = reference_best_group(rules.group, ctx, slots,
-                                                    cfg.retain_maximal_only)
+                d = knee_group_decide(rules, ctx, eligible, cfg, maximal)
+                group, count = reference_best_group(rules.group, ctx, slots, maximal)
                 assert (d.group, d.count, d.filtered_size) == (group, count, filtered), text
             scores = [eval_group_priority(rules.group, ctx, g)
                       for g in feasible_groups(slots, ctx.availability)]

@@ -22,7 +22,7 @@ from kneegp.sim import (
 )
 
 from conftest import (
-    chain_instance, count_calls, demo_instance, random_instance, rescan_eligible,
+    chain_instance, count_calls, demo_instance, random_instance, realized, rescan_eligible,
 )
 
 
@@ -193,7 +193,7 @@ def test_empty_project_finishes_at_zero():
 def test_sampling_bounds_and_determinism(demo):
     for seed in range(30):
         t = sample_durations(demo, seed)
-        assert t.realized == sample_durations(demo, seed).realized
+        assert realized(t) == realized(sample_durations(demo, seed))
         for i in demo.non_dummy_ids():
             for m, mo in enumerate(demo.activities[i].modes):
                 assert mo.min_duration <= t.duration(i, m) <= mo.max_duration
@@ -224,9 +224,9 @@ def test_lazy_draws_equal_eager_draws(demo):
         table = sample_durations(inst, seed)
         for i, m in pairs:
             assert table.duration(i, m) == realized_duration(inst, seed, i, m)
-        assert table.realized == _eager_realized(inst, seed)
-        assert sample_durations(inst, seed).realized == _eager_realized(inst, seed)
-        assert expected_durations(inst).realized == {
+        assert realized(table) == _eager_realized(inst, seed)
+        assert realized(sample_durations(inst, seed)) == _eager_realized(inst, seed)
+        assert realized(expected_durations(inst)) == {
             (a.id, m): mo.expected
             for a in inst.activities for m, mo in enumerate(a.modes)}
 
