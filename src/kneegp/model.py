@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, get_args, get_origin, get_type_hints
+from operator import getitem
+from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 ResourceVector = tuple[int, ...]
 
@@ -97,7 +98,8 @@ class InstanceAnalysis:
     """Static graph facts shared by the priority terminals and the simulator.
 
     Transitive closures are kept as integer bitmasks so group unions are a
-    single `or`.
+    single `or`. What only the rule engine reads is built on its first read,
+    never when the instance is built.
     """
 
     def __init__(self, inst: ProjectInstance):
@@ -119,12 +121,9 @@ class InstanceAnalysis:
             for j in acts[i].predecessors:
                 m |= self.trans_pred_mask[j] | (1 << j)
             self.trans_pred_mask[i] = m
-        # downstream min-expected work, direct and transitive
+        # direct downstream min-expected work
         self.succ_work = [
             sum(self.dmin_exp[j] for j in acts[i].successors) for i in range(n)
-        ]
-        self.trans_succ_work = [
-            _masked_sum(self.dmin_exp, self.trans_succ_mask[i]) for i in range(n)
         ]
         # longest min-expected path from an activity's finish to the sink's
         self.tail = tail = [0] * n
@@ -133,6 +132,21 @@ class InstanceAnalysis:
             for j in acts[i].successors:
                 if dmin[j] + tail[j] > tail[i]:
                     tail[i] = dmin[j] + tail[j]
+
+    @cached_property
+    def work_bytes(self) -> list[list[int]]:
+        """`dmin_exp` as byte tables (`byte_tables`), for `byte_sum`: kept
+        for the group forms that read the group work terminals."""
+        return byte_tables(self.dmin_exp)
+
+    @cached_property
+    def trans_succ_work(self) -> list[int]:
+        """Transitive downstream min-expected work of every activity.
+
+        Only the static rows read it, once, so its byte tables are not
+        kept: an instance keeps them only if a group form reads them."""
+        tables = byte_tables(self.dmin_exp)
+        return [byte_sum(tables, m) for m in self.trans_succ_mask]
 
     @cached_property
     def rows(self) -> list[tuple[tuple, ...]]:
@@ -152,13 +166,25 @@ def _mask(ids: Iterable[int]) -> int:
     return m
 
 
-def _masked_sum(values, mask: int):
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += values[low.bit_length() - 1]
-        mask ^= low
-    return total
+def byte_tables(values: Sequence[int]) -> list[list[int]]:
+    """One table per 8 consecutive ids of `values`: entry `b` of table `k`
+    is the sum of `values[8k + j]` over the set bits `j` of `b`.
+
+    Each entry is one addition, to the entry without its highest bit. The
+    last table has only the entries that bits below `len(values)` reach."""
+    tables = []
+    for start in range(0, len(values), 8):
+        table = [0]
+        for v in values[start:start + 8]:
+            table += [s + v for s in table]
+        tables.append(table)
+    return tables
+
+
+def byte_sum(tables: list[list[int]], mask: int) -> int:
+    """The sum of the values over the set bits of `mask`, one lookup per
+    byte. The values are integers, so it is exact in any order."""
+    return sum(map(getitem, tables, mask.to_bytes(len(tables), "little")))
 
 
 def _topological_order(acts: tuple[Activity, ...]) -> list[int]:
@@ -480,7 +506,10 @@ def instance_from_dict(data: dict) -> ProjectInstance:
         raise StructuralError(f"instance is missing key {exc}") from None
     except TypeError as exc:
         raise StructuralError(f"malformed instance: {exc}") from None
-    inst = build_instance(acts, caps, data.get("metadata"))
+    metadata = data.get("metadata")
+    if not isinstance(metadata, (Mapping, type(None))):
+        raise StructuralError(f"metadata must be an object, not {metadata!r}")
+    inst = build_instance(acts, caps, metadata)
     stored = _checked(data.get("lower_bound", inst.lower_bound), int, "lower_bound")
     if stored != inst.lower_bound:
         raise StructuralError(

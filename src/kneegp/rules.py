@@ -19,7 +19,7 @@ from operator import le, sub
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .model import InstanceAnalysis, ProjectInstance, _masked_sum
+from .model import InstanceAnalysis, ProjectInstance, byte_sum
 
 Pair = tuple[int, int]  # (activity id, mode index)
 
@@ -388,8 +388,8 @@ _PAIR: dict[str, str] = {
 # of the members' sets; resource terminals take the summed demand `D`
 _GROUP: dict[str, str] = {
     **{name: f"s_{name} / n" for name in TIME_TERMINALS},
-    "GRPW": "s_ExpDur + _masked_sum(dmin, u_succ)",
-    "GRPW_all": "s_ExpDur + _masked_sum(dmin, u_tsucc)",
+    "GRPW": "s_ExpDur + byte_sum(work, u_succ)",
+    "GRPW_all": "s_ExpDur + byte_sum(work, u_tsucc)",
     "TPC": "u_tpred.bit_count()",
     "DPC": "u_pred.bit_count()",
     "TSC": "u_tsucc.bit_count()",
@@ -419,7 +419,7 @@ _AT_GROUP: dict[str, str] = {
 _DECISION: dict[str, str] = {
     "H": "ctx.horizon",
     "tail": "ctx.instance.analysis.tail",
-    "dmin": "ctx.instance.analysis.dmin_exp",
+    "work": "ctx.instance.analysis.work_bytes",
     "est": "ctx.earliest_start",
     "ra": "ctx._avail_stats",
     "av": "ctx.availability",
@@ -440,7 +440,7 @@ def _precedes(group: tuple[Pair, ...], other: tuple[Pair, ...]) -> bool:
 
 # the names generated code reads besides its locals, shared by all of it
 _RULE_GLOBALS = {"_clamp": _clamp, "protected_div": protected_div,
-                 "_masked_sum": _masked_sum, "_extendable": _extendable,
+                 "byte_sum": byte_sum, "_extendable": _extendable,
                  "_precedes": _precedes, "sub": sub, "le": le,
                  "min": min, "max": max, "abs": abs, "sum": sum, "len": len,
                  "all": all, "float": float, "list": list, "tuple": tuple,

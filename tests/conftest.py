@@ -8,7 +8,7 @@ import pytest
 
 from kneegp import rules
 from kneegp.model import (Activity, Mode, ProjectInstance, Schedule, ScheduleEntry,
-                          _masked_sum, build_instance)
+                          build_instance)
 from kneegp.rules import (
     ALL_TERMINALS,
     TIME_TERMINALS,
@@ -262,7 +262,8 @@ PAIR_TERMINALS: dict[str, Callable[[DecisionContext, int, Mode], float]] = {
     "OptDur": lambda ctx, i, mo: mo.min_duration,
     "PessDur": lambda ctx, i, mo: mo.max_duration,
     "GRPW": lambda ctx, i, mo: mo.expected + ctx.instance.analysis.succ_work[i],
-    "GRPW_all": lambda ctx, i, mo: mo.expected + ctx.instance.analysis.trans_succ_work[i],
+    "GRPW_all": lambda ctx, i, mo: mo.expected + _masked_sum(
+        ctx.instance.analysis.dmin_exp, ctx.instance.analysis.trans_succ_mask[i]),
     "TPC": lambda ctx, i, mo: ctx.instance.analysis.trans_pred_mask[i].bit_count(),
     "DPC": lambda ctx, i, mo: len(ctx.instance.activities[i].predecessors),
     "TSC": lambda ctx, i, mo: ctx.instance.analysis.trans_succ_mask[i].bit_count(),
@@ -295,6 +296,17 @@ class GroupView:
         for i, _ in self.members:
             m |= masks[i]
         return m
+
+
+def _masked_sum(values, mask: int):
+    """Reference for `model.byte_sum`: the sum of `values` over the set bits
+    of `mask`, one bit at a time."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += values[low.bit_length() - 1]
+        mask ^= low
+    return total
 
 
 def group_work(view: GroupView, succ_masks: list[int]) -> float:

@@ -203,9 +203,13 @@ def _edited(path, activity=(), **mode):
     (lambda p: _edited(p, expected=5.9), "activity 3 expected must be an integer, not 5.9"),
     (lambda p: _edited(p, activity={"id": "3"}), "activity id must be an integer, not '3'"),
     (lambda p: _edited(p, min=True), "activity 3 min must be an integer, not True"),
+    (lambda p: {**json.loads(p.read_text()), "metadata": 5},
+     "metadata must be an object, not 5"),
+    (lambda p: {**json.loads(p.read_text()), "metadata": [["a", 1]]},
+     "metadata must be an object, not [['a', 1]]"),
 ], ids=["empty-object", "a-list", "no-predecessors", "string-predecessors",
         "string-capacities", "string-in-demand", "float-expected", "string-id",
-        "bool-min"])
+        "bool-min", "int-metadata", "pairs-metadata"])
 def test_solve_reports_a_malformed_instance(tmp_path, demo_file, rules_file, capsys,
                                             payload, message):
     path = tmp_path / "bad.json"

@@ -13,6 +13,8 @@ from kneegp.model import (
     ScheduleEntry,
     StructuralError,
     build_instance,
+    byte_sum,
+    byte_tables,
     instance_from_dict,
     instance_to_dict,
     make_schedule,
@@ -21,8 +23,8 @@ from kneegp.model import (
     validate_schedule,
 )
 
-from conftest import (chain_instance, demo_instance, parallel_instance, random_instance,
-                      schedule_from_dict)
+from conftest import (_masked_sum, chain_instance, demo_instance, parallel_instance,
+                      random_instance, schedule_from_dict)
 
 
 def test_demo_lower_bound(demo):
@@ -253,6 +255,10 @@ def _set_lower_bound(data, value):
     data["lower_bound"] = value
 
 
+def _set_metadata(data, value):
+    data["metadata"] = value
+
+
 @pytest.mark.parametrize("edit, value, message", [
     (_set_predecessors, "10", "activity 3 predecessors must be a list of integers, not '10'"),
     (_set_predecessors, ["1"], "activity 3 predecessors must be a list of integers, not ['1']"),
@@ -267,9 +273,12 @@ def _set_lower_bound(data, value):
     (_set_id, True, "activity id must be an integer, not True"),
     (_set_max, True, "activity 3 max must be an integer, not True"),
     (_set_lower_bound, 12.0, "lower_bound must be an integer, not 12.0"),
+    (_set_metadata, 5, "metadata must be an object, not 5"),
+    (_set_metadata, [["a", 1]], "metadata must be an object, not [['a', 1]]"),
 ], ids=["preds-string", "preds-string-item", "preds-int", "demand-string",
         "demand-float-item", "demand-bool-item", "caps-string", "caps-float-item",
-        "expected-float", "id-string", "id-bool", "max-bool", "lower-bound-float"])
+        "expected-float", "id-string", "id-bool", "max-bool", "lower-bound-float",
+        "metadata-int", "metadata-pairs"])
 def test_load_rejects_a_value_that_is_not_a_list_of_integers(demo, edit, value, message):
     # a string is a sequence too: "10" would read as the ids {1, 0}; the
     # scalar fields must be integers: int() would read 5.9 as 5 and "2" as 2
@@ -278,6 +287,17 @@ def test_load_rejects_a_value_that_is_not_a_list_of_integers(demo, edit, value, 
     with pytest.raises(StructuralError) as exc:
         instance_from_dict(data)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 122])
+def test_byte_sum_equals_the_bit_by_bit_sum(n):
+    rng = random.Random(n)
+    values = [rng.choice([0, 1, 7, 10, 255, 1000]) for _ in range(n)]
+    tables = byte_tables(values)
+    assert len(tables) == (n + 7) // 8
+    masks = [0, (1 << n) - 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(200)]
+    for mask in masks:
+        assert byte_sum(tables, mask) == _masked_sum(values, mask), mask
 
 
 def test_schedule_json_roundtrip():

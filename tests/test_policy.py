@@ -502,24 +502,35 @@ def _knee_slots(rules, ctx, eligible, cfg):
 
 TIE_HEAVY_GROUP_TREES = ["(sub RR RR)", "DSC", "TPC", "(min DSC DPC)", "ExpDur",
                          "(neg (add GRD DSC))", "(div EST (sub LFT LFT))"]
+WORK_GROUP_TREES = ["GRPW", "GRPW_all", "(sub GRPW_all (mul GRPW DSC))"]
+
+
+def _wide_instance(rng, n_res):
+    """17-30 activities with precedence edges and 1-3 modes each, so that a
+    group's successor unions span three or more bytes."""
+    return random_instance(rng, n=rng.randint(17, 30), n_modes=rng.randint(1, 3),
+                           n_resources=n_res, capacity=8, max_demand=4, zero_prob=0.2)
 
 
 def test_group_choice_equals_the_reference_on_random_slots():
     """Group and count against feasible_groups + eval_group_priority + the
     minimum (score, sorted ids, group), on slots of 1-3 options with zero
-    demands and zero availability, maximal on and off."""
+    demands and zero availability, maximal on and off. The last trials draw
+    up to 8 pairs of 17-30 activities and score the group work terminals."""
     rng = random.Random(4242)
     empty = several = multi_option = 0
-    for trial in range(250):
+    for trial in range(290):
         n_res = rng.randint(1, 3)
-        inst = _random_modes_instance(rng, n_res)
+        wide = trial >= 250
+        inst = (_wide_instance if wide else _random_modes_instance)(rng, n_res)
         avail = ((0,) * n_res if trial % 5 == 0
                  else tuple(rng.randint(0, 8) for _ in range(n_res)))
         ctx = DecisionContext(inst, 0, avail, frozenset({0}), {})
         pairs = [(i, m) for i in inst.non_dummy_ids()
                  for m in range(inst.activities[i].n_modes)]
-        eligible = rng.sample(pairs, rng.randint(1, len(pairs)))
-        texts = TIE_HEAVY_GROUP_TREES + [format_sexpr(random_tree(rng, 4))]
+        eligible = rng.sample(pairs, rng.randint(1, 8 if wide else len(pairs)))
+        texts = ((WORK_GROUP_TREES if wide else TIE_HEAVY_GROUP_TREES)
+                 + [format_sexpr(random_tree(rng, 4))])
         for text in rng.sample(texts, 3):
             rules = RulePair(random_tree(rng, 3), parse_sexpr(text))
             slots = _mode_slots(ctx, eligible)

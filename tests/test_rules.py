@@ -145,8 +145,8 @@ def test_empty_group_rejected(ctx):
         eval_group_priority(leaf("ExpDur"), ctx, [])
 
 
-def _random_state(rng, zero_prob=0.0):
-    inst = random_instance(rng, n=rng.randint(4, 9), n_modes=2, n_resources=2,
+def _random_state(rng, zero_prob=0.0, n=None):
+    inst = random_instance(rng, n=n or rng.randint(4, 9), n_modes=2, n_resources=2,
                            capacity=14, max_demand=6, zero_prob=zero_prob)
     done = {0}
     running = {}
@@ -448,11 +448,15 @@ def _unstarted(inst, ctx):
 def test_compiled_trees_equal_the_interpreter_exactly():
     """Both compiled forms against node-by-node evaluation of the reference
     terminals: the raw value and its type, for every pair of a rank call
-    and for a group. The engine before the two forms must agree too."""
+    and for a group. The engine before the two forms must agree too. The
+    last states have 17-30 activities, so a group's union masks span three
+    or more bytes."""
     rng = random.Random(7)
-    clamped = zero_div = not_ready = zero_modes = 0
-    for k in range(150):
-        inst, ctx = _random_state(rng, zero_prob=0.25 if k % 2 else 0.0)
+    clamped = zero_div = not_ready = zero_modes = wide_work = 0
+    for k in range(170):
+        wide = k >= 150
+        inst, ctx = _random_state(rng, zero_prob=0.25 if k % 2 else 0.0,
+                                  n=rng.randint(17, 30) if wide else None)
         pairs = _unstarted(inst, ctx)
         if not pairs:
             continue
@@ -483,7 +487,11 @@ def test_compiled_trees_equal_the_interpreter_exactly():
             assert _exact(row_rule([f(view) for f in group_terms]), ref)
             assert eval_group_priority(t, ctx, g) == float(ref)
             zero_div += "div" in format_sexpr(t)
+            union = view.union_mask(inst.analysis.trans_succ_mask)
+            wide_work += ("GRPW" in format_sexpr(t)
+                          and sum(map(bool, union.to_bytes(4, "little"))) >= 3)
     assert clamped > 0 and zero_div > 0 and not_ready > 100 and zero_modes > 20
+    assert wide_work > 10
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
@@ -523,6 +531,19 @@ def test_static_rows_are_built_once_per_instance(monkeypatch):
             solve(instances[2], build_policy(rules_, name),
                   sample_durations(instances[2], seed=k))
     assert sorted(map(id, built)) == sorted(id(i.analysis) for i in instances)
+
+
+def test_byte_tables_are_kept_only_for_the_group_work():
+    rng = random.Random(32)
+    inst = random_instance(rng, n=20)
+    built = vars(inst.analysis)
+    assert "trans_succ_work" not in built and "work_bytes" not in built
+    rules_ = RulePair(parse_sexpr("(neg LFT)"), parse_sexpr("(add GRPW TSC)"))
+    solve(inst, build_policy(rules_, "sgp"), sample_durations(inst, seed=1))
+    assert "trans_succ_work" in built  # the static rows read it
+    assert "work_bytes" not in built
+    solve(inst, build_policy(rules_, "kggp-all"), sample_durations(inst, seed=1))
+    assert "work_bytes" in built
 
 
 def test_evaluated_rule_pair_pickles_and_compares_equal():
