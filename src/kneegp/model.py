@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cached_property
-from operator import getitem
+from operator import getitem, le, lshift
 from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 ResourceVector = tuple[int, ...]
@@ -105,6 +105,7 @@ class InstanceAnalysis:
     def __init__(self, inst: ProjectInstance):
         n = inst.n_activities
         self.activities = acts = inst.activities
+        self.capacities = inst.capacities
         self.topo_order = _topological_order(acts)
         self.dmin_exp = [min(m.expected for m in a.modes) for a in acts]
         self.direct_succ_mask = [_mask(a.successors) for a in acts]
@@ -138,6 +139,39 @@ class InstanceAnalysis:
         """`dmin_exp` as byte tables (`byte_tables`), for `byte_sum`: kept
         for the group forms that read the group work terminals."""
         return byte_tables(self.dmin_exp)
+
+    @cached_property
+    def lanes(self) -> tuple[int, int]:
+        """The layout of a packed resource vector: (lane width, guard mask).
+
+        Resource `r` takes bits `[r * width, (r + 1) * width)` of one int.
+        The width is the bit length of the largest capacity or demand plus
+        one guard bit, the top bit of each lane; the guard mask has every
+        guard bit set. Built on its first read, like `work_bytes`."""
+        top = max([*self.capacities, *(k for a in self.activities
+                                      for mo in a.modes for k in mo.demand)])
+        width = top.bit_length() + 1
+        return width, sum(1 << (width * r - 1) for r in range(1, len(self.capacities) + 1))
+
+    def pack(self, vector: Sequence[int]) -> int:
+        """`vector`, one lane per resource, without guard bits."""
+        width = self.lanes[0]
+        return sum(map(lshift, vector, range(0, width * len(vector), width)))
+
+    def pack_free(self, availability: Sequence[int]) -> int:
+        """The free capacity `availability` packed, every guard bit set.
+
+        Then for a packed demand `pd`, `x = F - pd` keeps every guard bit
+        exactly when the demand fits, and `x` is what taking it leaves, also
+        with every guard bit set. No lane borrows from the next only while
+        no value reaches a guard bit, so an availability outside
+        `[0, capacity]` raises ValueError."""
+        caps = self.capacities
+        if (len(availability) != len(caps) or min(availability) < 0
+                or not all(map(le, availability, caps))):
+            raise ValueError(f"availability {tuple(availability)} is outside "
+                             f"[0, capacity {caps}]")
+        return self.pack(availability) | self.lanes[1]
 
     @cached_property
     def trans_succ_work(self) -> list[int]:
@@ -215,6 +249,8 @@ def build_instance(
     caps = tuple(int(c) for c in capacities)
     if len(acts) < 2:
         raise StructuralError("an instance needs at least the two dummy activities")
+    if not caps:
+        raise StructuralError("an instance needs at least one resource")
     if [a.id for a in acts] != list(range(len(acts))):
         raise StructuralError("activity ids must be dense and 0-based")
     if any(c < 0 for c in caps):

@@ -32,7 +32,8 @@ POLICY_NAMES = ("sgp", "ggp", "kggp-max", "kggp-all")
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
-# one slot per activity: its candidate (pair, demand) options
+# one slot per activity: its candidate (pair, demand) options; the decision
+# form reads each option's packed demand from its static row instead
 Slot = Sequence[tuple[Pair, Sequence[int]]]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import le, sub
+from operator import sub
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -43,8 +43,9 @@ def protected_div(x: float, y: float) -> float:
     return _clamp(x / y)
 
 
-# source templates of the functions; the compiled code calls _clamp and
-# protected_div, so it keeps the int/float types of plain Python arithmetic
+# the functions' semantics, one source template each: plain Python arithmetic,
+# so values keep its int/float types, with every add, sub, mul and div bounded
+# by `_clamp`. They define the arity of each function.
 _TEMPLATES: dict[str, str] = {
     "add": "_clamp({} + {})",
     "sub": "_clamp({} - {})",
@@ -56,6 +57,16 @@ _TEMPLATES: dict[str, str] = {
     "neg": "-{}",
 }
 FUNCTION_ARITY: dict[str, int] = {k: t.count("{}") for k, t in _TEMPLATES.items()}
+
+# what the compiled forms assign for the clamped functions instead: the value
+# before `_clamp`, which they call only when the value is outside
+# [-_HUGE, _HUGE] (NaN included), where it changes the value
+_UNCLAMPED: dict[str, str] = {
+    "add": "{0} + {1}",
+    "sub": "{0} - {1}",
+    "mul": "{0} * {1}",
+    "div": "1.0 if {1} == 0 else {0} / {1}",
+}
 
 TIME_TERMINALS = ("EST", "EFT", "LST", "LFT", "ExpDur", "OptDur", "PessDur")
 PRECEDENCE_TERMINALS = ("GRPW", "GRPW_all", "TPC", "DPC", "TSC", "DSC")
@@ -316,12 +327,14 @@ class DecisionContext:
 #   rank(ctx, pairs, rows)  -> the tree's value at every pair, in order;
 #   score(ctx, group, rows) -> its value at one group;
 #   best(ctx, slots, rows, maximal) -> (group, count): the lowest-scoring
-#       feasible group of a decision and how many groups were scored.
+#       feasible group of a decision and how many groups were scored, from
+#       a walk that takes and tests whole resource vectors as packed ints.
 #
 # `rows` is `ctx.instance.analysis.rows`, one static row per (activity, mode)
 # pair. `rank` and `score` return the tree's raw value, int or float as the
 # arithmetic leaves it; the public wrappers convert it to float, and `best`
-# compares the converted values.
+# compares the converted values. All three assign the clamped functions'
+# plain values and call `_clamp` only out of range (`_UNCLAMPED`).
 
 # resource terminals, over a demand vector {d} and an expected duration {e};
 # `ra` is (mean, max, min) of the free capacity and `left` the capacity left
@@ -357,11 +370,14 @@ _STATIC: dict[str, str] = {
     **{name: _RESOURCE[name].format(d="mo.demand", e="mo.expected")
        for name in ("AvgRR", "MaxRR", "MinRR", "RR", "GRD")},
 }
-# the rest of a row: the mode's demand, then the activity's direct successor,
-# transitive successor, transitive predecessor and direct predecessor masks
-_ROW_REST = ("mo.demand", "ana.direct_succ_mask[a.id]", "ana.trans_succ_mask[a.id]",
-             "ana.trans_pred_mask[a.id]", "ana.direct_pred_mask[a.id]")
+# the rest of a row: the mode's demand, its packed demand
+# (`InstanceAnalysis.pack`), then the activity's direct successor, transitive
+# successor, transitive predecessor and direct predecessor masks
+_ROW_REST = ("mo.demand", "ana.pack(mo.demand)", "ana.direct_succ_mask[a.id]",
+             "ana.trans_succ_mask[a.id]", "ana.trans_pred_mask[a.id]",
+             "ana.direct_pred_mask[a.id]")
 _DEMAND = len(_STATIC)
+_PACKED = _DEMAND + 1
 _static_row = eval("lambda ana, a, mo: (" + ", ".join([*_STATIC.values(), *_ROW_REST])
                    + ")", {})
 
@@ -400,11 +416,12 @@ _GROUP: dict[str, str] = {
 # the aggregates a group carries over its members, taken in member order:
 # name -> (value with no member, a member's share, how the share is added).
 # A member is activity `i` with static row `r`; `free` is the capacity the
-# members leave.
+# members leave, as a tuple: the decision form carries it only for a tree
+# that reads it, through `left` or `D`.
 _AGGREGATE: dict[str, tuple[str, str, str]] = {
     **{f"s_{name}": ("0", _PAIR[name], "{} + {}") for name in TIME_TERMINALS},
     **{u: ("0", f"r[{k}]", "{} | {}") for k, u in
-       enumerate(("u_succ", "u_tsucc", "u_tpred", "u_pred"), start=_DEMAND + 1)},
+       enumerate(("u_succ", "u_tsucc", "u_tpred", "u_pred"), start=_PACKED + 1)},
     "free": ("av", f"r[{_DEMAND}]", "tuple(map(sub, {}, {}))"),
 }
 
@@ -426,10 +443,14 @@ _DECISION: dict[str, str] = {
 }
 
 
-def _extendable(slots, skipped: tuple[int, ...], free: Sequence[int]) -> bool:
+def _extendable(opts, skipped: tuple[int, ...], free: int, guard: int) -> bool:
     """Whether an option of a skipped slot still fits the free capacity.
-    Demands are non-negative, so a group is maximal exactly when not."""
-    return any(all(map(le, d, free)) for j in skipped for _, d in slots[j])
+
+    `opts[j]` holds slot `j`'s options, each with its packed demand second;
+    `free` is the packed free capacity with every guard bit set, so a demand
+    fits exactly when subtracting it keeps them all. Demands are
+    non-negative, so a group is maximal exactly when none fits."""
+    return any((free - o[1]) & guard == guard for j in skipped for o in opts[j])
 
 
 def _precedes(group: tuple[Pair, ...], other: tuple[Pair, ...]) -> bool:
@@ -439,12 +460,10 @@ def _precedes(group: tuple[Pair, ...], other: tuple[Pair, ...]) -> bool:
 
 
 # the names generated code reads besides its locals, shared by all of it
-_RULE_GLOBALS = {"_clamp": _clamp, "protected_div": protected_div,
-                 "byte_sum": byte_sum, "_extendable": _extendable,
-                 "_precedes": _precedes, "sub": sub, "le": le,
+_RULE_GLOBALS = {"_clamp": _clamp, "byte_sum": byte_sum, "_extendable": _extendable,
+                 "_precedes": _precedes, "sub": sub,
                  "min": min, "max": max, "abs": abs, "sum": sum, "len": len,
-                 "all": all, "float": float, "list": list, "tuple": tuple,
-                 "map": map}
+                 "float": float, "list": list, "tuple": tuple, "map": map}
 
 
 @cache
@@ -463,14 +482,18 @@ def _body(tree: Node, table: dict[str, str]) -> tuple[list[str], list[str], str]
     entries it reads, then the statements, then the local holding the result.
 
     Each distinct terminal is computed once, into `t<k>`. Each function node
-    becomes one assignment `v<k>` built from `_TEMPLATES`, so deep trees
-    never nest the generated source. Only table entries, templates and local
-    names enter the source: symbols are looked up, never pasted.
+    becomes one assignment `v<k>`, so deep trees never nest the generated
+    source: `_UNCLAMPED`'s value, then `_clamp` only if a range test fails,
+    for the clamped functions, and `_TEMPLATES`' value for the others. Only
+    table entries, templates and local names enter the source: symbols are
+    looked up, never pasted.
     """
     terms: dict[str, str] = {}
     lines: list[str] = []
+    nodes = 0
 
     def emit(n: Node) -> str:
+        nonlocal nodes
         if not n.children:
             if n.op not in table:
                 raise ValueError(f"unknown terminal {n.op!r}")
@@ -478,9 +501,15 @@ def _body(tree: Node, table: dict[str, str]) -> tuple[list[str], list[str], str]
         template = _TEMPLATES.get(n.op)
         if template is None or FUNCTION_ARITY[n.op] != len(n.children):
             raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
-        value = template.format(*[emit(c) for c in n.children])
-        lines.append(f"v{len(lines)} = {value}")
-        return f"v{len(lines) - 1}"
+        args = [emit(c) for c in n.children]
+        v = f"v{nodes}"
+        nodes += 1
+        if n.op in _UNCLAMPED:
+            lines.append(f"{v} = {_UNCLAMPED[n.op].format(*args)}")
+            lines.append(f"if not {-_HUGE!r} <= {v} <= {_HUGE!r}: {v} = _clamp({v})")
+        else:
+            lines.append(f"{v} = {template.format(*args)}")
+        return v
 
     result = emit(tree)
     exprs = [table[name] for name in terms]
@@ -546,36 +575,41 @@ def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair], lis
         [*lines, f"return {result}"])
 
 
-# the decision form; `{...}` marks what a tree fills in
+# the decision form; `{...}` marks what a tree fills in. `F` is the packed
+# free capacity with every guard bit set (`InstanceAnalysis.pack_free`), and
+# each option carries its packed demand `pd`
 _BEST = """\
 def best(ctx, slots, rows, maximal):
 {reads}
+    ana = ctx.instance.analysis
+    G = ana.lanes[1]
     opts = []
     for slot in slots:
         row = []
-        for pair, d in slot:
+        for pair, _ in slot:
             i, m = pair
             r = rows[i][m]
-            row.append((pair, d{shares}))
+            row.append((pair, r[{packed}]{shares}))
         opts.append(row)
     end = len(slots)
     chosen, low, count = (), None, 0
-    stack = [(0, av, (), (){starts})]
+    stack = [(0, ana.pack_free(ctx.availability), (), (){starts})]
     pop, push = stack.pop, stack.append
     while stack:
-        k, free, group, skipped{names} = pop()
+        k, F, group, skipped{names} = pop()
         if k == end:
-            if group and not (maximal and _extendable(slots, skipped, free)):
+            if group and not (maximal and _extendable(opts, skipped, F, G)):
 {leaf}
                 value = float({result})
                 count += 1
                 if count == 1 or value < low or value == low and _precedes(group, chosen):
                     chosen, low = group, value
             continue
-        for pair, d{xs} in opts[k]:
-            if all(map(le, d, free)):
-                push((k + 1, tuple(map(sub, free, d)), group + (pair,), skipped{sums}))
-        push((k + 1, free, group, skipped + (k,){names}))
+        for pair, pd{xs} in opts[k]:
+            x = F - pd
+            if x & G == G:
+                push((k + 1, x, group + (pair,), skipped{sums}))
+        push((k + 1, F, group, skipped + (k,){names}))
     return chosen, count
 """
 
@@ -587,20 +621,22 @@ def _compile_best(tree: Node) -> Callable[[DecisionContext, Sequence, list, bool
 
     A depth-first walk over skip-or-take choices in slot order, skip first;
     a branch stops as soon as it overdraws a resource. Each state carries
-    the aggregates the tree reads, each option's shares taken once per
-    decision, so a group is scored where the walk reaches it, without a pass
-    over its members. With `maximal`, a group is scored only if no option of
-    a slot it skips still fits. Ties break on `_precedes`.
+    the packed free capacity, one int, and the aggregates the tree reads,
+    each option's shares taken once per decision, so a group is scored
+    where the walk reaches it, without a pass over its members. A take is
+    one subtraction and one mask test of the packed vectors; the `free`
+    tuple is an aggregate like the others, carried only when the tree reads
+    `left` or `D`. With `maximal`, a group is scored only if no option of a
+    slot it skips still fits. Ties break on `_precedes`.
     """
     aggregates, lines, result, used = _group_parts(tree)
-    aggregates.pop("free", None)  # every state carries it
     xs = [f"x{j}" for j in range(len(aggregates))]
 
     def more(items) -> str:
         return "".join(f", {s}" for s in items)
 
     return _exec(_BEST.format(
-        reads="\n".join(f"    {s}" for s in _decision_reads(used | {"av"})),
+        reads="\n".join(f"    {s}" for s in _decision_reads(used)), packed=_PACKED,
         shares=more(share for _, share, _ in aggregates.values()),
         starts=more(start for start, _, _ in aggregates.values()),
         names=more(aggregates), xs=more(xs),

@@ -196,11 +196,38 @@ def feasible_groups(slots, availability: Sequence[int],
 def reference_best_group(tree: Node, ctx: DecisionContext, slots,
                          maximal: bool = False) -> tuple[tuple, int]:
     """Reference group choice for the decision form: every group from
-    `feasible_groups`, each scored with `eval_group_priority`, the lowest
-    (score, sorted activity ids, group) kept; and how many were scored."""
-    keys = [(eval_group_priority(tree, ctx, group), sorted(i for i, _ in group), group)
+    `feasible_groups`, each scored by `interpret` over the reference group
+    terminals, the lowest (score, sorted activity ids, group) kept; and how
+    many were scored. Nothing here is compiled from the engine's tables."""
+    def score(group) -> float:
+        view = GroupView(ctx, group)
+        return float(interpret(tree, lambda name: GROUP_TERMINALS[name](view)))
+
+    keys = [(score(group), sorted(i for i, _ in group), group)
             for group in feasible_groups(slots, ctx.availability, maximal)]
     return (min(keys)[2] if keys else ()), len(keys)
+
+
+_REF_BINARY = {
+    "add": lambda a, b: rules._clamp(a + b),
+    "sub": lambda a, b: rules._clamp(a - b),
+    "mul": lambda a, b: rules._clamp(a * b),
+    "div": rules.protected_div,
+    "min": min,
+    "max": max,
+}
+_REF_UNARY = {"abs": abs, "neg": lambda a: -a}
+
+
+def interpret(node: Node, leafval: Callable[[str], float]):
+    """Node-by-node evaluation, every leaf looked up where it occurs."""
+    ch = node.children
+    if not ch:
+        return leafval(node.op)
+    if len(ch) == 2:
+        return _REF_BINARY[node.op](interpret(ch[0], leafval),
+                                    interpret(ch[1], leafval))
+    return _REF_UNARY[node.op](interpret(ch[0], leafval))
 
 
 # ---------------------------------------------------------------------------

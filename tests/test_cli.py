@@ -186,6 +186,16 @@ def _string_in_demand(demo_file):
     return data
 
 
+def _no_resources(_):
+    """Three activities and no resource: every demand and the capacities empty."""
+    mode = {"expected": 3, "min": 2, "max": 4, "demand": []}
+    idle = {"expected": 0, "min": 0, "max": 0, "demand": []}
+    return {"activities": [{"id": 0, "predecessors": [], "modes": [idle]},
+                           {"id": 1, "predecessors": [0], "modes": [mode]},
+                           {"id": 2, "predecessors": [1], "modes": [idle]}],
+            "capacities": []}
+
+
 def _edited(path, activity=(), **mode):
     data = json.loads(path.read_text())
     data["activities"][3].update(activity)
@@ -207,9 +217,10 @@ def _edited(path, activity=(), **mode):
      "metadata must be an object, not 5"),
     (lambda p: {**json.loads(p.read_text()), "metadata": [["a", 1]]},
      "metadata must be an object, not [['a', 1]]"),
+    (_no_resources, "an instance needs at least one resource"),
 ], ids=["empty-object", "a-list", "no-predecessors", "string-predecessors",
         "string-capacities", "string-in-demand", "float-expected", "string-id",
-        "bool-min", "int-metadata", "pairs-metadata"])
+        "bool-min", "int-metadata", "pairs-metadata", "no-resources"])
 def test_solve_reports_a_malformed_instance(tmp_path, demo_file, rules_file, capsys,
                                             payload, message):
     path = tmp_path / "bad.json"

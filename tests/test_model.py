@@ -208,6 +208,16 @@ def test_build_rejects_oversized_mode():
         chain_instance([3], demand=5, capacity=4)
 
 
+def test_build_rejects_an_instance_without_resources():
+    # no terminal over a demand vector has a value without a resource
+    idle = (Mode(0, 0, 0, ()),)
+    acts = [Activity(0, frozenset(), frozenset({1}), idle),
+            Activity(1, frozenset({0}), frozenset({2}), (Mode(3, 2, 4, ()),)),
+            Activity(2, frozenset({1}), frozenset(), idle)]
+    with pytest.raises(StructuralError, match="at least one resource"):
+        build_instance(acts, [])
+
+
 def test_mode_duration_ordering_enforced():
     with pytest.raises(StructuralError):
         Mode(5, 6, 7, (1,))

@@ -512,19 +512,48 @@ def _wide_instance(rng, n_res):
                            n_resources=n_res, capacity=8, max_demand=4, zero_prob=0.2)
 
 
+def _lane_edge_instance(rng, n_res):
+    """Independent activities on capacities at the edges of a packed lane:
+    0, 1, 2^k - 1 or 2^k, all equal or mixed. A demand is 0, the whole
+    capacity, or one of two halves that fit it exactly together."""
+    k = rng.choice([1, 3, 8, 16])
+    edges = [0, 1, 2 ** k - 1, 2 ** k]
+    caps = ((rng.choice(edges),) * n_res if rng.random() < 0.5
+            else tuple(rng.choice(edges) for _ in range(n_res)))
+    n = rng.randint(2, 5)
+    idle = (Mode(0, 0, 0, (0,) * n_res),)
+    acts = [Activity(0, frozenset(), frozenset(range(1, n + 1)), idle)]
+    for a in range(1, n + 1):
+        modes = []
+        for _ in range(rng.randint(1, 3)):
+            e = rng.choice([0, 2, 5])
+            modes.append(Mode(e, e, e, tuple(rng.choice([0, c, c // 2, c - c // 2])
+                                             for c in caps)))
+        acts.append(Activity(a, frozenset({0}), frozenset({n + 1}), tuple(modes)))
+    acts.append(Activity(n + 1, frozenset(range(1, n + 1)), frozenset(), idle))
+    return build_instance(acts, caps)
+
+
 def test_group_choice_equals_the_reference_on_random_slots():
-    """Group and count against feasible_groups + eval_group_priority + the
-    minimum (score, sorted ids, group), on slots of 1-3 options with zero
-    demands and zero availability, maximal on and off. The last trials draw
-    up to 8 pairs of 17-30 activities and score the group work terminals."""
+    """Group and count against feasible_groups + interpreted group scores +
+    the minimum (score, sorted ids, group), on slots of 1-3 options with zero
+    demands and zero availability, maximal on and off. Trials 250-289 draw
+    up to 8 pairs of 17-30 activities and score the group work terminals;
+    the last trials put 1 or 8 resources at the edges of a packed lane, with
+    the availability at 0, at the capacity or between."""
     rng = random.Random(4242)
-    empty = several = multi_option = 0
-    for trial in range(290):
-        n_res = rng.randint(1, 3)
-        wide = trial >= 250
-        inst = (_wide_instance if wide else _random_modes_instance)(rng, n_res)
-        avail = ((0,) * n_res if trial % 5 == 0
-                 else tuple(rng.randint(0, 8) for _ in range(n_res)))
+    empty = several = multi_option = exact = 0
+    for trial in range(390):
+        wide, edge = 250 <= trial < 290, trial >= 290
+        n_res = rng.choice([1, 8]) if edge else rng.randint(1, 3)
+        if edge:
+            inst = _lane_edge_instance(rng, n_res)
+            avail = tuple(rng.choice([0, c, c, rng.randint(0, c)])
+                          for c in inst.capacities)
+        else:
+            inst = (_wide_instance if wide else _random_modes_instance)(rng, n_res)
+            avail = ((0,) * n_res if trial % 5 == 0
+                     else tuple(rng.randint(0, 8) for _ in range(n_res)))
         ctx = DecisionContext(inst, 0, avail, frozenset({0}), {})
         pairs = [(i, m) for i in inst.non_dummy_ids()
                  for m in range(inst.activities[i].n_modes)]
@@ -550,7 +579,32 @@ def test_group_choice_equals_the_reference_on_random_slots():
             empty += not group
             several += scored > 1
             multi_option += any(len(s) > 1 for s in slots)
-    assert empty > 100 and several > 300 and multi_option > 300
+        if edge:  # a feasible group that leaves a positive capacity at 0
+            exact += any(a and not k for g in feasible_groups(slots, avail)
+                         for a, k in zip(avail, _left(inst, g, avail)))
+    assert empty > 100 and several > 300 and multi_option > 300 and exact > 20
+
+
+def _left(inst, group, avail):
+    """The capacity a group leaves."""
+    left = list(avail)
+    for i, m in group:
+        for r, k in enumerate(inst.activities[i].modes[m].demand):
+            left[r] -= k
+    return left
+
+
+def test_an_availability_outside_the_capacities_is_refused():
+    # a packed lane holds a value up to the largest capacity or demand only
+    inst = _flat_instance([3, 3], [5, 5], 12)
+    rules = RulePair(leaf("ExpDur"), leaf("RR"))
+    for avail in ((13,), (-1,)):
+        ctx = DecisionContext(inst, 0, avail, frozenset({0}), {})
+        with pytest.raises(ValueError, match="outside"):
+            full_enumeration_decide(rules, ctx, [(1, 0), (2, 0)])
+        for maximal in (False, True):
+            with pytest.raises(ValueError, match="outside"):
+                knee_group_decide(rules, ctx, [(1, 0), (2, 0)], KneeConfig(), maximal)
 
 
 @pytest.mark.parametrize("name", ["kggp-max", "kggp-all", "ggp"])

@@ -33,6 +33,7 @@ from conftest import (
     compile_row_rule,
     demo_instance,
     group_terminal_value,
+    interpret,
     latest_finish,
     random_instance,
     terminal_value,
@@ -395,28 +396,6 @@ def test_clamp_blocks_overflow(ctx):
 # ---------------------------------------------------------------------------
 # compiled evaluation against a reference interpreter
 
-_REF_BINARY = {
-    "add": lambda a, b: rules._clamp(a + b),
-    "sub": lambda a, b: rules._clamp(a - b),
-    "mul": lambda a, b: rules._clamp(a * b),
-    "div": protected_div,
-    "min": min,
-    "max": max,
-}
-_REF_UNARY = {"abs": abs, "neg": lambda a: -a}
-
-
-def _interpret(node, leafval):
-    """Node-by-node evaluation, every leaf looked up where it occurs."""
-    ch = node.children
-    if not ch:
-        return leafval(node.op)
-    if len(ch) == 2:
-        return _REF_BINARY[node.op](_interpret(ch[0], leafval),
-                                    _interpret(ch[1], leafval))
-    return _REF_UNARY[node.op](_interpret(ch[0], leafval))
-
-
 def _hostile_tree(rng, depth):
     """Random tree that also hits zero divisors and the 1e300 clamp."""
     roll = rng.random()
@@ -471,7 +450,7 @@ def test_compiled_trees_equal_the_interpreter_exactly():
             assert len(raw) == len(pairs)
             for (i, m), got in zip(pairs, raw):
                 mo = inst.activities[i].modes[m]
-                ref = _interpret(t, lambda name: PAIR_TERMINALS[name](ctx, i, mo))
+                ref = interpret(t, lambda name: PAIR_TERMINALS[name](ctx, i, mo))
                 assert _exact(got, ref), (format_sexpr(t), i, m)
                 assert _exact(row_rule([f(ctx, i, mo) for f in pair_terms]), ref)
                 assert eval_pair_priority(t, ctx, (i, m)) == float(ref)
@@ -481,7 +460,7 @@ def test_compiled_trees_equal_the_interpreter_exactly():
             if len({a for a, _ in g}) < len(g):
                 continue
             view = GroupView(ctx, g)
-            ref = _interpret(t, lambda name: GROUP_TERMINALS[name](view))
+            ref = interpret(t, lambda name: GROUP_TERMINALS[name](view))
             got = t._score(ctx, g, rows)
             assert _exact(got, ref), format_sexpr(t)
             assert _exact(row_rule([f(view) for f in group_terms]), ref)
@@ -492,6 +471,63 @@ def test_compiled_trees_equal_the_interpreter_exactly():
                           and sum(map(bool, union.to_bytes(4, "little"))) >= 3)
     assert clamped > 0 and zero_div > 0 and not_ready > 100 and zero_modes > 20
     assert wide_work > 10
+
+
+def _squared(t, times=10):
+    for _ in range(times):
+        t = func("mul", t, t)
+    return t
+
+
+# trees at the edges of the clamp: `big` is GRD squared ten times, an int
+# past 1e300 at a pair (its GRD is an int of 2 or more) and an overflowing
+# float at a group, so every clamped function meets exactly +-1e300, beyond
+# it, and divisors 0 and 0.0
+_BIG = format_sexpr(_squared(leaf("GRD")))
+CLAMP_EDGE_TREES = [parse_sexpr(text.replace("big", _BIG)) for text in (
+    "big",
+    "(add big (sub RR RR))",
+    "(sub (neg big) (sub RR RR))",
+    "(mul big (div RR RR))",
+    "(div (neg big) (div ExpDur ExpDur))",
+    "(add big big)",
+    "(sub (neg big) big)",
+    "(mul (neg big) big)",
+    "(div big (div ExpDur big))",
+    "(div ExpDur (sub RR RR))",
+    "(div ExpDur (sub AvgRR AvgRR))",
+    "(div (mul GRD GRD) (sub MaxRR MaxRR))",
+)]
+
+
+def test_compiled_trees_equal_the_interpreter_at_the_clamp_edges():
+    """Rank and group values of `CLAMP_EDGE_TREES` against node-by-node
+    evaluation, in value and type. `RR - RR` is an int 0 and `AvgRR - AvgRR`
+    a float 0.0, at a pair and at a group."""
+    rng = random.Random(71)
+    edge = past_int = groups = 0
+    for _ in range(20):
+        inst, ctx = _random_state(rng, zero_prob=0.2)
+        every = _unstarted(inst, ctx)
+        if not every:
+            continue
+        pairs, group = every[:5], [(i, m) for i, m in every if m == 0][:3]
+        view = GroupView(ctx, group)
+        rows = inst.analysis.rows
+        for t in CLAMP_EDGE_TREES:
+            for (i, m), got in zip(pairs, t._rank(ctx, pairs, rows)):
+                mo = inst.activities[i].modes[m]
+                ref = interpret(t, lambda name: PAIR_TERMINALS[name](ctx, i, mo))
+                assert _exact(got, ref), (format_sexpr(t), i, m)
+                edge += abs(ref) == 1e300
+            ref = interpret(t, lambda name: GROUP_TERMINALS[name](view))
+            assert _exact(t._score(ctx, group, rows), ref), format_sexpr(t)
+            edge += abs(ref) == 1e300
+            groups += 1
+        for i, m in pairs:
+            grd = PAIR_TERMINALS["GRD"](ctx, i, inst.activities[i].modes[m])
+            past_int += type(grd) is int and grd >= 2
+    assert edge > 500 and past_int > 50 and groups > 150
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
