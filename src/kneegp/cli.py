@@ -35,6 +35,8 @@ from .sim import decision_log_to_csv, expected_durations, sample_durations, solv
 
 
 def cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, not {args.count}")
     spec = from_dict(GenSpec, json.loads(Path(args.spec).read_text()))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

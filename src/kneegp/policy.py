@@ -32,9 +32,8 @@ POLICY_NAMES = ("sgp", "ggp", "kggp-max", "kggp-all")
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
-# one slot per activity: its candidate (pair, demand) options; the decision
-# form reads each option's packed demand from its static row instead
-Slot = Sequence[tuple[Pair, Sequence[int]]]
+# one slot per activity: its candidate pairs
+Slot = Sequence[Pair]
 
 
 class EnumerationOverflowError(RuntimeError):
@@ -50,16 +49,15 @@ class EnumerationOverflowError(RuntimeError):
 class KneeConfig:
     """Tuning of the knee group policy.
 
-    `cap` bounds how many promising pairs are enumerated, `apply_knee` can
-    switch the knee cut off for exhaustive comparisons, and
-    `group_size_hard_limit` caps the subset count as a safety net. Whether
-    only maximal groups are scored is the policy's name, not a setting.
+    `cap` bounds how many promising pairs are enumerated, and
+    `group_size_hard_limit` caps the subset count as a safety net. The knee
+    cut always runs, and whether only maximal groups are scored is the
+    policy's name, not a setting.
     """
 
     what: ClassVar[str] = "knee config"
     cap: int = 10
     group_size_hard_limit: int = DEFAULT_ENUMERATION_LIMIT
-    apply_knee: bool = True
 
     def __post_init__(self):
         if self.cap < 1:
@@ -151,8 +149,9 @@ def _best_group(tree: Node, ctx: DecisionContext, slots: Sequence[Slot],
     option that fits is the only feasible group, so it is taken unscored.
     """
     if len(slots) == 1 and len(slots[0]) == 1:
-        (pair, demand), = slots[0]
-        if all(map(le, demand, ctx.availability)):
+        pair, = slots[0]
+        i, m = pair
+        if all(map(le, ctx.instance.activities[i].modes[m].demand, ctx.availability)):
             return (pair,), 1
     return tree._best(ctx, slots, ctx.instance.analysis.rows, maximal)
 
@@ -177,12 +176,11 @@ def knee_group_decide(rules: RulePair, ctx: DecisionContext,
         best.setdefault(pair[0], (prio, pair))
     ranked = list(best.values())
 
-    filtered = knee_cut([p for p, _ in ranked]) if cfg.apply_knee else len(ranked)
+    filtered = knee_cut([p for p, _ in ranked])
     # never enumerate more subsets than the hard limit allows
     width = min(filtered, cfg.cap,
                 max(1, (cfg.group_size_hard_limit + 1).bit_length() - 1))
-    acts = ctx.instance.activities
-    slots = [[((i, m), acts[i].modes[m].demand)] for _, (i, m) in ranked[:width]]
+    slots = [[pair] for _, pair in ranked[:width]]
     group, count = _best_group(rules.group, ctx, slots, maximal)
     return Decision(group, filtered, count)
 
@@ -199,9 +197,7 @@ def full_enumeration_decide(rules: RulePair, ctx: DecisionContext,
     if rules.group is None:
         raise ValueError("full enumeration needs a group tree")
 
-    acts = ctx.instance.activities
-    slots = [[((i, m), acts[i].modes[m].demand) for _, m in pairs]
-             for i, pairs in groupby(sorted(eligible), key=itemgetter(0))]
+    slots = [list(pairs) for _, pairs in groupby(sorted(eligible), key=itemgetter(0))]
     count = prod(len(slot) + 1 for slot in slots) - 1
     if count > hard_limit:
         raise EnumerationOverflowError(count, hard_limit)

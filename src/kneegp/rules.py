@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import sub
 from pathlib import Path
+from string import Formatter
 from typing import Callable, Mapping, Sequence
 
 from .model import InstanceAnalysis, ProjectInstance, byte_sum
@@ -36,37 +37,24 @@ def _clamp(v: float) -> float:
     return v
 
 
-def protected_div(x: float, y: float) -> float:
-    """Total division: anything over zero is 1."""
-    if y == 0:
-        return 1.0
-    return _clamp(x / y)
-
-
 # the functions' semantics, one source template each: plain Python arithmetic,
-# so values keep its int/float types, with every add, sub, mul and div bounded
-# by `_clamp`. They define the arity of each function.
-_TEMPLATES: dict[str, str] = {
-    "add": "_clamp({} + {})",
-    "sub": "_clamp({} - {})",
-    "mul": "_clamp({} * {})",
-    "div": "protected_div({}, {})",
-    "min": "min({}, {})",
-    "max": "max({}, {})",
-    "abs": "abs({})",
-    "neg": "-{}",
-}
-FUNCTION_ARITY: dict[str, int] = {k: t.count("{}") for k, t in _TEMPLATES.items()}
-
-# what the compiled forms assign for the clamped functions instead: the value
-# before `_clamp`, which they call only when the value is outside
-# [-_HUGE, _HUGE] (NaN included), where it changes the value
-_UNCLAMPED: dict[str, str] = {
+# so values keep its int/float types. They define the arity of each function.
+# The compiled forms follow each of `_CLAMPED` with a range test and call
+# `_clamp` only outside [-_HUGE, _HUGE] (NaN included), where it changes the
+# value; division takes anything over zero as 1.
+_FUNCTIONS: dict[str, str] = {
     "add": "{0} + {1}",
     "sub": "{0} - {1}",
     "mul": "{0} * {1}",
     "div": "1.0 if {1} == 0 else {0} / {1}",
+    "min": "min({0}, {1})",
+    "max": "max({0}, {1})",
+    "abs": "abs({0})",
+    "neg": "-{0}",
 }
+_CLAMPED = frozenset({"add", "sub", "mul", "div"})
+FUNCTION_ARITY: dict[str, int] = {
+    k: len({f for _, f, _, _ in Formatter().parse(t) if f}) for k, t in _FUNCTIONS.items()}
 
 TIME_TERMINALS = ("EST", "EFT", "LST", "LFT", "ExpDur", "OptDur", "PessDur")
 PRECEDENCE_TERMINALS = ("GRPW", "GRPW_all", "TPC", "DPC", "TSC", "DSC")
@@ -197,22 +185,22 @@ class RulePair:
 
 
 def load_rules(path) -> RulePair:
-    """Rule file: `ordering: <expr>` and optionally `group: <expr>` lines."""
-    ordering = group = None
+    """Rule file: one `ordering: <expr>` line, at most one `group: <expr>`."""
+    trees: dict[str, Node] = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, expr = line.partition(":")
-        if key.strip() == "ordering":
-            ordering = parse_sexpr(expr.strip())
-        elif key.strip() == "group":
-            group = parse_sexpr(expr.strip())
-        else:
+        key = key.strip()
+        if key not in ("ordering", "group"):
             raise ValueError(f"unknown rule line {line!r}")
-    if ordering is None:
+        if key in trees:
+            raise ValueError(f"rule file defines {key!r} twice")
+        trees[key] = parse_sexpr(expr.strip())
+    if "ordering" not in trees:
         raise ValueError("rule file must define an ordering tree")
-    return RulePair(ordering, group)
+    return RulePair(trees["ordering"], trees.get("group"))
 
 
 def save_rules(rules: RulePair, path) -> None:
@@ -334,7 +322,7 @@ class DecisionContext:
 # pair. `rank` and `score` return the tree's raw value, int or float as the
 # arithmetic leaves it; the public wrappers convert it to float, and `best`
 # compares the converted values. All three assign the clamped functions'
-# plain values and call `_clamp` only out of range (`_UNCLAMPED`).
+# plain values and call `_clamp` only out of range (`_CLAMPED`).
 
 # resource terminals, over a demand vector {d} and an expected duration {e};
 # `ra` is (mean, max, min) of the free capacity and `left` the capacity left
@@ -482,11 +470,10 @@ def _body(tree: Node, table: dict[str, str]) -> tuple[list[str], list[str], str]
     entries it reads, then the statements, then the local holding the result.
 
     Each distinct terminal is computed once, into `t<k>`. Each function node
-    becomes one assignment `v<k>`, so deep trees never nest the generated
-    source: `_UNCLAMPED`'s value, then `_clamp` only if a range test fails,
-    for the clamped functions, and `_TEMPLATES`' value for the others. Only
-    table entries, templates and local names enter the source: symbols are
-    looked up, never pasted.
+    becomes one assignment `v<k>` of its `_FUNCTIONS` value, so deep trees
+    never nest the generated source; a clamped function's is followed by
+    `_clamp` only if a range test fails. Only table entries, templates and
+    local names enter the source: symbols are looked up, never pasted.
     """
     terms: dict[str, str] = {}
     lines: list[str] = []
@@ -498,17 +485,15 @@ def _body(tree: Node, table: dict[str, str]) -> tuple[list[str], list[str], str]
             if n.op not in table:
                 raise ValueError(f"unknown terminal {n.op!r}")
             return terms.setdefault(n.op, f"t{len(terms)}")
-        template = _TEMPLATES.get(n.op)
+        template = _FUNCTIONS.get(n.op)
         if template is None or FUNCTION_ARITY[n.op] != len(n.children):
             raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
         args = [emit(c) for c in n.children]
         v = f"v{nodes}"
         nodes += 1
-        if n.op in _UNCLAMPED:
-            lines.append(f"{v} = {_UNCLAMPED[n.op].format(*args)}")
+        lines.append(f"{v} = {template.format(*args)}")
+        if n.op in _CLAMPED:
             lines.append(f"if not {-_HUGE!r} <= {v} <= {_HUGE!r}: {v} = _clamp({v})")
-        else:
-            lines.append(f"{v} = {template.format(*args)}")
         return v
 
     result = emit(tree)
@@ -575,9 +560,10 @@ def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair], lis
         [*lines, f"return {result}"])
 
 
-# the decision form; `{...}` marks what a tree fills in. `F` is the packed
-# free capacity with every guard bit set (`InstanceAnalysis.pack_free`), and
-# each option carries its packed demand `pd`
+# the decision form; `{...}` marks what a tree fills in. A slot holds plain
+# pairs, and each option carries its packed demand `pd` from its static row;
+# `F` is the packed free capacity with every guard bit set
+# (`InstanceAnalysis.pack_free`)
 _BEST = """\
 def best(ctx, slots, rows, maximal):
 {reads}
@@ -586,7 +572,7 @@ def best(ctx, slots, rows, maximal):
     opts = []
     for slot in slots:
         row = []
-        for pair, _ in slot:
+        for pair in slot:
             i, m = pair
             r = rows[i][m]
             row.append((pair, r[{packed}]{shares}))

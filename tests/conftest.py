@@ -208,15 +208,35 @@ def reference_best_group(tree: Node, ctx: DecisionContext, slots,
     return (min(keys)[2] if keys else ()), len(keys)
 
 
-_REF_BINARY = {
-    "add": lambda a, b: rules._clamp(a + b),
-    "sub": lambda a, b: rules._clamp(a - b),
-    "mul": lambda a, b: rules._clamp(a * b),
-    "div": rules.protected_div,
-    "min": min,
-    "max": max,
+def protected_div(x: float, y: float) -> float:
+    """Total division: anything over zero is 1."""
+    if y == 0:
+        return 1.0
+    return rules._clamp(x / y)
+
+
+# the functions' reference semantics, one source template each: plain Python
+# arithmetic, so values keep its int/float types, with every add, sub, mul and
+# div bounded by `_clamp`. The engine's compiled forms must equal them.
+FUNCTIONS: dict[str, str] = {
+    "add": "_clamp({} + {})",
+    "sub": "_clamp({} - {})",
+    "mul": "_clamp({} * {})",
+    "div": "protected_div({}, {})",
+    "min": "min({}, {})",
+    "max": "max({}, {})",
+    "abs": "abs({})",
+    "neg": "-{}",
 }
-_REF_UNARY = {"abs": abs, "neg": lambda a: -a}
+_FUNCTION_GLOBALS = {"_clamp": rules._clamp, "protected_div": protected_div}
+
+
+def _function(template: str) -> Callable:
+    args = [f"a{k}" for k in range(template.count("{}"))]
+    return eval(f"lambda {', '.join(args)}: {template.format(*args)}", _FUNCTION_GLOBALS)
+
+
+_APPLY = {name: _function(t) for name, t in FUNCTIONS.items()}
 
 
 def interpret(node: Node, leafval: Callable[[str], float]):
@@ -225,9 +245,8 @@ def interpret(node: Node, leafval: Callable[[str], float]):
     if not ch:
         return leafval(node.op)
     if len(ch) == 2:
-        return _REF_BINARY[node.op](interpret(ch[0], leafval),
-                                    interpret(ch[1], leafval))
-    return _REF_UNARY[node.op](interpret(ch[0], leafval))
+        return _APPLY[node.op](interpret(ch[0], leafval), interpret(ch[1], leafval))
+    return _APPLY[node.op](interpret(ch[0], leafval))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +383,7 @@ def compile_row_rule(tree: Node) -> tuple[Callable[[list], float], tuple, tuple]
     row, plus the pair and the group terminal of each row slot.
 
     Each distinct terminal gets one slot `r[k]`; each function node becomes
-    one local assignment from `rules._TEMPLATES`."""
+    one local assignment from `FUNCTIONS`."""
     slots: dict[str, int] = {}
     lines: list[str] = []
 
@@ -373,8 +392,8 @@ def compile_row_rule(tree: Node) -> tuple[Callable[[list], float], tuple, tuple]
             if n.op not in PAIR_TERMINALS:
                 raise ValueError(f"unknown terminal {n.op!r}")
             return f"r[{slots.setdefault(n.op, len(slots))}]"
-        template = rules._TEMPLATES.get(n.op)
-        if template is None or rules.FUNCTION_ARITY[n.op] != len(n.children):
+        template = FUNCTIONS.get(n.op)
+        if template is None or template.count("{}") != len(n.children):
             raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
         value = template.format(*[emit(c) for c in n.children])
         lines.append(f"    v{len(lines)} = {value}\n")
@@ -383,7 +402,7 @@ def compile_row_rule(tree: Node) -> tuple[Callable[[list], float], tuple, tuple]
     result = emit(tree)
     local: dict = {}
     exec("def rule(r):\n" + "".join(lines) + f"    return {result}\n",
-         {"_clamp": rules._clamp, "protected_div": rules.protected_div}, local)
+         _FUNCTION_GLOBALS, local)
     return (local["rule"],
             tuple(PAIR_TERMINALS[name] for name in slots),
             tuple(GROUP_TERMINALS[name] for name in slots))

@@ -348,7 +348,7 @@ def test_experiment_config_round_trip():
     assert experiment_from_dict(json.loads(blob)) == exp
 
 
-_KNEE = KneeConfig(cap=4, group_size_hard_limit=50, apply_knee=False)
+_KNEE = KneeConfig(cap=4, group_size_hard_limit=50)
 _GP = GpConfig(population_size=6, crossover_prob=0.7, mutation_prob=0.25,
                init_depth=(1, 3), max_depth=5, knee=_KNEE, enumeration_limit=99)
 
@@ -388,7 +388,7 @@ def test_every_config_key_is_listed_here():
         "GpConfig": ("population_size", "max_generations", "crossover_prob",
                      "mutation_prob", "tournament_size", "init_depth", "max_depth",
                      "seed", "policy", "knee", "enumeration_limit"),
-        "KneeConfig": ("cap", "group_size_hard_limit", "apply_knee"),
+        "KneeConfig": ("cap", "group_size_hard_limit"),
         "Scenario": ("name", "gen", "n_train", "n_test"),
         "Experiment": ("scenarios", "seed", "algorithms", "n_runs", "gp",
                        "test_realizations", "wall_limit"),
@@ -437,3 +437,7 @@ def test_rule_file_round_trip(tmp_path):
     path.write_text("sorting: (neg EST)\n")
     with pytest.raises(ValueError):
         load_rules(path)
+    for key in ("ordering", "group"):  # a repeated line is not silently dropped
+        path.write_text(f"ordering: ExpDur\ngroup: RR\n{key}: (neg RR)\n")
+        with pytest.raises(ValueError, match=f"defines '{key}' twice"):
+            load_rules(path)

@@ -116,24 +116,31 @@ _SCENARIO = {"name": "tiny", "gen": {"n_activities": 6}}
     ("bench run", {"scenarios": [_SCENARIO], "gp": {"reproduction_prob": 0.05}},
      "unknown GP config key(s): reproduction_prob"),
     ("evolve", {"reproduction_prob": 0.05}, "unknown GP config key(s): reproduction_prob"),
+    # the knee cut always runs
+    ("evolve", {"knee": {"apply_knee": False}}, "unknown knee config key(s): apply_knee"),
+    ("gen --count 0", {"n_activities": 6}, "--count must be at least 1, not 0"),
+    ("gen --count -2", {"n_activities": 6}, "--count must be at least 1, not -2"),
 ], ids=["gen-float", "evolve-int", "evolve-knee", "evolve-tuple", "bench-scenario",
         "bench-experiment", "evolve-wall-limit", "evolve-instances", "gen-range",
         "gen-list", "evolve-list", "bench-list", "bench-scenario-gen-list",
-        "bench-removed-maximal", "bench-removed-reproduction", "evolve-removed-reproduction"])
+        "bench-removed-maximal", "bench-removed-reproduction", "evolve-removed-reproduction",
+        "evolve-removed-knee-switch", "gen-count-zero", "gen-count-negative"])
 def test_a_wrongly_typed_config_value_is_reported(tmp_path, demo_file, capsys,
                                                  command, config, message):
     path = tmp_path / "config.json"
     out = str(tmp_path / "out")
+    command, _, flag = command.partition(" --")
     argv = {
         "gen": ["gen", "--spec", str(path), "--out", out],
         "evolve": ["evolve", "--config", str(path), "--out", out],
         "bench run": ["bench", "run", "--experiment", str(path), "--out", out],
-    }[command]
+    }[command] + (f"--{flag}".split() if flag else [])
     if command == "evolve" and isinstance(config, dict):
         config = {"instances": [str(demo_file)], **config}
     path.write_text(json.dumps(config))
     assert main(argv) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_outputs_artifacts(tmp_path, demo_file, rules_file, capsys):

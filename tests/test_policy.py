@@ -296,7 +296,8 @@ def test_keep_all_equals_maximal_when_bigger_is_always_better():
         assert gmax.count <= gall.count
 
 
-def test_single_mode_knee_disabled_matches_full_enumeration():
+def test_single_mode_knee_disabled_matches_full_enumeration(monkeypatch):
+    monkeypatch.setattr(policy_module, "knee_cut", len)  # the knee cut off
     rng = random.Random(515)
     for trial in range(60):
         inst = random_instance(rng, n=rng.randint(3, 8), n_modes=1,
@@ -308,8 +309,7 @@ def test_single_mode_knee_disabled_matches_full_enumeration():
         sigma = parse_sexpr("(add LFT (mul GRPW AvgRR))")
         gamma = parse_sexpr("(sub GRD (max RR MinRLA))")
         rules = RulePair(sigma, gamma)
-        cfg = KneeConfig(apply_knee=False)
-        gd = knee_group_decide(rules, ctx, eligible, cfg, maximal=False)
+        gd = knee_group_decide(rules, ctx, eligible, KneeConfig(), maximal=False)
         ed = full_enumeration_decide(rules, ctx, eligible)
         assert gd.group == ed.group
         assert gd.filtered_size == len(eligible)
@@ -426,7 +426,7 @@ def test_rank_pairs_equals_the_key_lambda_order(monkeypatch):
     real = rules_module._compile_best(group_tree)
 
     def spy(ctx, slots, rows, maximal):
-        handed.append([pair for slot in slots for pair, _ in slot])
+        handed.append([pair for slot in slots for pair in slot])
         return real(ctx, slots, rows, maximal)
 
     monkeypatch.setitem(vars(group_tree), "_best", spy)
@@ -486,18 +486,23 @@ def _mode_slots(ctx, eligible):
     return list(by_act.values())
 
 
-def _knee_slots(rules, ctx, eligible, cfg):
+def _knee_slots(rules, ctx, eligible, cfg, cut=True):
     """The slots knee_group_decide hands on: the best-ranked mode of each
-    activity, cut at the knee and the cap."""
+    activity, cut at the knee (if `cut`) and the cap."""
     ranked = {}
     for prio, pair in rank_pairs(rules.ordering, ctx, eligible):
         ranked.setdefault(pair[0], (prio, pair))
     kept = list(ranked.values())
-    filtered = knee_cut([p for p, _ in kept]) if cfg.apply_knee else len(kept)
+    filtered = knee_cut([p for p, _ in kept]) if cut else len(kept)
     width = min(filtered, cfg.cap, (cfg.group_size_hard_limit + 1).bit_length() - 1)
     modes = ctx.instance.activities
     return filtered, [[(pair, modes[pair[0]].modes[pair[1]].demand)]
                       for _, pair in kept[:width]]
+
+
+def _pairs(slots):
+    """What the engine is handed of reference slots: the pairs alone."""
+    return [[pair for pair, _ in slot] for slot in slots]
 
 
 TIE_HEAVY_GROUP_TREES = ["(sub RR RR)", "DSC", "TPC", "(min DSC DPC)", "ExpDur",
@@ -534,7 +539,7 @@ def _lane_edge_instance(rng, n_res):
     return build_instance(acts, caps)
 
 
-def test_group_choice_equals_the_reference_on_random_slots():
+def test_group_choice_equals_the_reference_on_random_slots(monkeypatch):
     """Group and count against feasible_groups + interpreted group scores +
     the minimum (score, sorted ids, group), on slots of 1-3 options with zero
     demands and zero availability, maximal on and off. Trials 250-289 draw
@@ -569,13 +574,16 @@ def test_group_choice_equals_the_reference_on_random_slots():
             assert ed.count == math.prod(len(s) + 1 for s in slots) - 1
             for maximal in (False, True):
                 # multi-option slots with the maximal test, as no policy hands them on
-                assert (policy_module._best_group(rules.group, ctx, slots, maximal)
+                assert (policy_module._best_group(rules.group, ctx, _pairs(slots), maximal)
                         == reference_best_group(rules.group, ctx, slots, maximal)), text
-                cfg = KneeConfig(apply_knee=trial % 2 == 0)
-                filtered, knee = _knee_slots(rules, ctx, eligible, cfg)
+                cfg, cut = KneeConfig(), trial % 2 == 0
+                filtered, knee = _knee_slots(rules, ctx, eligible, cfg, cut)
                 chosen, count = reference_best_group(rules.group, ctx, knee, maximal)
-                assert (knee_group_decide(rules, ctx, eligible, cfg, maximal)
-                        == Decision(chosen, filtered, count)), text
+                with monkeypatch.context() as patch:
+                    if not cut:
+                        patch.setattr(policy_module, "knee_cut", len)
+                    assert (knee_group_decide(rules, ctx, eligible, cfg, maximal)
+                            == Decision(chosen, filtered, count)), text
             empty += not group
             several += scored > 1
             multi_option += any(len(s) > 1 for s in slots)

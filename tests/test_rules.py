@@ -21,11 +21,11 @@ from kneegp.rules import (
     func,
     leaf,
     parse_sexpr,
-    protected_div,
 )
 from kneegp.sim import sample_durations, solve
 
 from conftest import (
+    FUNCTIONS,
     GROUP_TERMINALS,
     PAIR_TERMINALS,
     LEAVES,
@@ -35,6 +35,7 @@ from conftest import (
     group_terminal_value,
     interpret,
     latest_finish,
+    protected_div,
     random_instance,
     terminal_value,
 )
@@ -67,6 +68,12 @@ def test_protected_division_total(ctx):
     assert eval_pair_priority(t, ctx, (1, 0)) == 1.0
     assert protected_div(7.0, 0.0) == 1.0
     assert protected_div(7.0, 2.0) == 3.5
+
+
+def test_the_engine_and_the_reference_know_the_same_functions():
+    assert {k: t.count("{}") for k, t in FUNCTIONS.items()} == FUNCTION_ARITY
+    assert rules._CLAMPED == {k for k, t in FUNCTIONS.items()
+                              if t.startswith(("_clamp(", "protected_div("))}
 
 
 def test_counts(ctx):
