@@ -14,7 +14,9 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import repeat
 from operator import add
 from pathlib import Path
 from statistics import median
@@ -172,19 +174,11 @@ def run_experiment(exp: Experiment, progress=None,
                 cells.append((scn, algorithm, run_index, trains, tests))
 
     reports: list[RunReport] = []
-    if workers <= 1:
-        for cell in cells:
-            reports.append(run_one(exp, *cell))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for report in (pool.map if pool else map)(run_one, repeat(exp), *zip(*cells)):
+            reports.append(report)
             if progress is not None:
-                progress(reports[-1])
-        return reports
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_one, exp, *cell) for cell in cells]
-        for f in futures:
-            reports.append(f.result())
-            if progress is not None:
-                progress(reports[-1])
+                progress(report)
     return reports
 
 
@@ -308,20 +302,14 @@ def reduction_report(decisions: Sequence[DecisionRecord]) -> ReductionStats:
     )
 
 
-def summarize(reports: Sequence[RunReport], alpha: float = 0.05,
-              baseline: str | None = None) -> dict:
-    """Mean(std) per cell plus rank-sum verdicts against the baseline."""
+def summarize(reports: Sequence[RunReport], alpha: float = 0.05) -> dict:
+    """Mean(std) per cell plus rank-sum verdicts against the first algorithm."""
     scenarios = sorted({r.scenario for r in reports})
     algorithms = list(dict.fromkeys(r.algorithm for r in reports))
-    if baseline is None:
-        baseline = algorithms[0]
+    baseline = algorithms[0]
     table: dict = {"alpha": alpha, "baseline": baseline, "cells": {}}
     for scn in scenarios:
         row: dict = {}
-        base_vals = [
-            r.test_objective for r in reports
-            if r.scenario == scn and r.algorithm == baseline and r.status == "ok"
-        ]
         for alg in algorithms:
             runs = [r for r in reports if r.scenario == scn and r.algorithm == alg]
             vals = [r.test_objective for r in runs if r.status == "ok"]
@@ -331,7 +319,9 @@ def summarize(reports: Sequence[RunReport], alpha: float = 0.05,
                 "mean": _mean(vals),
                 "std": _std(vals),
             }
-            if alg != baseline and len(vals) >= 2 and len(base_vals) >= 2:
+            if alg == baseline:
+                base_vals = vals
+            elif len(vals) >= 2 and len(base_vals) >= 2:
                 res = wilcoxon_rank_sum(vals, base_vals, alpha)
                 cell["p_value"] = res.p_value
                 cell["verdict"] = res.verdict
@@ -396,7 +386,7 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
 
 
 def write_reports(reports: Sequence[RunReport], outdir: Path,
-                  experiment: Experiment | None = None) -> dict[str, Path]:
+                  experiment: Experiment) -> dict[str, Path]:
     """Write report.json, history.csv and timings.csv under `outdir`.
 
     report.json and history.csv are byte-stable across reruns of the same
@@ -404,9 +394,8 @@ def write_reports(reports: Sequence[RunReport], outdir: Path,
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    payload = {"reports": [report_to_dict(r) for r in reports]}
-    if experiment is not None:
-        payload["experiment"] = experiment_to_dict(experiment)
+    payload = {"reports": [report_to_dict(r) for r in reports],
+               "experiment": asdict(experiment)}
     report = outdir / "report.json"
     report.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return {
@@ -469,10 +458,6 @@ def emit_plot_data(reports: Sequence[RunReport], outdir: Path) -> dict[str, Path
 # ---------------------------------------------------------------------------
 # config files
 
-def experiment_to_dict(exp: Experiment) -> dict:
-    return asdict(exp)
-
-
 def experiment_from_dict(d: dict) -> Experiment:
     """Experiment from a JSON-style dict; only `scenarios` and each
     scenario's `name` are required. `gp.policy` is ignored: the algorithm
@@ -523,6 +508,10 @@ def read_reports(indir: Path) -> list[RunReport]:
                 f"report.json entry: missing key(s) {sorted(_JSON_KEYS - set(d))}, "
                 f"unknown key(s) {sorted(set(d) - _JSON_KEYS)}")
         check_types(d, RunReport, "report.json entry")
+        for key in ("ordering", "group"):
+            if not isinstance(d[key], (str, type(None))):
+                raise ValueError(f"report.json entry key {key} must be str | None, "
+                                 f"not {d[key]!r}")
         rules = None
         if d["ordering"] is not None:
             rules = RulePair(parse_sexpr(d["ordering"]),

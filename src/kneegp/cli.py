@@ -10,13 +10,13 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .bench import (
+    _write_csv,
     emit_plot_data,
     format_table,
     load_experiment,
@@ -31,7 +31,7 @@ from .model import from_dict, load_instance, save_instance, schedule_to_dict, va
 from .policy import (DEFAULT_ENUMERATION_LIMIT, POLICY_NAMES, EnumerationOverflowError,
                      KneeConfig, build_policy)
 from .rules import load_rules, save_rules
-from .sim import decision_log_to_csv, expected_durations, sample_durations, solve
+from .sim import DurationTable, decision_log_to_csv, sample_durations, solve
 
 
 def cmd_gen(args) -> int:
@@ -55,7 +55,7 @@ def cmd_solve(args) -> int:
     knee = KneeConfig(cap=args.knee_cap, group_size_hard_limit=args.group_limit)
     policy = build_policy(rules, args.policy, knee, args.group_limit)
     if args.expected:
-        table = expected_durations(inst)
+        table = DurationTable(inst)
     else:
         table = sample_durations(inst, args.duration_seed)
     res = solve(inst, policy, table)
@@ -96,14 +96,12 @@ def cmd_evolve(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     save_rules(result.best, outdir / "best.rules")
-    with (outdir / "history.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["generation", "best_fitness", "mean_fitness",
-                    "ordering_size", "group_size", "wall_seconds"])
-        for h in result.history:
-            w.writerow([h.generation, repr(h.best_fitness), repr(h.mean_fitness),
-                        repr(h.mean_ordering_size), repr(h.mean_group_size),
-                        f"{h.wall_seconds:.3f}"])
+    _write_csv(outdir / "history.csv",
+               ["generation", "best_fitness", "mean_fitness",
+                "ordering_size", "group_size", "wall_seconds"],
+               ([h.generation, repr(h.best_fitness), repr(h.mean_fitness),
+                 repr(h.mean_ordering_size), repr(h.mean_group_size),
+                 f"{h.wall_seconds:.3f}"] for h in result.history))
     o_size, g_size = rule_size(result.best)
     summary = {
         "best_fitness": result.best_fitness,

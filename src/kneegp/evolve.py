@@ -17,7 +17,7 @@ from typing import ClassVar, Sequence
 
 from .model import ProjectInstance
 from .policy import DEFAULT_ENUMERATION_LIMIT, KneeConfig, build_policy
-from .rules import ALL_TERMINALS, FUNCTION_ARITY, Node, RulePair, leaf
+from .rules import ALL_TERMINALS, FUNCTION_ARITY, MAX_DEPTH, Node, RulePair, leaf
 from .sim import DurationTable, derive_seed, sample_durations, solve
 
 _FUNCTIONS = tuple(sorted(FUNCTION_ARITY))
@@ -58,8 +58,9 @@ class GpConfig:
         if not 2 <= self.tournament_size <= self.population_size:
             raise ValueError("tournament size out of range")
         lo, hi = self.init_depth
-        if not 1 <= lo <= hi <= self.max_depth:
-            raise ValueError("init depths must satisfy 1 <= lo <= hi <= max")
+        if not 1 <= lo <= hi <= self.max_depth <= MAX_DEPTH:
+            raise ValueError("init depths must satisfy 1 <= lo <= hi <= max, "
+                             f"and max <= {MAX_DEPTH}")
         if min(self.crossover_prob, self.mutation_prob) < 0 \
                 or self.crossover_prob + self.mutation_prob > 1:
             raise ValueError("crossover and mutation probabilities must be >= 0 "
@@ -159,13 +160,6 @@ def _replace(t: Node, path: tuple[int, ...], sub: Node) -> Node:
     return Node(t.op, tuple(children))
 
 
-def _paths(t: Node, prefix: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
-    out = [prefix]
-    for k, c in enumerate(t.children):
-        out.extend(_paths(c, prefix + (k,)))
-    return out
-
-
 def _common_paths(a: Node, b: Node, prefix: tuple[int, ...] = ()) -> list:
     # positions where both trees have a node and every ancestor pair agrees
     # on arity
@@ -201,7 +195,7 @@ def crossover(rng: Random, a: Node, b: Node, max_depth: int = 8) -> tuple[Node, 
 
 def mutate(rng: Random, t: Node, cfg: GpConfig) -> Node:
     """Replace a random subtree with a freshly grown one."""
-    point = rng.choice(_paths(t))
+    point = rng.choice(_common_paths(t, t))
     sub = random_tree(rng, rng.randint(*cfg.init_depth), "grow")
     return truncate_depth(_replace(t, point, sub), cfg.max_depth)
 

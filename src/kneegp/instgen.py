@@ -70,10 +70,8 @@ def order_strength(inst: ProjectInstance) -> float:
     return related / (n * (n - 1) // 2)
 
 
-def generate_instance(spec: GenSpec, seed: int | None = None) -> ProjectInstance:
+def generate_instance(spec: GenSpec, seed: int) -> ProjectInstance:
     """Deterministically generate one instance for (spec, seed)."""
-    if seed is None:
-        seed = spec.seed
     rng = random.Random(seed)
     n = spec.n_activities
     edges = _grow_dag(rng, n, spec.order_strength, spec.os_tolerance, spec.move_budget)

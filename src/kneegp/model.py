@@ -106,22 +106,12 @@ class InstanceAnalysis:
         n = inst.n_activities
         self.activities = acts = inst.activities
         self.capacities = inst.capacities
-        self.topo_order = _topological_order(acts)
+        self.topo_order = topo = _topological_order(acts)
         self.dmin_exp = [min(m.expected for m in a.modes) for a in acts]
         self.direct_succ_mask = [_mask(a.successors) for a in acts]
         self.direct_pred_mask = [_mask(a.predecessors) for a in acts]
-        self.trans_succ_mask = [0] * n
-        for i in reversed(self.topo_order):
-            m = 0
-            for j in acts[i].successors:
-                m |= self.trans_succ_mask[j] | (1 << j)
-            self.trans_succ_mask[i] = m
-        self.trans_pred_mask = [0] * n
-        for i in self.topo_order:
-            m = 0
-            for j in acts[i].predecessors:
-                m |= self.trans_pred_mask[j] | (1 << j)
-            self.trans_pred_mask[i] = m
+        self.trans_succ_mask = _closure(reversed(topo), [a.successors for a in acts])
+        self.trans_pred_mask = _closure(topo, [a.predecessors for a in acts])
         # direct downstream min-expected work
         self.succ_work = [
             sum(self.dmin_exp[j] for j in acts[i].successors) for i in range(n)
@@ -129,7 +119,7 @@ class InstanceAnalysis:
         # longest min-expected path from an activity's finish to the sink's
         self.tail = tail = [0] * n
         dmin = self.dmin_exp
-        for i in reversed(self.topo_order):
+        for i in reversed(topo):
             for j in acts[i].successors:
                 if dmin[j] + tail[j] > tail[i]:
                     tail[i] = dmin[j] + tail[j]
@@ -198,6 +188,18 @@ def _mask(ids: Iterable[int]) -> int:
     for i in ids:
         m |= 1 << i
     return m
+
+
+def _closure(order: Iterable[int], links: Sequence[Iterable[int]]) -> list[int]:
+    """The mask of every id reachable from each id through `links`, built
+    along `order`, in which each id comes after all of its links."""
+    masks = [0] * len(links)
+    for i in order:
+        m = 0
+        for j in links[i]:
+            m |= masks[j] | (1 << j)
+        masks[i] = m
+    return masks
 
 
 def byte_tables(values: Sequence[int]) -> list[list[int]]:
@@ -391,14 +393,11 @@ def validate_schedule(inst: ProjectInstance, sched: Schedule) -> ValidationResul
 
 
 def _resource_violation(inst, sched, r, t_from, t_to) -> Violation:
-    active = sorted(
-        i for i, e in sched.entries.items()
-        if e.start <= t_from < e.start + e.duration
-        and inst.activities[i].modes[e.mode].demand[r]
-    )
-    usage = sum(inst.activities[i].modes[e.mode].demand[r]
-                for i, e in sched.entries.items()
-                if e.start <= t_from < e.start + e.duration)
+    running = [(i, inst.activities[i].modes[e.mode].demand[r])
+               for i, e in sched.entries.items()
+               if e.start <= t_from < e.start + e.duration]
+    active = sorted(i for i, d in running if d)
+    usage = sum(d for _, d in running)
     return Violation(
         "resource", None, t_from, r,
         f"resource {r} over capacity in [{t_from}, {t_to}): "

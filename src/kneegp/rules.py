@@ -69,6 +69,11 @@ ALL_TERMINALS = TIME_TERMINALS + PRECEDENCE_TERMINALS + RESOURCE_TERMINALS
 # short historical spellings accepted on input
 _ALIASES = {"LF": "LFT", "LS": "LST", "ES": "EST", "EF": "EFT"}
 
+# the deepest tree a rule file or a GP run may hold, a leaf alone being
+# depth 1: far above the paper's 8, and far enough below the depth where the
+# recursive walks over a tree (`hash` first, near 250) exhaust Python's stack
+MAX_DEPTH = 64
+
 
 @dataclass(frozen=True)
 class Node:
@@ -147,8 +152,10 @@ def parse_sexpr(text: str) -> Node:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def read() -> Node:
+    def read(depth: int) -> Node:
         nonlocal pos
+        if depth > MAX_DEPTH:
+            raise ValueError(f"expression nests deeper than {MAX_DEPTH} levels")
         if pos >= len(tokens):
             raise ValueError("unexpected end of expression")
         tok = tokens[pos]
@@ -163,13 +170,13 @@ def parse_sexpr(text: str) -> Node:
         pos += 1
         children = []
         while pos < len(tokens) and tokens[pos] != ")":
-            children.append(read())
+            children.append(read(depth + 1))
         if pos >= len(tokens):
             raise ValueError("missing ')'")
         pos += 1
         return func(op, *children)
 
-    node = read()
+    node = read(1)
     if pos != len(tokens):
         raise ValueError(f"trailing tokens: {' '.join(tokens[pos:])}")
     return node

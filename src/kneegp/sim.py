@@ -62,11 +62,6 @@ def sample_durations(inst: ProjectInstance, seed: int) -> DurationTable:
     return DurationTable(inst, seed)
 
 
-def expected_durations(inst: ProjectInstance) -> DurationTable:
-    """Degenerate realization pinned at the expected values."""
-    return DurationTable(inst)
-
-
 class PolicyContractError(RuntimeError):
     """The policy returned something the executor refuses to repair."""
 

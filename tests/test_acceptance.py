@@ -49,7 +49,7 @@ from kneegp.rules import (
     eval_pair_priority,
     leaf,
 )
-from kneegp.sim import expected_durations, sample_durations, solve
+from kneegp.sim import DurationTable, sample_durations, solve
 
 from conftest import rescan_eligible
 
@@ -168,7 +168,7 @@ class _ScriptedPolicy:
 
 def test_01_scripted_decisions_reproduce_known_makespans(demo, criterion):
     with criterion(1, "scripted-decision-makespans", budget=1.0):
-        durations = expected_durations(demo)
+        durations = DurationTable(demo)
 
         one_at_a_time = _ScriptedPolicy(
             [[(1, 0)], [(2, 0)], [(3, 0)], [(4, 0)], [(5, 0)]])

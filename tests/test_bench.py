@@ -18,7 +18,6 @@ from kneegp.bench import (
     Scenario,
     emit_plot_data,
     experiment_from_dict,
-    experiment_to_dict,
     format_table,
     read_reports,
     reduction_report,
@@ -344,7 +343,7 @@ def test_report_directory_round_trip(tmp_path, tiny_reports, late_overflow_repor
 
 def test_experiment_config_round_trip():
     exp = _tiny_experiment()
-    blob = json.dumps(experiment_to_dict(exp))
+    blob = json.dumps(asdict(exp))
     assert experiment_from_dict(json.loads(blob)) == exp
 
 
@@ -370,7 +369,7 @@ _GP = GpConfig(population_size=6, crossover_prob=0.7, mutation_prob=0.25,
         "experiment-set"])
 def test_every_config_round_trips_through_json(config):
     if isinstance(config, Experiment):
-        blob = json.dumps(experiment_to_dict(config))
+        blob = json.dumps(asdict(config))
         assert experiment_from_dict(json.loads(blob)) == config
     else:
         assert from_dict(type(config), json.loads(json.dumps(asdict(config)))) == config
@@ -397,7 +396,7 @@ def test_every_config_key_is_listed_here():
 
 
 def test_experiment_loader_rejects_unknown_keys():
-    good = experiment_to_dict(_tiny_experiment())
+    good = asdict(_tiny_experiment())
     with pytest.raises(ValueError, match="experiment key.*n_run"):
         experiment_from_dict(dict(good, n_run=10))
     scenario = dict(good["scenarios"][0], n_tset=9)

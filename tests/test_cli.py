@@ -1,12 +1,17 @@
 """End-to-end smoke tests for the command line interface."""
 import json
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
-from kneegp.bench import RunReport, report_to_dict
+from kneegp.bench import Experiment, RunReport, Scenario, report_to_dict
 from kneegp.cli import main
+from kneegp.evolve import GpConfig, TrainingRun
+from kneegp.instgen import GenSpec
 from kneegp.model import load_instance, validate_schedule
-from kneegp.rules import load_rules
+from kneegp.policy import KneeConfig
+from kneegp.rules import MAX_DEPTH, load_rules
 
 from conftest import demo_instance, schedule_from_dict
 
@@ -127,6 +132,12 @@ _SCENARIO = {"name": "tiny", "gen": {"n_activities": 6}}
         "evolve-removed-knee-switch", "gen-count-zero", "gen-count-negative"])
 def test_a_wrongly_typed_config_value_is_reported(tmp_path, demo_file, capsys,
                                                  command, config, message):
+    _assert_refused(tmp_path, demo_file, capsys, command, config, message)
+
+
+def _assert_refused(tmp_path, demo_file, capsys, command, config, message):
+    """`command` on a config file holding `config` prints `error: message`,
+    exits 1 and makes no output directory."""
     path = tmp_path / "config.json"
     out = str(tmp_path / "out")
     command, _, flag = command.partition(" --")
@@ -141,6 +152,105 @@ def test_a_wrongly_typed_config_value_is_reported(tmp_path, demo_file, capsys,
     assert main(argv) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# one value of each JSON kind
+_JSON_KINDS = {"null": None, "bool": True, "int": 3, "float": 2.5, "string": "x",
+               "list": [], "object": {}}
+
+
+def _kinds(hint) -> set[str]:
+    """The JSON kinds that a value of type `hint` may be read from."""
+    if hint is type(None):
+        return {"null"}
+    if get_origin(hint) is tuple:
+        return {"list"}
+    if get_args(hint):  # a union such as `float | None`
+        return set().union(*map(_kinds, get_args(hint)))
+    if is_dataclass(hint):
+        return {"object"}
+    return {bool: {"bool"}, int: {"int"}, float: {"int", "float"}, str: {"string"}}[hint]
+
+
+# the command that reads each config class, and the file holding one key of it
+_READERS = {
+    GenSpec: ("gen", lambda key, value: {key: value}),
+    GpConfig: ("evolve", lambda key, value: {key: value}),
+    KneeConfig: ("evolve", lambda key, value: {"knee": {key: value}}),
+    TrainingRun: ("evolve", lambda key, value: {key: value}),
+    Scenario: ("bench run", lambda key, value: {"scenarios": [{**_SCENARIO, key: value}]}),
+    Experiment: ("bench run", lambda key, value: {"scenarios": [_SCENARIO], key: value}),
+}
+_WRONG_TYPES = [
+    pytest.param(command, config(f.name, value),
+                 f"{cls.what} key {f.name} must be {f.type}, not {value!r}",
+                 id=f"{cls.__name__}-{f.name}-{kind}")
+    for cls, (command, config) in _READERS.items()
+    for f in fields(cls)
+    for kind, value in _JSON_KINDS.items()
+    if kind not in _kinds(get_type_hints(cls)[f.name])
+]
+
+
+@pytest.mark.parametrize("command, config, message", _WRONG_TYPES)
+def test_every_config_key_refuses_every_wrong_json_kind(tmp_path, demo_file, capsys,
+                                                         command, config, message):
+    _assert_refused(tmp_path, demo_file, capsys, command, config, message)
+
+
+# every field of an instance file, as its path from the top, with the JSON
+# kinds it may hold; an activity, a mode or a list entry stands for all
+_MODE = ("activities", 1, "modes", 0)
+_INSTANCE_FIELDS = {
+    ("activities",): {"list"},
+    ("activities", 1): {"object"},
+    ("activities", 1, "id"): {"int"},
+    ("activities", 1, "predecessors"): {"list"},
+    ("activities", 1, "predecessors", 0): {"int"},
+    ("activities", 1, "modes"): {"list"},
+    _MODE: {"object"},
+    (*_MODE, "expected"): {"int"},
+    (*_MODE, "min"): {"int"},
+    (*_MODE, "max"): {"int"},
+    (*_MODE, "demand"): {"list"},
+    (*_MODE, "demand", 0): {"int"},
+    ("capacities",): {"list"},
+    ("capacities", 0): {"int"},
+    ("lower_bound",): {"int"},
+    ("metadata",): {"object", "null"},
+}
+
+
+@pytest.mark.parametrize("where, value", [
+    pytest.param(where, value, id="-".join(map(str, where)) + f"-{kind}")
+    for where, kinds in _INSTANCE_FIELDS.items()
+    for kind, value in _JSON_KINDS.items() if kind not in kinds
+])
+def test_every_instance_field_refuses_every_wrong_json_kind(tmp_path, demo_file, rules_file,
+                                                            capsys, where, value):
+    data = json.loads(demo_file.read_text())
+    parent = data
+    for step in where[:-1]:
+        parent = parent[step]
+    parent[where[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "schedule.json"
+    assert main(["solve", "--instance", str(path), "--rules", str(rules_file),
+                 "--schedule-out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_solve_refuses_a_rule_file_nested_too_deep(tmp_path, demo_file, capsys):
+    deep = "ExpDur"
+    for _ in range(4999):
+        deep = f"(neg {deep})"
+    path = tmp_path / "deep.rules"
+    path.write_text(f"ordering: {deep}\ngroup: RR\n")
+    assert main(["solve", "--instance", str(demo_file), "--rules", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: expression nests deeper than {MAX_DEPTH} levels\n"
 
 
 def test_solve_outputs_artifacts(tmp_path, demo_file, rules_file, capsys):
@@ -326,10 +436,17 @@ _NO_REPORTS = "report.json must be an object with a 'reports' list"
     ({"reports": [dict(_ENTRY, sede=1)]},
      "report.json entry: missing key(s) [], unknown key(s) ['sede']"),
     ({"reports": [dict(_ENTRY, seed="1")]}, "report.json entry key seed must be int, not '1'"),
+    ({"reports": [dict(_ENTRY, ordering=5)]},
+     "report.json entry key ordering must be str | None, not 5"),
+    ({"reports": [dict(_ENTRY, ordering="RR", group=7)]},
+     "report.json entry key group must be str | None, not 7"),
+    ({"reports": [dict(_ENTRY, ordering=["x"])]},
+     "report.json entry key ordering must be str | None, not ['x']"),
     ({"reports": [[]]}, "report.json entry must be an object, not []"),
     ([], _NO_REPORTS),
     ({"runs": []}, _NO_REPORTS),
-], ids=["missing", "unknown", "wrongly-typed", "not-an-object", "a-list", "no-reports"])
+], ids=["missing", "unknown", "wrongly-typed", "ordering-a-number", "group-a-number",
+        "ordering-a-list", "not-an-object", "a-list", "no-reports"])
 def test_bench_stats_reports_a_bad_report_entry(tmp_path, capsys, payload, message):
     (tmp_path / "report.json").write_text(json.dumps(payload))
     assert main(["bench", "stats", "--in", str(tmp_path)]) == 1

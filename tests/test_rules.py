@@ -37,6 +37,7 @@ from conftest import (
     latest_finish,
     protected_div,
     random_instance,
+    reference_best_group,
     terminal_value,
 )
 
@@ -371,6 +372,50 @@ def test_parse_rejects_garbage():
                 "(add ExpDur RR", "(add ExpDur RR) trailing"):
         with pytest.raises(ValueError):
             parse_sexpr(bad)
+
+
+def _nested(depth: int) -> str:
+    text = "ExpDur"
+    for _ in range(depth - 1):
+        text = f"(neg {text})"
+    return text
+
+
+def test_parse_refuses_nesting_beyond_the_depth_bound():
+    assert parse_sexpr(_nested(rules.MAX_DEPTH)).depth() == rules.MAX_DEPTH
+    for depth in (rules.MAX_DEPTH + 1, 5000):
+        with pytest.raises(ValueError, match=f"deeper than {rules.MAX_DEPTH} levels"):
+            parse_sexpr(_nested(depth))
+
+
+def test_a_gp_run_grows_no_tree_a_rule_file_cannot_hold():
+    assert GpConfig(max_depth=rules.MAX_DEPTH).max_depth == rules.MAX_DEPTH
+    with pytest.raises(ValueError, match=f"max <= {rules.MAX_DEPTH}"):
+        GpConfig(max_depth=rules.MAX_DEPTH + 1)
+
+
+def test_a_tree_at_the_depth_bound_survives_every_walk():
+    """A tree exactly `MAX_DEPTH` deep hashes, pickles, round-trips through
+    its text, and each of its three compiled forms equals the reference."""
+    t = leaf("ExpDur")
+    for k in range(rules.MAX_DEPTH - 1):
+        t = func("add", t, leaf("RR")) if k % 2 else func("neg", t)
+    assert t.depth() == rules.MAX_DEPTH
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and hash(copy) == hash(t)
+    assert parse_sexpr(format_sexpr(t)) == t
+    inst = demo_instance()
+    ctx = fresh_ctx(inst)
+    mo = inst.activities[1].modes[0]
+    assert eval_pair_priority(t, ctx, (1, 0)) == float(
+        interpret(t, lambda name: PAIR_TERMINALS[name](ctx, 1, mo)))
+    view = GroupView(ctx, [(1, 1), (2, 1)])
+    assert eval_group_priority(t, ctx, [(1, 1), (2, 1)]) == float(
+        interpret(t, lambda name: GROUP_TERMINALS[name](view)))
+    eligible = [(1, 0), (1, 1), (2, 0), (2, 1)]
+    slots = [[((i, m), inst.activities[i].modes[m].demand) for m in (0, 1)] for i in (1, 2)]
+    assert full_enumeration_decide(RulePair(leaf("RR"), t), ctx, eligible).group \
+        == reference_best_group(t, ctx, slots)[0]
 
 
 def test_evaluation_always_finite():

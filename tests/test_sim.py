@@ -15,7 +15,6 @@ from kneegp.sim import (
     decision_log_to_csv,
     derive_seed,
     eligible_set,
-    expected_durations,
     realized_duration,
     sample_durations,
     solve,
@@ -62,14 +61,14 @@ class Scripted:
 
 
 def test_sequential_hand_rule_reaches_twenty(demo):
-    res = solve(demo, LowestIdFirst(), expected_durations(demo))
+    res = solve(demo, LowestIdFirst(), DurationTable(demo))
     assert res.makespan == 20
     assert validate_schedule(demo, res.schedule).ok
 
 
 def test_scripted_group_run_reaches_seventeen(demo):
     script = {0: [[(1, 1), (2, 1)]], 7: [[(3, 0)]], 11: [[(4, 1), (5, 1)]]}
-    res = solve(demo, Scripted(script), expected_durations(demo))
+    res = solve(demo, Scripted(script), DurationTable(demo))
     assert res.makespan == 17
     assert validate_schedule(demo, res.schedule).ok
     assert [d.clock for d in res.decisions] == [0, 7, 11]
@@ -185,7 +184,7 @@ def test_empty_project_finishes_at_zero():
          Activity(1, frozenset({0}), frozenset(), (idle,))],
         [3],
     )
-    res = solve(inst, LowestIdFirst(), expected_durations(inst))
+    res = solve(inst, LowestIdFirst(), DurationTable(inst))
     assert res.makespan == 0
     assert res.decisions == ()
 
@@ -226,7 +225,7 @@ def test_lazy_draws_equal_eager_draws(demo):
             assert table.duration(i, m) == realized_duration(inst, seed, i, m)
         assert realized(table) == _eager_realized(inst, seed)
         assert realized(sample_durations(inst, seed)) == _eager_realized(inst, seed)
-        assert realized(expected_durations(inst)) == {
+        assert realized(DurationTable(inst)) == {
             (a.id, m): mo.expected
             for a in inst.activities for m, mo in enumerate(a.modes)}
 
@@ -297,18 +296,18 @@ class _Misbehaving:
 
 def test_contract_rejects_ineligible_pair(demo):
     with pytest.raises(PolicyContractError):
-        solve(demo, _Misbehaving([(3, 0)]), expected_durations(demo))
+        solve(demo, _Misbehaving([(3, 0)]), DurationTable(demo))
 
 
 def test_contract_rejects_two_modes_of_one_activity(demo):
     with pytest.raises(PolicyContractError):
-        solve(demo, _Misbehaving([(1, 0), (1, 1)]), expected_durations(demo))
+        solve(demo, _Misbehaving([(1, 0), (1, 1)]), DurationTable(demo))
 
 
 def test_contract_rejects_joint_overload(demo):
     # both fit alone (10 and 7 under 12) but not together
     with pytest.raises(PolicyContractError):
-        solve(demo, _Misbehaving([(1, 0), (2, 0)]), expected_durations(demo))
+        solve(demo, _Misbehaving([(1, 0), (2, 0)]), DurationTable(demo))
 
 
 def test_stall_guard_fires(demo):
@@ -317,11 +316,11 @@ def test_stall_guard_fires(demo):
             return (), len(eligible)
 
     with pytest.raises(RuntimeError, match="stalled"):
-        solve(demo, Lazy(), expected_durations(demo))
+        solve(demo, Lazy(), DurationTable(demo))
 
 
 def test_decision_log_csv(demo):
-    res = solve(demo, LowestIdFirst(), expected_durations(demo))
+    res = solve(demo, LowestIdFirst(), DurationTable(demo))
     buf = io.StringIO()
     decision_log_to_csv(res.decisions, buf)
     lines = buf.getvalue().strip().splitlines()
