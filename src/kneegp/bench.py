@@ -165,6 +165,8 @@ def run_experiment(exp: Experiment, progress=None,
     Runs are independent; `workers > 1` fans them out over processes without
     changing the result order or content.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     cells = []
     for scn in exp.scenarios:
         trains = scenario_instances(exp, scn, "train")
@@ -304,6 +306,8 @@ def reduction_report(decisions: Sequence[DecisionRecord]) -> ReductionStats:
 
 def summarize(reports: Sequence[RunReport], alpha: float = 0.05) -> dict:
     """Mean(std) per cell plus rank-sum verdicts against the first algorithm."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), not {alpha}")
     scenarios = sorted({r.scenario for r in reports})
     algorithms = list(dict.fromkeys(r.algorithm for r in reports))
     baseline = algorithms[0]
@@ -466,11 +470,6 @@ def experiment_from_dict(d: dict) -> Experiment:
     return replace(exp, gp=replace(exp.gp, policy=GpConfig.policy))
 
 
-def load_experiment(path: Path) -> Experiment:
-    with Path(path).open() as fh:
-        return experiment_from_dict(json.load(fh))
-
-
 def _read_csv(path: Path, *columns: str) -> dict[tuple, list[dict]]:
     """Rows of a result CSV by run (scenario, algorithm, run); none if absent.
     The header must name the run columns and `columns`."""
@@ -507,7 +506,7 @@ def read_reports(indir: Path) -> list[RunReport]:
             raise ValueError(
                 f"report.json entry: missing key(s) {sorted(_JSON_KEYS - set(d))}, "
                 f"unknown key(s) {sorted(set(d) - _JSON_KEYS)}")
-        check_types(d, RunReport, "report.json entry")
+        checked = check_types(d, RunReport, "report.json entry")
         for key in ("ordering", "group"):
             if not isinstance(d[key], (str, type(None))):
                 raise ValueError(f"report.json entry key {key} must be str | None, "
@@ -518,7 +517,7 @@ def read_reports(indir: Path) -> list[RunReport]:
                              parse_sexpr(d["group"]) if d["group"] else None)
         key = (d["scenario"], d["algorithm"], d["run_index"])
         reports.append(RunReport(
-            **{name: d[name] for name in _JSON_FIELDS},
+            **checked,
             rules=rules,
             history=tuple(
                 GenerationStat(int(row["generation"]), float(row["best_fitness"]),

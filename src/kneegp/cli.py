@@ -18,8 +18,8 @@ from pathlib import Path
 from .bench import (
     _write_csv,
     emit_plot_data,
+    experiment_from_dict,
     format_table,
-    load_experiment,
     read_reports,
     run_experiment,
     summarize,
@@ -31,7 +31,7 @@ from .model import from_dict, load_instance, save_instance, schedule_to_dict, va
 from .policy import (DEFAULT_ENUMERATION_LIMIT, POLICY_NAMES, EnumerationOverflowError,
                      KneeConfig, build_policy)
 from .rules import load_rules, save_rules
-from .sim import DurationTable, decision_log_to_csv, sample_durations, solve
+from .sim import DurationTable, solve
 
 
 def cmd_gen(args) -> int:
@@ -54,11 +54,8 @@ def cmd_solve(args) -> int:
     rules = load_rules(args.rules)
     knee = KneeConfig(cap=args.knee_cap, group_size_hard_limit=args.group_limit)
     policy = build_policy(rules, args.policy, knee, args.group_limit)
-    if args.expected:
-        table = DurationTable(inst)
-    else:
-        table = sample_durations(inst, args.duration_seed)
-    res = solve(inst, policy, table)
+    res = solve(inst, policy,
+                DurationTable(inst, None if args.expected else args.duration_seed))
     check = validate_schedule(inst, res.schedule)
     if not check:
         for v in check.violations:
@@ -69,9 +66,11 @@ def cmd_solve(args) -> int:
     if args.schedule_out:
         Path(args.schedule_out).write_text(
             json.dumps(schedule_to_dict(res.schedule), indent=2, sort_keys=True) + "\n")
-    if args.log:
-        with open(args.log, "w", newline="") as fh:
-            decision_log_to_csv(res.decisions, fh)
+    if args.log:  # one row per group start
+        _write_csv(Path(args.log),
+                   ["clock", "eligible_size", "filtered_size", "group_size", "pairs"],
+                   ([d.clock, d.eligible_size, d.filtered_size, len(d.group),
+                     ";".join(f"{i}:{m}" for i, m in d.group)] for d in res.decisions))
     return 0
 
 
@@ -119,7 +118,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_bench_run(args) -> int:
-    exp = load_experiment(args.experiment)
+    exp = experiment_from_dict(json.loads(Path(args.experiment).read_text()))
 
     def progress(r):
         print(f"[{r.scenario}] {r.algorithm} run {r.run_index}: {r.status}",

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .model import Activity, Mode, ProjectInstance, build_instance
+from .model import Activity, Mode, ProjectInstance, _closure, build_instance
 
 
 class GenerationError(RuntimeError):
@@ -194,15 +194,11 @@ def _add_edge(reach: list[int], n: int, u: int, v: int) -> int:
 
 
 def _rebuild(reach: list[int], n: int, edges: list[tuple[int, int]]) -> int:
-    succ = {i: [] for i in range(1, n + 1)}
+    succ: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in edges:
         succ[u].append(v)
-    for i in range(n, 0, -1):  # ids are topological
-        m = 0
-        for j in succ[i]:
-            m |= reach[j] | (1 << j)
-        reach[i] = m
-    return sum(reach[i].bit_count() for i in range(1, n + 1))
+    reach[:] = _closure(range(n, 0, -1), succ)  # ids are topological
+    return sum(m.bit_count() for m in reach)
 
 
 def derive_capacities(modes: dict[int, list[Mode]], preds: dict[int, set[int]],

@@ -8,6 +8,7 @@ integer time grid.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cached_property
 from operator import getitem, le, lshift
@@ -112,10 +113,6 @@ class InstanceAnalysis:
         self.direct_pred_mask = [_mask(a.predecessors) for a in acts]
         self.trans_succ_mask = _closure(reversed(topo), [a.successors for a in acts])
         self.trans_pred_mask = _closure(topo, [a.predecessors for a in acts])
-        # direct downstream min-expected work
-        self.succ_work = [
-            sum(self.dmin_exp[j] for j in acts[i].successors) for i in range(n)
-        ]
         # longest min-expected path from an activity's finish to the sink's
         self.tail = tail = [0] * n
         dmin = self.dmin_exp
@@ -162,15 +159,6 @@ class InstanceAnalysis:
             raise ValueError(f"availability {tuple(availability)} is outside "
                              f"[0, capacity {caps}]")
         return self.pack(availability) | self.lanes[1]
-
-    @cached_property
-    def trans_succ_work(self) -> list[int]:
-        """Transitive downstream min-expected work of every activity.
-
-        Only the static rows read it, once, so its byte tables are not
-        kept: an instance keeps them only if a group form reads them."""
-        tables = byte_tables(self.dmin_exp)
-        return [byte_sum(tables, m) for m in self.trans_succ_mask]
 
     @cached_property
     def rows(self) -> list[tuple[tuple, ...]]:
@@ -414,23 +402,7 @@ def from_dict(cls: type, raw):
     if not isinstance(raw, Mapping):
         raise ValueError(f"{cls.what} must be an object, not {raw!r}")
     check_keys(raw, cls, cls.what)
-    check_types(raw, cls, cls.what)
-    hints = get_type_hints(cls)
-    return cls(**{key: _build(value, hints[key]) for key, value in raw.items()})
-
-
-def _build(value, hint):
-    """`value`, which fits `hint`, as the type `hint` names."""
-    args = get_args(hint)
-    if get_origin(hint) is tuple:
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        return tuple(map(_build, value, args))
-    if args:  # a union: the first member the value fits
-        return next(_build(value, a) for a in args if _fits(value, a))
-    if is_dataclass(hint) and isinstance(value, Mapping):
-        return from_dict(hint, value)
-    return value
+    return cls(**check_types(raw, cls, cls.what))
 
 
 def check_keys(d: Mapping, cls: type, what: str) -> None:
@@ -445,32 +417,46 @@ def check_keys(d: Mapping, cls: type, what: str) -> None:
         raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
 
 
-def check_types(d: Mapping, cls: type, what: str) -> None:
-    """Reject a JSON-style dict with a value that cannot stand for its field
-    of dataclass `cls`: ints stand for floats, lists for tuples and objects
-    for nested dataclasses, and a bool is only a bool."""
+def check_types(d: Mapping, cls: type, what: str) -> dict:
+    """The fields of dataclass `cls` that a JSON-style dict holds, each as
+    its field's type (`_convert`). A value that cannot stand for its field
+    is an error; fields are checked in their order in `cls`."""
     hints = get_type_hints(cls)
+    out = {}
     for f in fields(cls):
-        if f.name in d and not _fits(d[f.name], hints[f.name]):
-            raise ValueError(
-                f"{what} key {f.name} must be {f.type}, not {d[f.name]!r}")
+        if f.name in d:
+            out[f.name] = _convert(d[f.name], hints[f.name])
+            if out[f.name] is _MISFIT:
+                raise ValueError(
+                    f"{what} key {f.name} must be {f.type}, not {d[f.name]!r}")
+    return out
 
 
-def _fits(value, hint) -> bool:
+_MISFIT = object()  # what `_convert` returns for a value that does not fit
+
+
+def _convert(value, hint):
+    """`value` as the type `hint` names, or `_MISFIT`: ints stand for
+    floats, lists for tuples and objects for nested dataclasses (built by
+    `from_dict`), and a bool is only a bool."""
     args = get_args(hint)
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
-            return False
+            return _MISFIT
         if args[-1] is Ellipsis:
             args = args[:1] * len(value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    if args:  # a union such as `float | None`
-        return any(_fits(value, a) for a in args)
+        if len(value) != len(args):
+            return _MISFIT
+        out = tuple(map(_convert, value, args))
+        return _MISFIT if _MISFIT in out else out
+    if args:  # a union such as `float | None`: the first member that fits
+        return next((v for v in (_convert(value, a) for a in args) if v is not _MISFIT),
+                    _MISFIT)
     if isinstance(value, bool) or hint is bool:
-        return hint is bool and isinstance(value, bool)
-    if is_dataclass(hint):
-        return isinstance(value, (Mapping, hint))
-    return isinstance(value, (int, float) if hint is float else hint)
+        return value if hint is bool and isinstance(value, bool) else _MISFIT
+    if is_dataclass(hint) and isinstance(value, Mapping):
+        return from_dict(hint, value)
+    return value if isinstance(value, (int, float) if hint is float else hint) else _MISFIT
 
 
 def instance_to_dict(inst: ProjectInstance) -> dict:
@@ -497,20 +483,28 @@ def instance_to_dict(inst: ProjectInstance) -> dict:
     }
 
 
+# how `_checked` shows a wrong value: two levels deep and a few entries
+# long, so a wrong activity does not print every activity of the file
+_ABRIDGED = reprlib.Repr()
+_ABRIDGED.maxlevel = 2
+
+
 def _checked(value, hint, what: str):
-    """`value`, if it fits `hint`: `int` or `tuple[int, ...]`. A bool is not
-    an integer and a string is not a list."""
-    if not _fits(value, hint):
-        kind = "an integer" if hint is int else "a list of integers"
-        raise StructuralError(f"{what} must be {kind}, not {value!r}")
-    return value
+    """`value` as `hint`: `int`, `tuple[int, ...]` or `tuple[dict, ...]`. A
+    bool is not an integer and a string is not a list."""
+    out = _convert(value, hint)
+    if out is _MISFIT:
+        kind = {int: "an integer", tuple[int, ...]: "a list of integers"}
+        raise StructuralError(f"{what} must be {kind.get(hint, 'a list of objects')}, "
+                              f"not {_ABRIDGED.repr(value)}")
+    return out
 
 
 def instance_from_dict(data: dict) -> ProjectInstance:
     if not isinstance(data, Mapping):
         raise StructuralError(f"instance must be an object, not {type(data).__name__}")
     try:
-        raw = data["activities"]
+        raw = _checked(data["activities"], tuple[dict, ...], "activities")
         ids = [_checked(a["id"], int, "activity id") for a in raw]
         preds = {i: set(_checked(a["predecessors"], tuple[int, ...],
                                  f"activity {i} predecessors"))
@@ -529,9 +523,8 @@ def instance_from_dict(data: dict) -> ProjectInstance:
                 modes=tuple(
                     Mode(*(_checked(m[k], int, f"activity {i} {k}")
                            for k in ("expected", "min", "max")),
-                         tuple(_checked(m["demand"], tuple[int, ...],
-                                        f"activity {i} demand")))
-                    for m in a["modes"]
+                         _checked(m["demand"], tuple[int, ...], f"activity {i} demand"))
+                    for m in _checked(a["modes"], tuple[dict, ...], f"activity {i} modes")
                 ),
             )
             for i, a in zip(ids, raw)
@@ -539,8 +532,6 @@ def instance_from_dict(data: dict) -> ProjectInstance:
         caps = _checked(data["capacities"], tuple[int, ...], "capacities")
     except KeyError as exc:
         raise StructuralError(f"instance is missing key {exc}") from None
-    except TypeError as exc:
-        raise StructuralError(f"malformed instance: {exc}") from None
     metadata = data.get("metadata")
     if not isinstance(metadata, (Mapping, type(None))):
         raise StructuralError(f"metadata must be an object, not {metadata!r}")

@@ -20,7 +20,7 @@ from pathlib import Path
 from string import Formatter
 from typing import Callable, Mapping, Sequence
 
-from .model import InstanceAnalysis, ProjectInstance, byte_sum
+from .model import InstanceAnalysis, ProjectInstance, byte_sum, byte_tables
 
 Pair = tuple[int, int]  # (activity id, mode index)
 
@@ -71,7 +71,7 @@ _ALIASES = {"LF": "LFT", "LS": "LST", "ES": "EST", "EF": "EFT"}
 
 # the deepest tree a rule file or a GP run may hold, a leaf alone being
 # depth 1: far above the paper's 8, and far enough below the depth where the
-# recursive walks over a tree (`hash` first, near 250) exhaust Python's stack
+# recursive walks over a tree (pickling first, near 250) exhaust Python's stack
 MAX_DEPTH = 64
 
 
@@ -94,6 +94,16 @@ class Node:
 
     @cached_property
     def _hash(self) -> int:
+        # hash the unhashed nodes below first, each after its children, so
+        # no hash recurses however deep the tree
+        stack, below = list(self.children), []
+        while stack:
+            n = stack.pop()
+            if "_hash" not in vars(n):
+                below.append(n)
+                stack += n.children
+        for n in reversed(below):
+            n._hash
         return hash((self.op, self.children))
 
     @cached_property
@@ -350,14 +360,14 @@ _RESOURCE: dict[str, str] = {
 }
 
 # terminals that depend only on the instance and the pair: expressions over
-# activity `a`, mode `mo` and the analysis `ana`, evaluated once per instance
-# into the head of every row, in this order
+# activity `a`, mode `mo`, the analysis `ana` and byte tables `work` of its
+# `dmin_exp`, evaluated once per instance into the head of every row, in order
 _STATIC: dict[str, str] = {
     "ExpDur": "mo.expected",
     "OptDur": "mo.min_duration",
     "PessDur": "mo.max_duration",
-    "GRPW": "mo.expected + ana.succ_work[a.id]",
-    "GRPW_all": "mo.expected + ana.trans_succ_work[a.id]",
+    "GRPW": "mo.expected + byte_sum(work, ana.direct_succ_mask[a.id])",
+    "GRPW_all": "mo.expected + byte_sum(work, ana.trans_succ_mask[a.id])",
     "TPC": "ana.trans_pred_mask[a.id].bit_count()",
     "DPC": "len(a.predecessors)",
     "TSC": "ana.trans_succ_mask[a.id].bit_count()",
@@ -373,15 +383,17 @@ _ROW_REST = ("mo.demand", "ana.pack(mo.demand)", "ana.direct_succ_mask[a.id]",
              "ana.direct_pred_mask[a.id]")
 _DEMAND = len(_STATIC)
 _PACKED = _DEMAND + 1
-_static_row = eval("lambda ana, a, mo: (" + ", ".join([*_STATIC.values(), *_ROW_REST])
-                   + ")", {})
+_static_row = eval("lambda ana, work, a, mo: (" + ", ".join([*_STATIC.values(), *_ROW_REST])
+                   + ")", {"byte_sum": byte_sum})
 
 
 def static_rows(ana: InstanceAnalysis) -> list[tuple[tuple, ...]]:
     """The static row of every (activity, mode) pair, indexed `[i][m]`.
 
-    `InstanceAnalysis.rows` builds it once per instance, on first use."""
-    return [tuple(_static_row(ana, a, mo) for mo in a.modes) for a in ana.activities]
+    `InstanceAnalysis.rows` builds it once per instance, on first use. It
+    keeps no byte tables: only a group form keeps them (`work_bytes`)."""
+    work = byte_tables(ana.dmin_exp)
+    return [tuple(_static_row(ana, work, a, mo) for mo in a.modes) for a in ana.activities]
 
 
 # value at one pair: activity `i` with static row `r`

@@ -8,7 +8,6 @@ anything unfinished.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import random
 from operator import le
@@ -204,13 +203,3 @@ def _check_group(inst: ProjectInstance, group: tuple[Pair, ...],
                 f"group demands {k} of resource {r}, only {avail[r]} free"
             )
 
-
-def decision_log_to_csv(decisions: Iterable[DecisionRecord], fh) -> None:
-    """Write one row per group start: clock, set sizes and the chosen pairs."""
-    w = csv.writer(fh)
-    w.writerow(["clock", "eligible_size", "filtered_size", "group_size", "pairs"])
-    for d in decisions:
-        w.writerow([
-            d.clock, d.eligible_size, d.filtered_size, len(d.group),
-            ";".join(f"{i}:{m}" for i, m in d.group),
-        ])

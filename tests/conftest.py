@@ -307,7 +307,8 @@ PAIR_TERMINALS: dict[str, Callable[[DecisionContext, int, Mode], float]] = {
     "ExpDur": lambda ctx, i, mo: mo.expected,
     "OptDur": lambda ctx, i, mo: mo.min_duration,
     "PessDur": lambda ctx, i, mo: mo.max_duration,
-    "GRPW": lambda ctx, i, mo: mo.expected + ctx.instance.analysis.succ_work[i],
+    "GRPW": lambda ctx, i, mo: mo.expected + sum(
+        ctx.instance.analysis.dmin_exp[j] for j in ctx.instance.activities[i].successors),
     "GRPW_all": lambda ctx, i, mo: mo.expected + _masked_sum(
         ctx.instance.analysis.dmin_exp, ctx.instance.analysis.trans_succ_mask[i]),
     "TPC": lambda ctx, i, mo: ctx.instance.analysis.trans_pred_mask[i].bit_count(),

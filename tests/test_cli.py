@@ -10,8 +10,9 @@ from kneegp.cli import main
 from kneegp.evolve import GpConfig, TrainingRun
 from kneegp.instgen import GenSpec
 from kneegp.model import load_instance, validate_schedule
-from kneegp.policy import KneeConfig
+from kneegp.policy import KneeConfig, build_policy
 from kneegp.rules import MAX_DEPTH, load_rules
+from kneegp.sim import DurationTable, solve
 
 from conftest import demo_instance, schedule_from_dict
 
@@ -238,7 +239,11 @@ def test_every_instance_field_refuses_every_wrong_json_kind(tmp_path, demo_file,
     out = tmp_path / "schedule.json"
     assert main(["solve", "--instance", str(path), "--rules", str(rules_file),
                  "--schedule-out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # the last key of the path, not a list position, and the value abridged
+    assert [step for step in where if isinstance(step, str)][-1] in err
+    assert len(err) < 400
     assert not out.exists()
 
 
@@ -267,7 +272,13 @@ def test_solve_outputs_artifacts(tmp_path, demo_file, rules_file, capsys):
     assert validate_schedule(demo_instance(), sched).ok
     log = log_path.read_text().splitlines()
     assert log[0] == "clock,eligible_size,filtered_size,group_size,pairs"
-    assert len(log) >= 2
+    # one row per decision of the same solve, its group as `i:m` pairs
+    inst = demo_instance()
+    res = solve(inst, build_policy(load_rules(rules_file), "kggp-max"), DurationTable(inst))
+    assert res.decisions
+    assert log[1:] == [
+        f"{d.clock},{d.eligible_size},{d.filtered_size},{len(d.group)},"
+        + ";".join(f"{i}:{m}" for i, m in d.group) for d in res.decisions]
 
 
 def test_solve_seeded_run_is_deterministic(tmp_path, demo_file, rules_file, capsys):
@@ -465,6 +476,28 @@ def test_bench_stats_reports_a_missing_csv_column(tmp_path, capsys, name, header
     (tmp_path / name).write_text(f"{header}\ntiny,sgp,0,timeout,1\n")
     assert main(["bench", "stats", "--in", str(tmp_path)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_bench_run_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
+    out = tmp_path / "results"
+    assert main(["bench", "run", "--experiment", str(_experiment_file(tmp_path)),
+                 "--out", str(out), "--workers", str(workers)]) == 1
+    assert capsys.readouterr().err == f"error: workers must be at least 1, not {workers}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "5", "-1"])
+def test_bench_stats_refuses_an_alpha_outside_zero_one(tmp_path, capsys, alpha):
+    ok = [dict(_ENTRY, algorithm=alg, run_index=k, status="ok", test_objective=0.1 * k + j)
+          for j, alg in enumerate(("sgp", "kggp-max")) for k in range(2)]
+    (tmp_path / "report.json").write_text(json.dumps({"reports": ok}))
+    assert main(["bench", "stats", "--in", str(tmp_path), "--alpha", alpha]) == 1
+    assert capsys.readouterr().err == \
+        f"error: alpha must lie in (0, 1), not {float(alpha)}\n"
+    assert not (tmp_path / "stats.json").exists()
+    assert main(["bench", "stats", "--in", str(tmp_path), "--alpha", "0.5"]) == 0
+    assert (tmp_path / "stats.json").exists()
 
 
 def test_bench_workers_do_not_change_results(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -186,3 +187,30 @@ def test_full_strength_admits_critical_path_schedule():
         sched = make_schedule(entries)
         assert sched.makespan == inst.lower_bound
         assert validate_schedule(inst, sched).ok
+
+
+def test_adding_an_edge_keeps_the_closure_a_rebuild_gives():
+    """After each `_add_edge`, the reach masks equal `_rebuild`'s over the
+    same edges, the count it returns is the growth in related pairs, and
+    the masks hold exactly the ids a walk along the edges reaches."""
+    rng = random.Random(43)
+    for _ in range(80):
+        n = rng.randint(2, 40)
+        reach, rebuilt, edges = [0] * (n + 1), [0] * (n + 1), []
+        for _ in range(rng.randint(1, 2 * n)):
+            u = rng.randint(1, n - 1)
+            v = rng.randint(u + 1, n)
+            before = sum(m.bit_count() for m in reach)
+            added = instgen._add_edge(reach, n, u, v)
+            edges.append((u, v))
+            assert instgen._rebuild(rebuilt, n, edges) == before + added
+            assert reach == rebuilt
+        succ = {a: [v for u, v in edges if u == a] for a in range(1, n + 1)}
+        for a in range(1, n + 1):
+            seen, todo = set(), list(succ[a])
+            while todo:
+                b = todo.pop()
+                if b not in seen:
+                    seen.add(b)
+                    todo += succ[b]
+            assert reach[a] == sum(1 << b for b in seen)

@@ -394,6 +394,19 @@ def test_a_gp_run_grows_no_tree_a_rule_file_cannot_hold():
         GpConfig(max_depth=rules.MAX_DEPTH + 1)
 
 
+def test_a_tree_built_far_beyond_the_depth_bound_hashes():
+    """`func` does not bound depth, and `hash` walks a tree without
+    recursing, however deep it is."""
+    t = leaf("ExpDur")
+    for _ in range(4999):
+        t = func("neg", t)
+    other = leaf("ExpDur")
+    for _ in range(4999):
+        other = func("neg", other)
+    assert hash(t) == hash(other)
+    assert hash(t) != hash(func("neg", t))
+
+
 def test_a_tree_at_the_depth_bound_survives_every_walk():
     """A tree exactly `MAX_DEPTH` deep hashes, pickles, round-trips through
     its text, and each of its three compiled forms equals the reference."""
@@ -625,10 +638,10 @@ def test_byte_tables_are_kept_only_for_the_group_work():
     rng = random.Random(32)
     inst = random_instance(rng, n=20)
     built = vars(inst.analysis)
-    assert "trans_succ_work" not in built and "work_bytes" not in built
+    assert "rows" not in built and "work_bytes" not in built
     rules_ = RulePair(parse_sexpr("(neg LFT)"), parse_sexpr("(add GRPW TSC)"))
     solve(inst, build_policy(rules_, "sgp"), sample_durations(inst, seed=1))
-    assert "trans_succ_work" in built  # the static rows read it
+    assert "rows" in built  # the static rows sum the work from their own tables
     assert "work_bytes" not in built
     solve(inst, build_policy(rules_, "kggp-all"), sample_durations(inst, seed=1))
     assert "work_bytes" in built

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import random
 
 import pytest
@@ -12,7 +11,6 @@ from kneegp.rules import RulePair
 from kneegp.sim import (
     DurationTable,
     PolicyContractError,
-    decision_log_to_csv,
     derive_seed,
     eligible_set,
     realized_duration,
@@ -317,16 +315,6 @@ def test_stall_guard_fires(demo):
 
     with pytest.raises(RuntimeError, match="stalled"):
         solve(demo, Lazy(), DurationTable(demo))
-
-
-def test_decision_log_csv(demo):
-    res = solve(demo, LowestIdFirst(), DurationTable(demo))
-    buf = io.StringIO()
-    decision_log_to_csv(res.decisions, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "clock,eligible_size,filtered_size,group_size,pairs"
-    assert len(lines) == len(res.decisions) + 1
-    assert lines[1].startswith("0,4,4,1,1:0")
 
 
 def test_derive_seed_is_stable_and_spread():
