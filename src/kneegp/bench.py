@@ -265,8 +265,6 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float],
             t = pooled.count(v)
             tie_term += t ** 3 - t
         var = n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1)))
-        if var == 0:
-            return WilcoxonResult(u, 1.0, "similar")
         mid = n1 * n2 / 2
         z = (abs(u - mid) - 0.5) / math.sqrt(var)
         z = max(z, 0.0)

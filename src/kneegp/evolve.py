@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import is_
 from random import Random
 from typing import ClassVar, Sequence
 
@@ -182,7 +183,11 @@ def truncate_depth(t: Node, budget: int) -> Node:
         return t
     if budget <= 1:
         return _leftmost_leaf(t)
-    return Node(t.op, tuple(truncate_depth(c, budget - 1) for c in t.children))
+    children = tuple(truncate_depth(c, budget - 1) for c in t.children)
+    # an unchanged tree keeps its cached hash and compiled forms
+    if all(map(is_, children, t.children)):
+        return t
+    return Node(t.op, children)
 
 
 def crossover(rng: Random, a: Node, b: Node, max_depth: int = 8) -> tuple[Node, Node]:

@@ -31,13 +31,20 @@ class Mode:
     demand: ResourceVector
 
     def __post_init__(self):
+        if not type(self.expected) is type(self.min_duration) is type(self.max_duration) is int:
+            name = next(n for n in ("expected", "min_duration", "max_duration")
+                        if type(getattr(self, n)) is not int)
+            raise StructuralError(f"mode {name} must be an integer, not {getattr(self, name)!r}")
         if not (0 <= self.min_duration <= self.expected <= self.max_duration):
             raise StructuralError(
                 f"duration bounds must satisfy 0 <= min <= expected <= max, "
                 f"got ({self.min_duration}, {self.expected}, {self.max_duration})"
             )
-        if any(d < 0 for d in self.demand):
-            raise StructuralError("negative resource demand")
+        for d in self.demand:
+            if type(d) is not int:
+                raise StructuralError(f"mode demand must hold integers, not {self.demand!r}")
+            if d < 0:
+                raise StructuralError("negative resource demand")
 
 
 @dataclass(frozen=True)
@@ -236,7 +243,9 @@ def build_instance(
 
     The lower bound is derived from that analysis, not stored."""
     acts = tuple(sorted(activities, key=lambda a: a.id))
-    caps = tuple(int(c) for c in capacities)
+    caps = tuple(capacities)
+    if not all(type(c) is int for c in caps):
+        raise StructuralError(f"capacities must be integers, not {caps!r}")
     if len(acts) < 2:
         raise StructuralError("an instance needs at least the two dummy activities")
     if not caps:
@@ -505,7 +514,7 @@ def instance_from_dict(data: dict) -> ProjectInstance:
         raise StructuralError(f"instance must be an object, not {type(data).__name__}")
     try:
         raw = _checked(data["activities"], tuple[dict, ...], "activities")
-        ids = [_checked(a["id"], int, "activity id") for a in raw]
+        ids = [_checked(a["id"], int, f"activities[{k}] id") for k, a in enumerate(raw)]
         preds = {i: set(_checked(a["predecessors"], tuple[int, ...],
                                  f"activity {i} predecessors"))
                  for i, a in zip(ids, raw)}

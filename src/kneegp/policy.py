@@ -24,7 +24,7 @@ from math import prod
 from operator import itemgetter, le
 from typing import Callable, ClassVar, Sequence
 
-from .rules import DecisionContext, Node, Pair, RulePair, rank_values
+from .rules import DecisionContext, Node, Pair, RulePair
 # perfbench's tracer patches these names
 from .rules import eval_group_priority, eval_pair_priority  # noqa: F401
 
@@ -94,7 +94,7 @@ def rank_pairs(ordering: Node, ctx: DecisionContext,
     order, ties broken on (activity id, mode index). One compiled call
     scores the whole set. Priorities are never NaN (`_clamp`), so the tuples
     sort totally."""
-    return sorted(zip(map(float, rank_values(ordering, ctx, eligible)), eligible))
+    return sorted(zip(map(float, ordering._rank(ctx, eligible)), eligible))
 
 
 def sequential_decide(ordering: Node, ctx: DecisionContext,
@@ -105,39 +105,25 @@ def sequential_decide(ordering: Node, ctx: DecisionContext,
     return rank_pairs(ordering, ctx, eligible)[0][1]
 
 
-def knee_index(values: Sequence[float]) -> int:
-    """Index of the knee of an ascending curve.
-
-    Points (k, values[k]) are min-max normalized to the unit square; the knee
-    is the point farthest from the straight line joining the endpoints, first
-    one on ties.
-    """
-    n = len(values)
-    if n < 3:
-        return n - 1
-    lo, hi = values[0], values[-1]
-    span = hi - lo
-    if span == 0:
-        return 0
-    best, best_d = 0, -1.0
-    for k in range(n):
-        # distance to the (0,0)-(1,1) diagonal, up to a constant factor
-        d = abs(k / (n - 1) - (values[k] - lo) / span)
-        if d > best_d:
-            best, best_d = k, d
-    return best
-
-
 def knee_cut(prios: Sequence[float]) -> int:
     """Length of the promising prefix of an ascending ranking.
 
-    Everything scoring at or below the knee priority survives; degenerate
-    rankings (two points or an all-equal plateau) survive whole.
+    Points (k, prios[k]) are min-max normalized to the unit square; the knee
+    is the point farthest from the straight line joining the endpoints, first
+    one on ties. Everything scoring at or below the knee priority survives;
+    degenerate rankings (two points or an all-equal plateau) survive whole.
     """
     n = len(prios)
     if n <= 2 or prios[0] == prios[-1]:
         return n
-    return bisect_right(prios, prios[knee_index(prios)])
+    lo, span = prios[0], prios[-1] - prios[0]
+    knee, best_d = 0, -1.0
+    for k in range(n):
+        # distance to the (0,0)-(1,1) diagonal, up to a constant factor
+        d = abs(k / (n - 1) - (prios[k] - lo) / span)
+        if d > best_d:
+            knee, best_d = k, d
+    return bisect_right(prios, prios[knee])
 
 
 def _best_group(tree: Node, ctx: DecisionContext, slots: Sequence[Slot],
@@ -153,7 +139,7 @@ def _best_group(tree: Node, ctx: DecisionContext, slots: Sequence[Slot],
         i, m = pair
         if all(map(le, ctx.instance.activities[i].modes[m].demand, ctx.availability)):
             return (pair,), 1
-    return tree._best(ctx, slots, ctx.instance.analysis.rows, maximal)
+    return tree._best(ctx, slots, maximal)
 
 
 def knee_group_decide(rules: RulePair, ctx: DecisionContext,

@@ -18,7 +18,7 @@ from functools import cache, cached_property
 from operator import sub
 from pathlib import Path
 from string import Formatter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import InstanceAnalysis, ProjectInstance, byte_sum, byte_tables
 
@@ -232,7 +232,8 @@ class DecisionContext:
 
     `running` maps an activity id to its (mode index, start time). Remaining
     work of running activities is estimated from expected durations; realized
-    durations of anything unfinished are deliberately not visible here.
+    durations of anything unfinished are deliberately not visible here. It
+    copies what it is handed, so the caller may go on changing its own state.
 
     Every completed or running activity must have all its predecessors
     completed, as in any state `sim.solve` reaches. The time terminals rely
@@ -241,12 +242,12 @@ class DecisionContext:
     """
 
     def __init__(self, instance: ProjectInstance, clock: int,
-                 availability: Sequence[int], completed: frozenset[int],
+                 availability: Sequence[int], completed: Iterable[int],
                  running: Mapping[int, tuple[int, int]]):
         self.instance = instance
         self.clock = clock
         self.availability = tuple(availability)
-        self.completed = completed
+        self.completed = frozenset(completed)
         self.running = dict(running)
 
     def remaining_expected(self, i: int) -> int:
@@ -329,15 +330,15 @@ class DecisionContext:
 # value at one pair and one for its value at a group. A tree compiles them
 # into three forms, each generated the first time it is used:
 #
-#   rank(ctx, pairs, rows)  -> the tree's value at every pair, in order;
-#   score(ctx, group, rows) -> its value at one group;
-#   best(ctx, slots, rows, maximal) -> (group, count): the lowest-scoring
+#   rank(ctx, pairs)  -> the tree's value at every pair, in order;
+#   score(ctx, group) -> its value at one group;
+#   best(ctx, slots, maximal) -> (group, count): the lowest-scoring
 #       feasible group of a decision and how many groups were scored, from
 #       a walk that takes and tests whole resource vectors as packed ints.
 #
-# `rows` is `ctx.instance.analysis.rows`, one static row per (activity, mode)
-# pair. `rank` and `score` return the tree's raw value, int or float as the
-# arithmetic leaves it; the public wrappers convert it to float, and `best`
+# Each reads `ctx.instance.analysis.rows`, one static row per (activity,
+# mode) pair. `rank` and `score` return the tree's raw value, int or float as
+# the arithmetic leaves it; the public wrappers convert it to float, and `best`
 # compares the converted values. All three assign the clamped functions'
 # plain values and call `_clamp` only out of range (`_CLAMPED`).
 
@@ -441,6 +442,7 @@ _AT_GROUP: dict[str, str] = {
 
 # what the forms read once per decision
 _DECISION: dict[str, str] = {
+    "rows": "ctx.instance.analysis.rows",
     "H": "ctx.horizon",
     "tail": "ctx.instance.analysis.tail",
     "work": "ctx.instance.analysis.work_bytes",
@@ -542,15 +544,16 @@ def _decision_reads(used: set[str]) -> list[str]:
     return [f"{k} = {v}" for k, v in _DECISION.items() if k in used]
 
 
-def _compile_rank(tree: Node) -> Callable[[DecisionContext, Sequence[Pair], list], list]:
+def _compile_rank(tree: Node) -> Callable[[DecisionContext, Sequence[Pair]], list]:
     """The rank form: one loop over the pairs, the tree inlined in it."""
     exprs, lines, result = _body(tree, _PAIR)
     used = _names(exprs)
-    left = [f"left = list(map(sub, av, r[{_DEMAND}]))"] if "left" in used else []
+    fetch = ["r = rows[i][m]"] + (
+        [f"left = list(map(sub, av, r[{_DEMAND}]))"] if "left" in used else [])
     return _define(
-        "rank(ctx, pairs, rows)",
-        _decision_reads(used | _names(left)) + ["out = []", "append = out.append"],
-        "for i, m in pairs:", ["r = rows[i][m]", *left, *lines, f"append({result})"],
+        "rank(ctx, pairs)",
+        _decision_reads(used | _names(fetch)) + ["out = []", "append = out.append"],
+        "for i, m in pairs:", [*fetch, *lines, f"append({result})"],
         ["return out"])
 
 
@@ -566,16 +569,17 @@ def _group_parts(tree: Node) -> tuple[dict[str, tuple[str, str, str]], list[str]
     return aggregates, at_group + lines, result, used
 
 
-def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair], list], float]:
+def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair]], float]:
     """The one-group form: one pass over the members for the aggregates the
     tree reads, then the tree once."""
     aggregates, lines, result, used = _group_parts(tree)
+    fetch = ["r = rows[i][m]"] if aggregates else []
     return _define(
-        "score(ctx, group, rows)",
-        _decision_reads(used) + [f"{k} = {start}" for k, (start, _, _) in aggregates.items()],
+        "score(ctx, group)",
+        _decision_reads(used | _names(fetch))
+        + [f"{k} = {start}" for k, (start, _, _) in aggregates.items()],
         "for i, m in group:" if aggregates else "",
-        ["r = rows[i][m]",
-         *(f"{k} = {add.format(k, share)}" for k, (_, share, add) in aggregates.items())],
+        [*fetch, *(f"{k} = {add.format(k, share)}" for k, (_, share, add) in aggregates.items())],
         [*lines, f"return {result}"])
 
 
@@ -584,9 +588,10 @@ def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair], lis
 # `F` is the packed free capacity with every guard bit set
 # (`InstanceAnalysis.pack_free`)
 _BEST = """\
-def best(ctx, slots, rows, maximal):
+def best(ctx, slots, maximal):
 {reads}
     ana = ctx.instance.analysis
+    rows = ana.rows
     G = ana.lanes[1]
     opts = []
     for slot in slots:
@@ -619,7 +624,7 @@ def best(ctx, slots, rows, maximal):
 """
 
 
-def _compile_best(tree: Node) -> Callable[[DecisionContext, Sequence, list, bool],
+def _compile_best(tree: Node) -> Callable[[DecisionContext, Sequence, bool],
                                           tuple[tuple[Pair, ...], int]]:
     """The decision form: the lowest-scoring feasible group of at most one
     option per slot, and how many groups were scored.
@@ -649,14 +654,9 @@ def _compile_best(tree: Node) -> Callable[[DecisionContext, Sequence, list, bool
         leaf="\n".join(f"                {s}" for s in lines), result=result), "best")
 
 
-def rank_values(tree: Node, ctx: DecisionContext, pairs: Sequence[Pair]) -> list:
-    """The tree's raw value at every pair, in order, from one compiled call."""
-    return tree._rank(ctx, pairs, ctx.instance.analysis.rows)
-
-
 def eval_pair_priority(tree: Node, ctx: DecisionContext, pair: Pair) -> float:
     """Score one (activity, mode) pair; smaller means more urgent."""
-    return float(rank_values(tree, ctx, (pair,))[0])
+    return float(tree._rank(ctx, (pair,))[0])
 
 
 def eval_group_priority(tree: Node, ctx: DecisionContext,
@@ -664,4 +664,4 @@ def eval_group_priority(tree: Node, ctx: DecisionContext,
     """Score a candidate group; smaller wins the group comparison."""
     if not group:
         raise ValueError("group must be non-empty")
-    return float(tree._score(ctx, group, ctx.instance.analysis.rows))
+    return float(tree._score(ctx, group))

@@ -99,19 +99,24 @@ def solve(inst: ProjectInstance, policy: Policy,
           durations: DurationTable) -> SimResult:
     """Run the parallel generation scheme to completion.
 
-    When nothing more can start, the clock jumps to the next completion (one
-    tick if nothing is running), so the schedule and decision log are those a
-    tick-by-tick executor would produce. The ready set (unstarted activities
-    whose predecessors are all complete) is kept up to date as activities
-    start and complete, instead of being rescanned at every decision. Within
-    one clock free capacity only shrinks, so after a start the next eligible
-    list is the last one minus the started activities and the modes that no
-    longer fit; the ready set is rescanned when the clock advances or a
-    zero-duration start completes.
+    The clock jumps from one completion to the next, so the schedule and
+    decision log are those a tick-by-tick executor would produce. The ready
+    set (unstarted activities whose predecessors are all complete) is kept up
+    to date as activities start and complete, instead of being rescanned at
+    every decision. Within one clock free capacity only shrinks, so after a
+    start the next eligible list is the last one minus the started activities
+    and the modes that no longer fit; the ready set is rescanned when the
+    clock advances or a zero-duration start completes.
+
+    A policy that starts nothing while nothing runs stalls the project: no
+    completion can change what it sees, since everything it reads is relative
+    to the clock, so `solve` raises RuntimeError at once.
     """
     acts = inst.activities
-    completed = {inst.dummy_start}
-    running: dict[int, tuple[int, int, int]] = {}  # i -> (mode, start, end)
+    completed: set[int] = set()
+    # the dummy source runs from 0 to 0, so the first step completes it
+    running = {inst.dummy_start: (0, 0)}  # i -> (mode, start)
+    ends = {inst.dummy_start: 0}  # i -> completion time
     avail = list(inst.capacities)
     entries: dict[int, ScheduleEntry] = {}
     decisions: list[DecisionRecord] = []
@@ -127,25 +132,21 @@ def solve(inst: ProjectInstance, policy: Policy,
             if not waiting[j] and j in real:
                 ready.add(j)
 
-    complete(inst.dummy_start)
-    # any schedule finishes within the serial sum of worst-case durations
-    guard = 1 + sum(max(mo.max_duration for mo in a.modes) for a in acts)
-    t = 0
-
     while not end_preds <= completed:
-        done_now = [i for i, (_, _, e) in running.items() if e <= t]
-        for i in done_now:
-            m, _, _ = running.pop(i)
+        if not ends:
+            raise RuntimeError("executor stalled: the policy started nothing "
+                               "while nothing runs")
+        t = min(ends.values())
+        for i in [i for i, e in ends.items() if e == t]:
+            del ends[i]
+            m, _ = running.pop(i)
             for r, k in enumerate(acts[i].modes[m].demand):
                 avail[r] += k
             complete(i)
 
         elig = eligible_set(inst, ready, avail)
         while elig:
-            ctx = DecisionContext(
-                inst, t, tuple(avail), frozenset(completed),
-                {i: (m, s) for i, (m, s, _) in running.items()},
-            )
+            ctx = DecisionContext(inst, t, avail, completed, running)
             group, filtered = policy.decide(ctx, elig)
             group = tuple(group)
             if not group:
@@ -163,23 +164,13 @@ def solve(inst: ProjectInstance, policy: Policy,
                 else:
                     for r, k in enumerate(acts[i].modes[m].demand):
                         avail[r] -= k
-                    running[i] = (m, t, t + d)
+                    running[i] = (m, t)
+                    ends[i] = t + d
             if zero_start:  # a completion may have readied successors
                 elig = eligible_set(inst, ready, avail)
             else:
                 elig = [(i, m) for i, m in elig if i in ready
                         and all(map(le, acts[i].modes[m].demand, avail))]
-
-        if end_preds <= completed:
-            break
-        if not running:
-            t += 1
-        else:
-            t = min(e for (_, _, e) in running.values())
-        if t > guard:
-            raise RuntimeError(
-                "executor stalled: the policy keeps declining to start work"
-            )
 
     return SimResult(make_schedule(entries), tuple(decisions))
 

@@ -39,7 +39,6 @@ from kneegp.policy import (
     full_enumeration_decide,
     knee_cut,
     knee_group_decide,
-    knee_index,
 )
 from kneegp.rules import (
     ALL_TERMINALS,
@@ -233,7 +232,6 @@ def test_03_knee_matches_perpendicular_distance_oracle(criterion):
                 v += rng.random() * 9 + 1e-3
                 vals.append(v)
             k = _knee_oracle(vals)
-            assert knee_index(vals) == k
             # strictly increasing curve: the inclusive cut keeps exactly k+1
             assert knee_cut(vals) == k + 1
 

@@ -339,7 +339,7 @@ def _edited(path, activity=(), **mode):
     (_string_capacities, "capacities must be a list of integers, not '12'"),
     (_string_in_demand, "activity 1 demand must be a list of integers, not ['10']"),
     (lambda p: _edited(p, expected=5.9), "activity 3 expected must be an integer, not 5.9"),
-    (lambda p: _edited(p, activity={"id": "3"}), "activity id must be an integer, not '3'"),
+    (lambda p: _edited(p, activity={"id": "3"}), "activities[3] id must be an integer, not '3'"),
     (lambda p: _edited(p, min=True), "activity 3 min must be an integer, not True"),
     (lambda p: {**json.loads(p.read_text()), "metadata": 5},
      "metadata must be an object, not 5"),

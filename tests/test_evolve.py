@@ -88,6 +88,18 @@ def test_truncate_folds_deep_branches_to_their_leftmost_leaf():
     assert truncate_depth(t, 1) == leaf("EST")
 
 
+def test_truncate_returns_a_tree_within_budget_itself():
+    # a rebuilt copy would lose the cached hash and compiled forms
+    rng = random.Random(19)
+    for _ in range(100):
+        t = random_tree(rng, rng.randint(1, 7), "grow")
+        for budget in range(t.depth(), t.depth() + 3):
+            assert truncate_depth(t, budget) is t
+    t = func("add", func("sub", leaf("EST"), leaf("EFT")), leaf("RR"))
+    clipped = truncate_depth(t, 2)
+    assert clipped.children[1] is t.children[1]
+
+
 def test_crossover_of_identical_parents_is_identity():
     rng = random.Random(7)
     for _ in range(60):

@@ -223,6 +223,31 @@ def test_mode_duration_ordering_enforced():
         Mode(5, 6, 7, (1,))
 
 
+@pytest.mark.parametrize("args, field", [
+    ((5.0, 4, 6, (1,)), "expected"),
+    ((5, True, 6, (1,)), "min_duration"),
+    ((5, 4, "6", (1,)), "max_duration"),
+    ((5, 4, 6, (1.5,)), "demand"),
+    ((5, 4, 6, (1, False)), "demand"),
+])
+def test_mode_refuses_a_value_that_is_not_an_integer(args, field):
+    # a float demand would otherwise fail only when packed, at the first
+    # group decision
+    with pytest.raises(StructuralError, match=f"mode {field} must"):
+        Mode(*args)
+
+
+@pytest.mark.parametrize("caps", [[2.7], ["3"], [True], [2, 3.0]])
+def test_build_refuses_a_capacity_that_is_not_an_integer(caps):
+    mode = (Mode(2, 2, 2, (1,) * len(caps)),)
+    idle = (Mode(0, 0, 0, (0,) * len(caps)),)
+    acts = [Activity(0, frozenset(), frozenset({1}), idle),
+            Activity(1, frozenset({0}), frozenset({2}), mode),
+            Activity(2, frozenset({1}), frozenset(), idle)]
+    with pytest.raises(StructuralError, match="capacities must be integers"):
+        build_instance(acts, caps)
+
+
 def test_instance_json_roundtrip(demo):
     blob = json.dumps(instance_to_dict(demo))
     again = instance_from_dict(json.loads(blob))
@@ -279,8 +304,8 @@ def _set_metadata(data, value):
     (_set_capacities, "12", "capacities must be a list of integers, not '12'"),
     (_set_capacities, [12.0], "capacities must be a list of integers, not [12.0]"),
     (_set_expected, 5.9, "activity 3 expected must be an integer, not 5.9"),
-    (_set_id, "2", "activity id must be an integer, not '2'"),
-    (_set_id, True, "activity id must be an integer, not True"),
+    (_set_id, "2", "activities[2] id must be an integer, not '2'"),
+    (_set_id, True, "activities[2] id must be an integer, not True"),
     (_set_max, True, "activity 3 max must be an integer, not True"),
     (_set_lower_bound, 12.0, "lower_bound must be an integer, not 12.0"),
     (_set_metadata, 5, "metadata must be an object, not 5"),

@@ -15,7 +15,6 @@ from kneegp.policy import (
     full_enumeration_decide,
     knee_cut,
     knee_group_decide,
-    knee_index,
     rank_pairs,
     sequential_decide,
 )
@@ -59,7 +58,6 @@ def _knee_oracle(values):
 
 def test_knee_of_elbow_curve():
     # distances peak at the third point: 1, 2, 3 | 10, 11
-    assert knee_index([1, 2, 3, 10, 11]) == 2
     assert knee_cut([1, 2, 3, 10, 11]) == 3
 
 
@@ -425,9 +423,9 @@ def test_rank_pairs_equals_the_key_lambda_order(monkeypatch):
     group_tree = leaf("RR")
     real = rules_module._compile_best(group_tree)
 
-    def spy(ctx, slots, rows, maximal):
+    def spy(ctx, slots, maximal):
         handed.append([pair for slot in slots for pair in slot])
-        return real(ctx, slots, rows, maximal)
+        return real(ctx, slots, maximal)
 
     monkeypatch.setitem(vars(group_tree), "_best", spy)
     rng = random.Random(616)

@@ -279,7 +279,7 @@ def _assert_times_exact(ctx) -> bool:
             for name, ref in (("EST", est[i]), ("EFT", est[i] + mo.expected),
                               ("LFT", lft[i]), ("LST", lft[i] - mo.expected)):
                 assert _exact(PAIR_TERMINALS[name](ctx, i, mo), ref), (name, i)
-                raw = rules.rank_values(LEAVES[name], ctx, [(i, m)])[0]
+                raw = LEAVES[name]._rank(ctx, [(i, m)])[0]
                 assert _exact(raw, ref), (name, i)
     return tie
 
@@ -504,14 +504,13 @@ def test_compiled_trees_equal_the_interpreter_exactly():
         pairs = _unstarted(inst, ctx)
         if not pairs:
             continue
-        rows = inst.analysis.rows
         not_ready += sum(not inst.activities[i].predecessors <= ctx.completed
                          for i, _ in pairs)
         zero_modes += sum(inst.activities[i].modes[m].expected == 0 for i, m in pairs)
         for _ in range(8):
             t = _hostile_tree(rng, rng.randint(1, 8))
             row_rule, pair_terms, group_terms = compile_row_rule(t)
-            raw = t._rank(ctx, pairs, rows)
+            raw = t._rank(ctx, pairs)
             assert len(raw) == len(pairs)
             for (i, m), got in zip(pairs, raw):
                 mo = inst.activities[i].modes[m]
@@ -526,7 +525,7 @@ def test_compiled_trees_equal_the_interpreter_exactly():
                 continue
             view = GroupView(ctx, g)
             ref = interpret(t, lambda name: GROUP_TERMINALS[name](view))
-            got = t._score(ctx, g, rows)
+            got = t._score(ctx, g)
             assert _exact(got, ref), format_sexpr(t)
             assert _exact(row_rule([f(view) for f in group_terms]), ref)
             assert eval_group_priority(t, ctx, g) == float(ref)
@@ -578,15 +577,14 @@ def test_compiled_trees_equal_the_interpreter_at_the_clamp_edges():
             continue
         pairs, group = every[:5], [(i, m) for i, m in every if m == 0][:3]
         view = GroupView(ctx, group)
-        rows = inst.analysis.rows
         for t in CLAMP_EDGE_TREES:
-            for (i, m), got in zip(pairs, t._rank(ctx, pairs, rows)):
+            for (i, m), got in zip(pairs, t._rank(ctx, pairs)):
                 mo = inst.activities[i].modes[m]
                 ref = interpret(t, lambda name: PAIR_TERMINALS[name](ctx, i, mo))
                 assert _exact(got, ref), (format_sexpr(t), i, m)
                 edge += abs(ref) == 1e300
             ref = interpret(t, lambda name: GROUP_TERMINALS[name](view))
-            assert _exact(t._score(ctx, group, rows), ref), format_sexpr(t)
+            assert _exact(t._score(ctx, group), ref), format_sexpr(t)
             edge += abs(ref) == 1e300
             groups += 1
         for i, m in pairs:

@@ -7,7 +7,7 @@ import pytest
 from kneegp.evolve import random_tree
 from kneegp.model import build_instance, validate_schedule, Activity, Mode
 from kneegp.policy import POLICY_NAMES, build_policy
-from kneegp.rules import RulePair
+from kneegp.rules import DecisionContext, RulePair
 from kneegp.sim import (
     DurationTable,
     PolicyContractError,
@@ -310,11 +310,30 @@ def test_contract_rejects_joint_overload(demo):
 
 def test_stall_guard_fires(demo):
     class Lazy:
+        calls = 0
+
         def decide(self, ctx, eligible):
+            self.calls += 1
             return (), len(eligible)
 
+    lazy = Lazy()
     with pytest.raises(RuntimeError, match="stalled"):
-        solve(demo, Lazy(), DurationTable(demo))
+        solve(demo, lazy, DurationTable(demo))
+    # nothing runs, so no later clock could change the answer
+    assert lazy.calls == 1
+
+
+def test_decision_context_keeps_its_snapshot(demo):
+    # the executor hands its live state over and goes on changing it
+    avail, completed, running = [5], {0, 1}, {2: (0, 5)}
+    ctx = DecisionContext(demo, 7, avail, completed, running)
+    avail[0] = 0
+    completed.add(3)
+    running[4] = (1, 6)
+    running[2] = (1, 7)
+    assert ctx.availability == (5,)
+    assert ctx.completed == frozenset({0, 1})
+    assert ctx.running == {2: (0, 5)}
 
 
 def test_derive_seed_is_stable_and_spread():
