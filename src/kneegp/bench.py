@@ -306,6 +306,8 @@ def summarize(reports: Sequence[RunReport], alpha: float = 0.05) -> dict:
     """Mean(std) per cell plus rank-sum verdicts against the first algorithm."""
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), not {alpha}")
+    if not reports:
+        raise ValueError("no reports to summarize")
     scenarios = sorted({r.scenario for r in reports})
     algorithms = list(dict.fromkeys(r.algorithm for r in reports))
     baseline = algorithms[0]

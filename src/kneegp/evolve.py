@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from operator import is_
 from random import Random
 from typing import ClassVar, Sequence
 
@@ -178,16 +177,14 @@ def _leftmost_leaf(t: Node) -> Node:
 
 
 def truncate_depth(t: Node, budget: int) -> Node:
-    """Clip a tree to `budget` levels, folding deep branches to a leaf."""
-    if t.is_leaf():
+    """Clip a tree to `budget` levels, folding deep branches to a leaf. A
+    tree within the budget comes back itself, so it keeps its cached hash
+    and compiled forms."""
+    if t.depth() <= budget:
         return t
     if budget <= 1:
         return _leftmost_leaf(t)
-    children = tuple(truncate_depth(c, budget - 1) for c in t.children)
-    # an unchanged tree keeps its cached hash and compiled forms
-    if all(map(is_, children, t.children)):
-        return t
-    return Node(t.op, children)
+    return Node(t.op, tuple(truncate_depth(c, budget - 1) for c in t.children))
 
 
 def crossover(rng: Random, a: Node, b: Node, max_depth: int = 8) -> tuple[Node, Node]:

@@ -56,25 +56,11 @@ class GenSpec:
             raise ValueError("resource strength must lie in [0, 1]")
 
 
-def order_strength(inst: ProjectInstance) -> float:
-    """Achieved OS of an instance; 1.0 for degenerate projects (< 2 real)."""
-    real = list(inst.non_dummy_ids())
-    n = len(real)
-    if n < 2:
-        return 1.0
-    lo, hi = real[0], real[-1]
-    window = ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1)
-    related = sum(
-        (inst.analysis.trans_succ_mask[i] & window).bit_count() for i in real
-    )
-    return related / (n * (n - 1) // 2)
-
-
 def generate_instance(spec: GenSpec, seed: int) -> ProjectInstance:
     """Deterministically generate one instance for (spec, seed)."""
     rng = random.Random(seed)
     n = spec.n_activities
-    edges = _grow_dag(rng, n, spec.order_strength, spec.os_tolerance, spec.move_budget)
+    edges, achieved = _grow_dag(rng, n, spec.order_strength, spec.os_tolerance, spec.move_budget)
 
     preds = {i: set() for i in range(1, n + 1)}
     succs = {i: set() for i in range(1, n + 1)}
@@ -110,7 +96,7 @@ def generate_instance(spec: GenSpec, seed: int) -> ProjectInstance:
         "resource_factor": spec.resource_factor,
         "resource_strength": spec.resource_strength,
     })
-    inst.metadata["os_achieved"] = order_strength(inst)
+    inst.metadata["os_achieved"] = achieved
     return inst
 
 
@@ -132,11 +118,12 @@ def _draw_modes(rng: random.Random, spec: GenSpec) -> list[Mode]:
 
 
 def _grow_dag(rng: random.Random, n: int, target_os: float, tol: float,
-              budget: int) -> list[tuple[int, int]]:
+              budget: int) -> tuple[list[tuple[int, int]], float]:
     """Edges (u, v) with u < v over ids 1..n whose transitive closure hits
-    the OS target within tolerance. Raises GenerationError on exhaustion."""
+    the OS target within tolerance, and the OS they reach: 1.0 below two
+    activities. Raises GenerationError on exhaustion."""
     if n < 2:
-        return []
+        return [], 1.0
     total = n * (n - 1) // 2
     target = target_os * total
     slack = tol * total + 1e-9
@@ -177,7 +164,7 @@ def _grow_dag(rng: random.Random, n: int, target_os: float, tol: float,
                 break
             edges.pop(rng.randrange(len(edges)))
             count = _rebuild(reach, n, edges)
-    return edges
+    return edges, count / total
 
 
 def _add_edge(reach: list[int], n: int, u: int, v: int) -> int:

@@ -242,7 +242,11 @@ def build_instance(
     """Validate the pieces and assemble an instance, analysing it once.
 
     The lower bound is derived from that analysis, not stored."""
-    acts = tuple(sorted(activities, key=lambda a: a.id))
+    acts = tuple(activities)
+    bad = [a.id for a in acts if type(a.id) is not int]
+    if bad:
+        raise StructuralError(f"activity ids must be integers, not {bad[0]!r}")
+    acts = tuple(sorted(acts, key=lambda a: a.id))
     caps = tuple(capacities)
     if not all(type(c) is int for c in caps):
         raise StructuralError(f"capacities must be integers, not {caps!r}")

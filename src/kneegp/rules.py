@@ -69,9 +69,9 @@ ALL_TERMINALS = TIME_TERMINALS + PRECEDENCE_TERMINALS + RESOURCE_TERMINALS
 # short historical spellings accepted on input
 _ALIASES = {"LF": "LFT", "LS": "LST", "ES": "EST", "EF": "EFT"}
 
-# the deepest tree a rule file or a GP run may hold, a leaf alone being
-# depth 1: far above the paper's 8, and far enough below the depth where the
-# recursive walks over a tree (pickling first, near 250) exhaust Python's stack
+# the deepest tree `func`, a rule file or GP may build, a leaf alone being
+# depth 1: far above the paper's 8, and far below the depth where recursive
+# walks over a tree (pickling first, near 250) exhaust Python's stack
 MAX_DEPTH = 64
 
 
@@ -128,9 +128,10 @@ class Node:
         return 1 + sum(c.size() for c in self.children)
 
     def depth(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(c.depth() for c in self.children)
+        level, depth = self.children, 1
+        while level:
+            level, depth = [c for n in level for c in n.children], depth + 1
+        return depth
 
     def __str__(self) -> str:
         return format_sexpr(self)
@@ -149,7 +150,10 @@ def func(op: str, *children: Node) -> Node:
         raise ValueError(f"unknown function {op!r}")
     if arity != len(children):
         raise ValueError(f"{op} expects {arity} children, got {len(children)}")
-    return Node(op, tuple(children))
+    node = Node(op, tuple(children))
+    if node.depth() > MAX_DEPTH:
+        raise ValueError(f"{op} would nest deeper than {MAX_DEPTH} levels")
+    return node
 
 
 def format_sexpr(node: Node) -> str:
@@ -238,7 +242,9 @@ class DecisionContext:
     Every completed or running activity must have all its predecessors
     completed, as in any state `sim.solve` reaches. The time terminals rely
     on it: then no path from an unfinished activity to the sink passes
-    through a completed or running one.
+    through a completed or running one. The compiled forms take EST as 0.0
+    and EFT as the expected duration, their values at a ready pair (unstarted,
+    predecessors completed), as every eligible pair of `sim.solve` is.
     """
 
     def __init__(self, instance: ProjectInstance, clock: int,
@@ -315,13 +321,6 @@ class DecisionContext:
             return 0.0
         return max(0.0, self._forward[inst.dummy_end])
 
-    def earliest_start(self, i: int) -> float:
-        preds = self.instance.activities[i].predecessors
-        if i in self.running or i in self.completed or preds <= self.completed:
-            return 0.0
-        ect = self._forward
-        return max(ect[j] for j in preds)
-
 
 # ---------------------------------------------------------------------------
 # terminal semantics
@@ -397,10 +396,10 @@ def static_rows(ana: InstanceAnalysis) -> list[tuple[tuple, ...]]:
     return [tuple(_static_row(ana, work, a, mo) for mo in a.modes) for a in ana.activities]
 
 
-# value at one pair: activity `i` with static row `r`
+# value at one ready pair: activity `i` with static row `r`
 _PAIR: dict[str, str] = {
-    "EST": "est(i)",
-    "EFT": "est(i) + r[0]",
+    "EST": "0.0",
+    "EFT": "0.0 + r[0]",
     "LFT": "H - tail[i]",
     "LST": "H - tail[i] - r[0]",
     **{name: f"r[{k}]" for k, name in enumerate(_STATIC)},
@@ -446,7 +445,6 @@ _DECISION: dict[str, str] = {
     "H": "ctx.horizon",
     "tail": "ctx.instance.analysis.tail",
     "work": "ctx.instance.analysis.work_bytes",
-    "est": "ctx.earliest_start",
     "ra": "ctx._avail_stats",
     "av": "ctx.availability",
 }

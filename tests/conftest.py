@@ -52,6 +52,36 @@ def demo_instance() -> ProjectInstance:
     )
 
 
+def order_strength(inst: ProjectInstance) -> float:
+    """Reference order strength: the fraction of real activity pairs related
+    by precedence, from the transitive successor masks; 1.0 below two real
+    activities. The generator counts the same pairs as it grows the DAG."""
+    real = list(inst.non_dummy_ids())
+    n = len(real)
+    if n < 2:
+        return 1.0
+    lo, hi = real[0], real[-1]
+    window = ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1)
+    related = sum(
+        (inst.analysis.trans_succ_mask[i] & window).bit_count() for i in real
+    )
+    return related / (n * (n - 1) // 2)
+
+
+def readied(ctx: DecisionContext, pairs) -> tuple[DecisionContext, list]:
+    """`ctx` with every transitive predecessor of the pairs' activities
+    completed, running ones included, and the pairs left unstarted: each of
+    them is ready, as the engine's forms require."""
+    inst = ctx.instance
+    below = 0
+    for i, _ in pairs:
+        below |= inst.analysis.trans_pred_mask[i]
+    done = ctx.completed | {j for j in range(inst.n_activities) if below >> j & 1}
+    running = {i: v for i, v in ctx.running.items() if i not in done}
+    return (DecisionContext(inst, ctx.clock, ctx.availability, done, running),
+            [(i, m) for i, m in pairs if i not in done])
+
+
 def rescan_eligible(inst: ProjectInstance, completed, running,
                     availability) -> list[tuple[int, int]]:
     """Reference eligible set by full rescan: unstarted pairs whose
@@ -298,10 +328,41 @@ def latest_finish(ctx: DecisionContext, i: int) -> float:
     return ctx.horizon - ctx.instance.analysis.tail[i]
 
 
+def forward_pass(ctx: DecisionContext) -> list[float]:
+    """Earliest completion of every activity, relative to the clock, with
+    unstarted activities at their minimum expected duration."""
+    inst = ctx.instance
+    ana = inst.analysis
+    ect = [0.0] * inst.n_activities
+    for i in ana.topo_order:
+        if i in ctx.completed:
+            continue
+        if i in ctx.running:
+            m, start = ctx.running[i]
+            ect[i] = max(0, start + inst.activities[i].modes[m].expected - ctx.clock)
+            continue
+        start = 0.0
+        for j in inst.activities[i].predecessors:
+            if ect[j] > start:
+                start = ect[j]
+        ect[i] = start + ana.dmin_exp[i]
+    return ect
+
+
+def earliest_start(ctx: DecisionContext, i: int) -> float:
+    """Earliest start of activity `i`, relative to the clock: 0.0 once it has
+    started, else the latest forward-pass completion of its predecessors. The
+    engine scores only ready pairs, where this is 0.0."""
+    if i in ctx.running or i in ctx.completed:
+        return 0.0
+    ect = forward_pass(ctx)
+    return max((ect[j] for j in ctx.instance.activities[i].predecessors), default=0.0)
+
+
 # value of a pair: (context, activity id, mode)
 PAIR_TERMINALS: dict[str, Callable[[DecisionContext, int, Mode], float]] = {
-    "EST": lambda ctx, i, mo: ctx.earliest_start(i),
-    "EFT": lambda ctx, i, mo: ctx.earliest_start(i) + mo.expected,
+    "EST": lambda ctx, i, mo: earliest_start(ctx, i),
+    "EFT": lambda ctx, i, mo: earliest_start(ctx, i) + mo.expected,
     "LFT": lambda ctx, i, mo: latest_finish(ctx, i),
     "LST": lambda ctx, i, mo: latest_finish(ctx, i) - mo.expected,
     "ExpDur": lambda ctx, i, mo: mo.expected,

@@ -31,7 +31,7 @@ from kneegp.bench import (
     write_reports,
 )
 from kneegp.evolve import GpConfig, random_tree
-from kneegp.instgen import GenSpec, generate_instance, order_strength
+from kneegp.instgen import GenSpec, generate_instance
 from kneegp.model import Activity, Mode, build_instance, validate_schedule
 from kneegp.policy import (
     KneeConfig,
@@ -50,7 +50,7 @@ from kneegp.rules import (
 )
 from kneegp.sim import DurationTable, sample_durations, solve
 
-from conftest import rescan_eligible
+from conftest import order_strength, rescan_eligible
 
 
 @pytest.fixture
@@ -383,7 +383,8 @@ def test_10_terminals_are_clock_shift_invariant(criterion):
                     running[i] = (rng.randrange(len(inst.activities[i].modes)),
                                   clock - rng.randint(0, 4))
             free = [i for i in inst.non_dummy_ids()
-                    if i not in completed and i not in running]
+                    if i not in completed and i not in running
+                    and inst.activities[i].predecessors <= completed]
             if not free:
                 continue
             avail = list(inst.capacities)

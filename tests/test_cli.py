@@ -478,6 +478,13 @@ def test_bench_stats_reports_a_missing_csv_column(tmp_path, capsys, name, header
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_bench_stats_refuses_a_report_without_runs(tmp_path, capsys):
+    (tmp_path / "report.json").write_text(json.dumps({"reports": []}))
+    assert main(["bench", "stats", "--in", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: no reports to summarize\n"
+    assert not (tmp_path / "stats.json").exists()
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_bench_run_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
     out = tmp_path / "results"

@@ -7,11 +7,10 @@ import random
 import pytest
 
 from kneegp import instgen, model
-from kneegp.instgen import (GenSpec, GenerationError, derive_capacities, generate_instance,
-                            order_strength)
+from kneegp.instgen import GenSpec, GenerationError, derive_capacities, generate_instance
 from kneegp.model import Mode, from_dict, instance_from_dict, instance_to_dict
 
-from conftest import chain_instance, demo_instance, parallel_instance
+from conftest import chain_instance, demo_instance, order_strength, parallel_instance
 
 
 def test_order_strength_chain_is_one():
@@ -118,6 +117,17 @@ def test_generated_os_within_tolerance():
             inst = generate_instance(spec, seed=seed)
             assert abs(order_strength(inst) - target) <= 0.02 + 1e-9
             assert inst.metadata["os_achieved"] == order_strength(inst)
+
+
+@pytest.mark.parametrize("n, target", [(1, 0.5), (2, 1.0), (3, 0.0), (3, 1.0), (12, 0.5),
+                                       (120, 0.25)])
+def test_the_recorded_os_is_the_reference_os(n, target):
+    # the generator records the count it grew, not a second pass over the
+    # closure; below two activities both read 1.0
+    for seed in range(3):
+        inst = generate_instance(GenSpec(n_activities=n, order_strength=target), seed=seed)
+        got, ref = inst.metadata["os_achieved"], order_strength(inst)
+        assert got == ref and type(got) is type(ref) is float
 
 
 def test_os_targets_are_ordered():

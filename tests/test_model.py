@@ -248,6 +248,19 @@ def test_build_refuses_a_capacity_that_is_not_an_integer(caps):
         build_instance(acts, caps)
 
 
+@pytest.mark.parametrize("bad_id", [True, 1.0, "1"])
+def test_build_refuses_an_activity_id_that_is_not_an_integer(bad_id):
+    # True and 1.0 equal 1, so without the check True built and solved, and
+    # 1.0 died inside the build with a TypeError
+    idle = (Mode(0, 0, 0, (0,)),)
+    acts = [Activity(0, frozenset(), frozenset({1}), idle),
+            Activity(bad_id, frozenset({0}), frozenset({2}), (Mode(2, 2, 2, (1,)),)),
+            Activity(2, frozenset({1}), frozenset(), idle)]
+    with pytest.raises(StructuralError,
+                       match=f"activity ids must be integers, not {bad_id!r}"):
+        build_instance(acts, [1])
+
+
 def test_instance_json_roundtrip(demo):
     blob = json.dumps(instance_to_dict(demo))
     again = instance_from_dict(json.loads(blob))

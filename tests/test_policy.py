@@ -33,7 +33,8 @@ from kneegp.rules import (
 )
 from kneegp.sim import sample_durations, solve
 
-from conftest import feasible_groups, random_instance, reference_best_group, rescan_eligible
+from conftest import (feasible_groups, random_instance, readied, reference_best_group,
+                      rescan_eligible)
 
 
 def _knee_oracle(values):
@@ -541,7 +542,8 @@ def test_group_choice_equals_the_reference_on_random_slots(monkeypatch):
     """Group and count against feasible_groups + interpreted group scores +
     the minimum (score, sorted ids, group), on slots of 1-3 options with zero
     demands and zero availability, maximal on and off. Trials 250-289 draw
-    up to 8 pairs of 17-30 activities and score the group work terminals;
+    up to 8 pairs of 17-30 activities, complete the predecessors of the
+    drawn activities, and score the group work terminals;
     the last trials put 1 or 8 resources at the edges of a packed lane, with
     the availability at 0, at the capacity or between."""
     rng = random.Random(4242)
@@ -557,10 +559,10 @@ def test_group_choice_equals_the_reference_on_random_slots(monkeypatch):
             inst = (_wide_instance if wide else _random_modes_instance)(rng, n_res)
             avail = ((0,) * n_res if trial % 5 == 0
                      else tuple(rng.randint(0, 8) for _ in range(n_res)))
-        ctx = DecisionContext(inst, 0, avail, frozenset({0}), {})
         pairs = [(i, m) for i in inst.non_dummy_ids()
                  for m in range(inst.activities[i].n_modes)]
-        eligible = rng.sample(pairs, rng.randint(1, 8 if wide else len(pairs)))
+        ctx, eligible = readied(DecisionContext(inst, 0, avail, {0}, {}), rng.sample(
+            pairs, rng.randint(1, 8 if wide else len(pairs))))
         texts = ((WORK_GROUP_TREES if wide else TIE_HEAVY_GROUP_TREES)
                  + [format_sexpr(random_tree(rng, 4))])
         for text in rng.sample(texts, 3):

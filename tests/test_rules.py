@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import pickle
 import random
+from operator import le
 
 import pytest
 
@@ -32,11 +33,14 @@ from conftest import (
     GroupView,
     compile_row_rule,
     demo_instance,
+    earliest_start,
+    forward_pass,
     group_terminal_value,
     interpret,
     latest_finish,
     protected_div,
     random_instance,
+    readied,
     reference_best_group,
     terminal_value,
 )
@@ -223,32 +227,11 @@ def test_terminals_invariant_under_time_shift():
 # ---------------------------------------------------------------------------
 # time terminals against the full forward and backward passes
 
-def _ref_forward(ctx):
-    """Earliest completion of every activity, relative to the clock, with
-    unstarted activities at their minimum expected duration."""
-    inst = ctx.instance
-    ana = inst.analysis
-    ect = [0.0] * inst.n_activities
-    for i in ana.topo_order:
-        if i in ctx.completed:
-            continue
-        if i in ctx.running:
-            m, start = ctx.running[i]
-            ect[i] = max(0, start + inst.activities[i].modes[m].expected - ctx.clock)
-            continue
-        start = 0.0
-        for j in inst.activities[i].predecessors:
-            if ect[j] > start:
-                start = ect[j]
-        ect[i] = start + ana.dmin_exp[i]
-    return ect
-
-
 def _ref_times(ctx):
     """(horizon, latest finish per activity, earliest start per activity)."""
     inst = ctx.instance
     ana = inst.analysis
-    ect = _ref_forward(ctx)
+    ect = forward_pass(ctx)
     horizon = max(0.0, ect[inst.dummy_end])
     lft = [horizon] * inst.n_activities
     for i in reversed(ana.topo_order):
@@ -267,17 +250,21 @@ def _exact(a, b) -> bool:
 
 def _assert_times_exact(ctx) -> bool:
     """Check every time quantity of `ctx` against the reference passes, value
-    and type; returns whether the horizon fell back on the forward pass."""
+    and type, EST and EFT only at ready activities, the only ones the engine
+    scores; returns whether the horizon fell back on the forward pass."""
     horizon, lft, est = _ref_times(ctx)
     assert _exact(ctx.horizon, horizon)
     tie = "_forward" in vars(ctx)
     inst = ctx.instance
     for i, act in enumerate(inst.activities):
         assert _exact(latest_finish(ctx, i), lft[i]), i
-        assert _exact(ctx.earliest_start(i), est[i]), i
+        ready = i not in ctx.running and i not in ctx.completed \
+            and act.predecessors <= ctx.completed
         for m, mo in enumerate(act.modes):
-            for name, ref in (("EST", est[i]), ("EFT", est[i] + mo.expected),
-                              ("LFT", lft[i]), ("LST", lft[i] - mo.expected)):
+            times = [("LFT", lft[i]), ("LST", lft[i] - mo.expected)]
+            if ready:
+                times += [("EST", est[i]), ("EFT", est[i] + mo.expected)]
+            for name, ref in times:
                 assert _exact(PAIR_TERMINALS[name](ctx, i, mo), ref), (name, i)
                 raw = LEAVES[name]._rank(ctx, [(i, m)])[0]
                 assert _exact(raw, ref), (name, i)
@@ -313,21 +300,35 @@ def test_horizon_ties_take_the_forward_pass_type(demo):
 
 class TimesChecked:
     """Delegates to a policy after checking the decision context's time
-    quantities against the reference passes."""
+    quantities against the reference passes, and each pair it is handed: it
+    is ready and fits the free capacity alone, the precondition of the
+    compiled forms' EST and EFT, which equal the forward-pass reference
+    there, in value and type."""
 
     def __init__(self, policy):
         self.policy = policy
-        self.decisions = self.ties = 0
+        self.decisions = self.ties = self.pairs = self.zero = 0
 
     def decide(self, ctx, eligible):
         self.ties += _assert_times_exact(ctx)
         self.decisions += 1
+        acts = ctx.instance.activities
+        est, eft = (LEAVES[name]._rank(ctx, eligible) for name in ("EST", "EFT"))
+        for (i, m), got_est, got_eft in zip(eligible, est, eft):
+            mo = acts[i].modes[m]
+            assert i not in ctx.completed and i not in ctx.running, i
+            assert acts[i].predecessors <= ctx.completed, i
+            assert all(map(le, mo.demand, ctx.availability)), (i, m)
+            ref = earliest_start(ctx, i)
+            assert _exact(got_est, ref) and _exact(got_eft, ref + mo.expected), (i, m)
+            self.zero += mo.expected == 0
+        self.pairs += len(eligible)
         return self.policy.decide(ctx, eligible)
 
 
 def test_time_terminals_exact_at_every_decision_of_solve():
     rng = random.Random(58)
-    decisions = ties = 0
+    decisions = ties = pairs = zero = 0
     for k in range(30):
         inst = random_instance(rng, n=rng.randint(3, 10), capacity=12,
                                max_demand=7, zero_prob=0.25)
@@ -339,7 +340,9 @@ def test_time_terminals_exact_at_every_decision_of_solve():
             solve(inst, policy, sample_durations(inst, seed=k))
             decisions += policy.decisions
             ties += policy.ties
-    assert decisions > 500 and ties > 10
+            pairs += policy.pairs
+            zero += policy.zero
+    assert decisions > 500 and ties > 10 and pairs > 1000 and zero > 100
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +397,27 @@ def test_a_gp_run_grows_no_tree_a_rule_file_cannot_hold():
         GpConfig(max_depth=rules.MAX_DEPTH + 1)
 
 
+def test_func_refuses_a_tree_deeper_than_the_bound():
+    t = leaf("ExpDur")
+    for _ in range(rules.MAX_DEPTH - 2):
+        t = func("neg", t)
+    assert func("add", leaf("RR"), t).depth() == rules.MAX_DEPTH
+    for op, kids in (("neg", (func("neg", t),)), ("add", (leaf("RR"), func("neg", t)))):
+        with pytest.raises(ValueError, match=f"deeper than {rules.MAX_DEPTH} levels"):
+            func(op, *kids)
+
+
 def test_a_tree_built_far_beyond_the_depth_bound_hashes():
-    """`func` does not bound depth, and `hash` walks a tree without
+    """`Node` itself does not bound depth, and `hash` walks a tree without
     recursing, however deep it is."""
     t = leaf("ExpDur")
     for _ in range(4999):
-        t = func("neg", t)
+        t = Node("neg", (t,))
     other = leaf("ExpDur")
     for _ in range(4999):
-        other = func("neg", other)
+        other = Node("neg", (other,))
     assert hash(t) == hash(other)
-    assert hash(t) != hash(func("neg", t))
+    assert hash(t) != hash(Node("neg", (t,)))
 
 
 def test_a_tree_at_the_depth_bound_survives_every_walk():
@@ -492,47 +505,55 @@ def _unstarted(inst, ctx):
 def test_compiled_trees_equal_the_interpreter_exactly():
     """Both compiled forms against node-by-node evaluation of the reference
     terminals: the raw value and its type, for every pair of a rank call
-    and for a group. The engine before the two forms must agree too. The
-    last states have 17-30 activities, so a group's union masks span three
-    or more bytes."""
+    and for a group. The engine before the two forms must agree too. Each
+    state is checked at its ready pairs and at a random share of its
+    unstarted pairs, made ready by completing their predecessors. The last
+    states have 17-30 activities, so a group's union masks span three or
+    more bytes."""
     rng = random.Random(7)
     clamped = zero_div = not_ready = zero_modes = wide_work = 0
     for k in range(170):
         wide = k >= 150
-        inst, ctx = _random_state(rng, zero_prob=0.25 if k % 2 else 0.0,
-                                  n=rng.randint(17, 30) if wide else None)
-        pairs = _unstarted(inst, ctx)
+        inst, drawn = _random_state(rng, zero_prob=0.25 if k % 2 else 0.0,
+                                    n=rng.randint(17, 30) if wide else None)
+        pairs = _unstarted(inst, drawn)
         if not pairs:
             continue
-        not_ready += sum(not inst.activities[i].predecessors <= ctx.completed
-                         for i, _ in pairs)
-        zero_modes += sum(inst.activities[i].modes[m].expected == 0 for i, m in pairs)
-        for _ in range(8):
-            t = _hostile_tree(rng, rng.randint(1, 8))
-            row_rule, pair_terms, group_terms = compile_row_rule(t)
-            raw = t._rank(ctx, pairs)
-            assert len(raw) == len(pairs)
-            for (i, m), got in zip(pairs, raw):
-                mo = inst.activities[i].modes[m]
-                ref = interpret(t, lambda name: PAIR_TERMINALS[name](ctx, i, mo))
-                assert _exact(got, ref), (format_sexpr(t), i, m)
-                assert _exact(row_rule([f(ctx, i, mo) for f in pair_terms]), ref)
-                assert eval_pair_priority(t, ctx, (i, m)) == float(ref)
-                clamped += abs(ref) == 1e300
-
-            g = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
-            if len({a for a, _ in g}) < len(g):
+        # the pairs ready as drawn, then a random share of every unstarted
+        # pair, made ready by completing their predecessors
+        for ctx, pairs in ((drawn, _eligible(inst, drawn)), readied(
+                drawn, rng.sample(pairs, rng.randint(1, len(pairs))))):
+            if not pairs:
                 continue
-            view = GroupView(ctx, g)
-            ref = interpret(t, lambda name: GROUP_TERMINALS[name](view))
-            got = t._score(ctx, g)
-            assert _exact(got, ref), format_sexpr(t)
-            assert _exact(row_rule([f(view) for f in group_terms]), ref)
-            assert eval_group_priority(t, ctx, g) == float(ref)
-            zero_div += "div" in format_sexpr(t)
-            union = view.union_mask(inst.analysis.trans_succ_mask)
-            wide_work += ("GRPW" in format_sexpr(t)
-                          and sum(map(bool, union.to_bytes(4, "little"))) >= 3)
+            not_ready += sum(not inst.activities[i].predecessors <= drawn.completed
+                             for i, _ in pairs)
+            zero_modes += sum(inst.activities[i].modes[m].expected == 0 for i, m in pairs)
+            for _ in range(8):
+                t = _hostile_tree(rng, rng.randint(1, 8))
+                row_rule, pair_terms, group_terms = compile_row_rule(t)
+                raw = t._rank(ctx, pairs)
+                assert len(raw) == len(pairs)
+                for (i, m), got in zip(pairs, raw):
+                    mo = inst.activities[i].modes[m]
+                    ref = interpret(t, lambda name: PAIR_TERMINALS[name](ctx, i, mo))
+                    assert _exact(got, ref), (format_sexpr(t), i, m)
+                    assert _exact(row_rule([f(ctx, i, mo) for f in pair_terms]), ref)
+                    assert eval_pair_priority(t, ctx, (i, m)) == float(ref)
+                    clamped += abs(ref) == 1e300
+
+                g = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
+                if len({a for a, _ in g}) < len(g):
+                    continue
+                view = GroupView(ctx, g)
+                ref = interpret(t, lambda name: GROUP_TERMINALS[name](view))
+                got = t._score(ctx, g)
+                assert _exact(got, ref), format_sexpr(t)
+                assert _exact(row_rule([f(view) for f in group_terms]), ref)
+                assert eval_group_priority(t, ctx, g) == float(ref)
+                zero_div += "div" in format_sexpr(t)
+                union = view.union_mask(inst.analysis.trans_succ_mask)
+                wide_work += ("GRPW" in format_sexpr(t)
+                              and sum(map(bool, union.to_bytes(4, "little"))) >= 3)
     assert clamped > 0 and zero_div > 0 and not_ready > 100 and zero_modes > 20
     assert wide_work > 10
 
@@ -667,7 +688,7 @@ def test_deep_trees_compile():
     # one assignment per function node: depth never nests the source
     t = leaf("ExpDur")
     for _ in range(400):
-        t = func("neg", t)
+        t = Node("neg", (t,))
     assert eval_pair_priority(t, fresh_ctx(demo_instance()), (1, 0)) == 5.0
 
 
