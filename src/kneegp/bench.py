@@ -507,6 +507,10 @@ def read_reports(indir: Path) -> list[RunReport]:
                 f"report.json entry: missing key(s) {sorted(_JSON_KEYS - set(d))}, "
                 f"unknown key(s) {sorted(set(d) - _JSON_KEYS)}")
         checked = check_types(d, RunReport, "report.json entry")
+        if d["status"] not in ("ok", "timeout", "overflow"):
+            raise ValueError(f"report.json entry: unknown status {d['status']!r}")
+        if d["status"] == "ok" and d["test_objective"] is None:
+            raise ValueError("report.json entry: an ok run needs a test_objective")
         for key in ("ordering", "group"):
             if not isinstance(d[key], (str, type(None))):
                 raise ValueError(f"report.json entry key {key} must be str | None, "

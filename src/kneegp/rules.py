@@ -18,7 +18,7 @@ from functools import cache, cached_property
 from operator import sub
 from pathlib import Path
 from string import Formatter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import InstanceAnalysis, ProjectInstance, byte_sum, byte_tables
 
@@ -124,14 +124,17 @@ class Node:
     def is_leaf(self) -> bool:
         return not self.children
 
+    def _levels(self) -> Iterator[list[Node]]:
+        level = [self]
+        while level:
+            yield level
+            level = [c for n in level for c in n.children]
+
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        return sum(map(len, self._levels()))
 
     def depth(self) -> int:
-        level, depth = self.children, 1
-        while level:
-            level, depth = [c for n in level for c in n.children], depth + 1
-        return depth
+        return sum(1 for _ in self._levels())
 
     def __str__(self) -> str:
         return format_sexpr(self)
@@ -157,9 +160,16 @@ def func(op: str, *children: Node) -> Node:
 
 
 def format_sexpr(node: Node) -> str:
-    if node.is_leaf():
-        return node.op
-    return "(" + " ".join([node.op] + [format_sexpr(c) for c in node.children]) + ")"
+    out, stack = [], [node]  # nodes and the text between them, last first
+    while stack:
+        n = stack.pop()
+        if isinstance(n, str):
+            out.append(n)
+        elif n.children:
+            stack += [")", *(x for c in reversed(n.children) for x in (c, " ")), "(" + n.op]
+        else:
+            out.append(n.op)
+    return "".join(out)
 
 
 def parse_sexpr(text: str) -> Node:
@@ -242,9 +252,10 @@ class DecisionContext:
     Every completed or running activity must have all its predecessors
     completed, as in any state `sim.solve` reaches. The time terminals rely
     on it: then no path from an unfinished activity to the sink passes
-    through a completed or running one. The compiled forms take EST as 0.0
-    and EFT as the expected duration, their values at a ready pair (unstarted,
-    predecessors completed), as every eligible pair of `sim.solve` is.
+    through a completed or running one, so `horizon` takes no forward pass.
+    The compiled forms take EST as 0.0 and EFT as the expected duration, their
+    values at a ready pair (unstarted, predecessors completed), as every
+    eligible pair of `sim.solve` is.
     """
 
     def __init__(self, instance: ProjectInstance, clock: int,
@@ -256,70 +267,32 @@ class DecisionContext:
         self.completed = frozenset(completed)
         self.running = dict(running)
 
-    def remaining_expected(self, i: int) -> int:
-        mode_idx, start = self.running[i]
-        mo = self.instance.activities[i].modes[mode_idx]
-        return max(0, start + mo.expected - self.clock)
-
     @cached_property
     def _avail_stats(self) -> tuple[float, int, int]:
         a = self.availability
         return (sum(a) / len(a), max(a), min(a))
 
     @cached_property
-    def _forward(self) -> list[float]:
-        """Earliest completion of every activity, relative to the clock,
-        treating unstarted activities at their minimum expected duration."""
-        inst = self.instance
-        ana = inst.analysis
-        ect = [0.0] * inst.n_activities
-        for i in ana.topo_order:
-            if i in self.completed:
-                continue
-            if i in self.running:
-                ect[i] = self.remaining_expected(i)
-                continue
-            start = 0.0
-            for j in inst.activities[i].predecessors:
-                if ect[j] > start:
-                    start = ect[j]
-            ect[i] = start + ana.dmin_exp[i]
-        return ect
-
-    @cached_property
     def horizon(self) -> float:
-        """Projected completion of the whole project, relative to the clock:
-        `max(0.0, _forward[sink])`, in value and in int/float type.
-
-        The pass's longest path starts at the frontier. A running activity
-        with expected work left starts an int chain, `rem + tail`; an
-        unstarted one starts a float chain from the pass's 0.0 floor,
-        `dmin + tail`; an overdue running one adds only its successors'
-        chains. Counting unstarted activities that are not ready changes
-        neither side's maximum nor which side is longer: an unfinished
-        predecessor starts a chain as long, or a strictly longer int one. On
-        a tie the pass's type follows a predecessor set's iteration order,
-        so the pass settles it.
-        """
+        """Projected completion of the whole project, relative to the clock,
+        as a float in every state: the longest chain, `rem + tail` from a
+        running activity with expected work `rem` left or `dmin + tail` from
+        an unstarted one. The forward pass from the frontier, which these
+        chains replace, reaches the sink no sooner than any of them ends and
+        exactly when the longest does."""
         inst = self.instance
         ana = inst.analysis
         tail, dmin = ana.tail, ana.dmin_exp
-        chain = reach = 0  # longest int chain, longest float chain
+        chain = 0
         for i, (m, start) in self.running.items():
             rem = start + inst.activities[i].modes[m].expected - self.clock
-            if rem > 0 and rem + tail[i] > chain:
+            if rem + tail[i] > chain:
                 chain = rem + tail[i]
         done, running = self.completed, self.running
         for i in range(inst.n_activities):
-            if i not in done and i not in running and dmin[i] + tail[i] > reach:
-                reach = dmin[i] + tail[i]
-        if chain > reach:
-            return chain
-        if reach > chain:
-            return float(reach)
-        if not reach:
-            return 0.0
-        return max(0.0, self._forward[inst.dummy_end])
+            if i not in done and i not in running and dmin[i] + tail[i] > chain:
+                chain = dmin[i] + tail[i]
+        return float(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +310,9 @@ class DecisionContext:
 #
 # Each reads `ctx.instance.analysis.rows`, one static row per (activity,
 # mode) pair. `rank` and `score` return the tree's raw value, int or float as
-# the arithmetic leaves it; the public wrappers convert it to float, and `best`
-# compares the converted values. All three assign the clamped functions'
-# plain values and call `_clamp` only out of range (`_CLAMPED`).
+# the arithmetic leaves it (`EST EFT LFT LST` are floats); the public wrappers
+# convert it to float, as `best` does before comparing. All three assign the
+# clamped functions' plain values and call `_clamp` only out of range.
 
 # resource terminals, over a demand vector {d} and an expected duration {e};
 # `ra` is (mean, max, min) of the free capacity and `left` the capacity left

@@ -453,11 +453,16 @@ _NO_REPORTS = "report.json must be an object with a 'reports' list"
      "report.json entry key group must be str | None, not 7"),
     ({"reports": [dict(_ENTRY, ordering=["x"])]},
      "report.json entry key ordering must be str | None, not ['x']"),
+    ({"reports": [dict(_ENTRY, status="done")]},
+     "report.json entry: unknown status 'done'"),
+    ({"reports": [dict(_ENTRY, status="ok")]},
+     "report.json entry: an ok run needs a test_objective"),
     ({"reports": [[]]}, "report.json entry must be an object, not []"),
     ([], _NO_REPORTS),
     ({"runs": []}, _NO_REPORTS),
 ], ids=["missing", "unknown", "wrongly-typed", "ordering-a-number", "group-a-number",
-        "ordering-a-list", "not-an-object", "a-list", "no-reports"])
+        "ordering-a-list", "unknown-status", "ok-without-objective", "not-an-object",
+        "a-list", "no-reports"])
 def test_bench_stats_reports_a_bad_report_entry(tmp_path, capsys, payload, message):
     (tmp_path / "report.json").write_text(json.dumps(payload))
     assert main(["bench", "stats", "--in", str(tmp_path)]) == 1

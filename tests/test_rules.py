@@ -117,7 +117,6 @@ def test_resource_terminals(ctx):
 def test_mid_run_state():
     inst = demo_instance()
     ctx = DecisionContext(inst, 6, (7,), frozenset({0, 1}), {2: (1, 0)})
-    assert ctx.remaining_expected(2) == 1
     assert terminal_value("EST", ctx, (3, 0)) == 0.0
     assert ctx.horizon == 7.0
     assert terminal_value("LFT", ctx, (3, 0)) == 4.0
@@ -232,7 +231,7 @@ def _ref_times(ctx):
     inst = ctx.instance
     ana = inst.analysis
     ect = forward_pass(ctx)
-    horizon = max(0.0, ect[inst.dummy_end])
+    horizon = float(max(0.0, ect[inst.dummy_end]))
     lft = [horizon] * inst.n_activities
     for i in reversed(ana.topo_order):
         succ = inst.activities[i].successors
@@ -251,11 +250,19 @@ def _exact(a, b) -> bool:
 def _assert_times_exact(ctx) -> bool:
     """Check every time quantity of `ctx` against the reference passes, value
     and type, EST and EFT only at ready activities, the only ones the engine
-    scores; returns whether the horizon fell back on the forward pass."""
+    scores; returns whether `ctx` is a tie: the longest chain from a running
+    activity with expected work left equals the longest `dmin + tail` from an
+    unstarted one, and both are nonzero."""
     horizon, lft, est = _ref_times(ctx)
     assert _exact(ctx.horizon, horizon)
-    tie = "_forward" in vars(ctx)
     inst = ctx.instance
+    ana = inst.analysis
+    rems = {i: start + inst.activities[i].modes[m].expected - ctx.clock
+            for i, (m, start) in ctx.running.items()}
+    chain = max((rem + ana.tail[i] for i, rem in rems.items() if rem > 0), default=0)
+    reach = max((ana.dmin_exp[i] + ana.tail[i] for i in range(inst.n_activities)
+                 if i not in ctx.running and i not in ctx.completed), default=0)
+    tie = chain == reach != 0
     for i, act in enumerate(inst.activities):
         assert _exact(latest_finish(ctx, i), lft[i]), i
         ready = i not in ctx.running and i not in ctx.completed \
@@ -277,21 +284,22 @@ def test_time_terminals_equal_the_reference_passes():
     for _ in range(1500):
         inst, ctx = _random_state(rng, zero_prob=0.25)
         ties += _assert_times_exact(ctx)
-        overdue += sum(ctx.remaining_expected(i) == 0 for i in ctx.running)
+        overdue += sum(start + inst.activities[i].modes[m].expected <= ctx.clock
+                       for i, (m, start) in ctx.running.items())
         zero += sum(inst.activities[i].modes[m].expected == 0
                     for i, (m, _) in ctx.running.items())
     assert ties > 10 and overdue > 100 and zero > 100
 
 
-def test_horizon_ties_take_the_forward_pass_type(demo):
-    # running 2 has 3 expected ticks left, then 4 via activity 4: int 7;
-    # ready 3 takes 4, then 3 via activity 5: float 7.0
+def test_horizon_ties_are_floats(demo):
+    # running 2 has 3 expected ticks left, then 4 via activity 4: 7;
+    # ready 3 takes 4, then 3 via activity 5: 7 as well
     ctx = DecisionContext(demo, 1, (5,), frozenset({0, 1}), {2: (0, 0)})
-    assert _exact(ctx.horizon, 7)
-    assert _exact(latest_finish(ctx, 3), 4)
+    assert _exact(ctx.horizon, 7.0)
+    assert _exact(latest_finish(ctx, 3), 4.0)
     assert _assert_times_exact(ctx)
-    # running 3 has 1 tick left, then 3 via activity 5: int 4;
-    # ready 4 takes 4: float 4.0, which the sink's predecessor set yields first
+    # running 3 has 1 tick left, then 3 via activity 5: 4;
+    # ready 4 takes 4: 4 as well
     ctx = DecisionContext(demo, 3, (3,), frozenset({0, 1, 2}), {3: (0, 0)})
     assert _exact(ctx.horizon, 4.0)
     assert _exact(latest_finish(ctx, 5), 4.0)
@@ -408,8 +416,8 @@ def test_func_refuses_a_tree_deeper_than_the_bound():
 
 
 def test_a_tree_built_far_beyond_the_depth_bound_hashes():
-    """`Node` itself does not bound depth, and `hash` walks a tree without
-    recursing, however deep it is."""
+    """`Node` itself does not bound depth, and `hash`, `size()`, `depth()`
+    and its text walk a tree without recursing, however deep it is."""
     t = leaf("ExpDur")
     for _ in range(4999):
         t = Node("neg", (t,))
@@ -418,6 +426,9 @@ def test_a_tree_built_far_beyond_the_depth_bound_hashes():
         other = Node("neg", (other,))
     assert hash(t) == hash(other)
     assert hash(t) != hash(Node("neg", (t,)))
+    assert t.size() == t.depth() == 5000
+    assert Node("add", (t, t)).size() == 10001
+    assert format_sexpr(t) == str(t) == _nested(5000)
 
 
 def test_a_tree_at_the_depth_bound_survives_every_walk():
