@@ -168,6 +168,14 @@ class InstanceAnalysis:
         return self.pack(availability) | self.lanes[1]
 
     @cached_property
+    def options(self) -> list[tuple[tuple[tuple[int, int], int], ...]]:
+        """Every activity's `((i, m), packed demand)` per mode, `options[i]`,
+        so the executor's fit tests build no pair and pack no demand. Built
+        on its first read, apart from `rows`."""
+        return [tuple(((a.id, m), self.pack(mo.demand)) for m, mo in enumerate(a.modes))
+                for a in self.activities]
+
+    @cached_property
     def rows(self) -> list[tuple[tuple, ...]]:
         """Static terminal row of every (activity, mode) pair, `rows[i][m]`.
 

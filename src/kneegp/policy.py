@@ -102,7 +102,7 @@ def sequential_decide(ordering: Node, ctx: DecisionContext,
     """Best single pair; ties break on (activity id, mode index)."""
     if not eligible:
         raise ValueError("eligible set is empty")
-    return rank_pairs(ordering, ctx, eligible)[0][1]
+    return min(zip(map(float, ordering._rank(ctx, eligible)), eligible))[1]
 
 
 def knee_cut(prios: Sequence[float]) -> int:
@@ -132,7 +132,9 @@ def _best_group(tree: Node, ctx: DecisionContext, slots: Sequence[Slot],
     how many groups were scored: one call to the group tree's decision form.
 
     Ties break on the sorted activity ids, then on the group itself. A lone
-    option that fits is the only feasible group, so it is taken unscored.
+    option that fits is the only feasible group, so it is taken unscored;
+    that test stays on tuples, since the context carries no packed capacity
+    and packing one costs more than the test.
     """
     if len(slots) == 1 and len(slots[0]) == 1:
         pair, = slots[0]

@@ -70,8 +70,8 @@ ALL_TERMINALS = TIME_TERMINALS + PRECEDENCE_TERMINALS + RESOURCE_TERMINALS
 _ALIASES = {"LF": "LFT", "LS": "LST", "ES": "EST", "EF": "EFT"}
 
 # the deepest tree `func`, a rule file or GP may build, a leaf alone being
-# depth 1: far above the paper's 8, and far below the depth where recursive
-# walks over a tree (pickling first, near 250) exhaust Python's stack
+# depth 1: far above the paper's 8, and far below the depth where the
+# recursive walks left (`repr` first, near 250) exhaust Python's stack
 MAX_DEPTH = 64
 
 
@@ -118,8 +118,39 @@ class Node:
     def _best(self) -> Callable:
         return _compile_best(self)
 
-    def __getstate__(self) -> dict:
-        return {"op": self.op, "children": self.children}
+    def __eq__(self, other) -> bool:
+        # pair the nodes from an explicit stack, so no comparison recurses,
+        # and each pair of node objects once, so shared subtrees cost once
+        if other.__class__ is not Node:
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if a.op != b.op or len(a.children) != len(b.children):
+                return False
+            seen.add((id(a), id(b)))
+            stack += zip(a.children, b.children)
+        return True
+
+    def __reduce__(self):
+        # one row (op, child rows...) per distinct node object, children
+        # first: pickling does not recurse, and a shared subtree stays shared
+        rows, index, stack = [], {}, [self]
+        while stack:
+            n = stack[-1]
+            if id(n) in index:
+                stack.pop()
+                continue
+            todo = [c for c in n.children if id(c) not in index]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            index[id(n)] = len(rows)
+            rows.append((n.op, *(index[id(c)] for c in n.children)))
+        return _unflatten, (rows,)
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -138,6 +169,15 @@ class Node:
 
     def __str__(self) -> str:
         return format_sexpr(self)
+
+
+def _unflatten(rows: list[tuple]) -> Node:
+    """The tree `Node.__reduce__` flattened: each row's node from the nodes
+    of the earlier rows it names."""
+    nodes: list[Node] = []
+    for op, *children in rows:
+        nodes.append(Node(op, tuple(nodes[k] for k in children)))
+    return nodes[-1]
 
 
 def leaf(name: str) -> Node:
@@ -470,25 +510,32 @@ def _body(tree: Node, table: dict[str, str]) -> tuple[list[str], list[str], str]
     terms: dict[str, str] = {}
     lines: list[str] = []
     nodes = 0
-
-    def emit(n: Node) -> str:
-        nonlocal nodes
-        if not n.children:
+    values: list[str] = []  # the locals of the subtrees done, in order
+    # a function node is checked on the way down and emitted on the way
+    # back, after its children: an explicit stack, so no walk recurses
+    stack = [(tree, False)]
+    while stack:
+        n, done = stack.pop()
+        if done:
+            args = values[len(values) - len(n.children):]
+            del values[len(values) - len(n.children):]
+            v = f"v{nodes}"
+            nodes += 1
+            lines.append(f"{v} = {_FUNCTIONS[n.op].format(*args)}")
+            if n.op in _CLAMPED:
+                lines.append(f"if not {-_HUGE!r} <= {v} <= {_HUGE!r}: {v} = _clamp({v})")
+            values.append(v)
+        elif not n.children:
             if n.op not in table:
                 raise ValueError(f"unknown terminal {n.op!r}")
-            return terms.setdefault(n.op, f"t{len(terms)}")
-        template = _FUNCTIONS.get(n.op)
-        if template is None or FUNCTION_ARITY[n.op] != len(n.children):
-            raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
-        args = [emit(c) for c in n.children]
-        v = f"v{nodes}"
-        nodes += 1
-        lines.append(f"{v} = {template.format(*args)}")
-        if n.op in _CLAMPED:
-            lines.append(f"if not {-_HUGE!r} <= {v} <= {_HUGE!r}: {v} = _clamp({v})")
-        return v
+            values.append(terms.setdefault(n.op, f"t{len(terms)}"))
+        else:
+            if n.op not in _FUNCTIONS or FUNCTION_ARITY[n.op] != len(n.children):
+                raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
+            stack.append((n, True))
+            stack += [(c, False) for c in reversed(n.children)]
 
-    result = emit(tree)
+    result, = values
     exprs = [table[name] for name in terms]
     return exprs, [f"{t} = {e}" for t, e in zip(terms.values(), exprs)] + lines, result
 

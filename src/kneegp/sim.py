@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from operator import le
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import ProjectInstance, Schedule, ScheduleEntry, make_schedule
 from .policy import Policy
@@ -84,15 +83,14 @@ class SimResult:
 
 
 def eligible_set(inst: ProjectInstance, ready: Iterable[int],
-                 availability: Sequence[int]) -> list[Pair]:
-    """Pairs of the ready activities whose demand fits the free capacity
-    right now, ordered by (activity, mode)."""
-    out = []
-    for i in sorted(ready):
-        for m, mo in enumerate(inst.activities[i].modes):
-            if all(map(le, mo.demand, availability)):
-                out.append((i, m))
-    return out
+                 free: int) -> list[Pair]:
+    """Pairs of the ready activities whose demand fits the packed free
+    capacity `free` (`InstanceAnalysis.pack_free`), ordered by (activity,
+    mode): one int test per pair."""
+    ana = inst.analysis
+    opts, guard = ana.options, ana.lanes[1]
+    return [pair for i in sorted(ready) for pair, pd in opts[i]
+            if (free - pd) & guard == guard]
 
 
 def solve(inst: ProjectInstance, policy: Policy,
@@ -108,16 +106,25 @@ def solve(inst: ProjectInstance, policy: Policy,
     and the modes that no longer fit; the ready set is rescanned when the
     clock advances or a zero-duration start completes.
 
+    Free capacity is kept twice: as a list, which each `DecisionContext`
+    copies, and packed (`InstanceAnalysis.pack_free`, packed once per
+    solve), which every fit test reads: the rescan, the within-clock filter
+    and `_check_group` test a pair with one int operation on its packed
+    demand (`InstanceAnalysis.options`).
+
     A policy that starts nothing while nothing runs stalls the project: no
     completion can change what it sees, since everything it reads is relative
     to the clock, so `solve` raises RuntimeError at once.
     """
     acts = inst.activities
+    ana = inst.analysis
+    opts, guard = ana.options, ana.lanes[1]
     completed: set[int] = set()
     # the dummy source runs from 0 to 0, so the first step completes it
     running = {inst.dummy_start: (0, 0)}  # i -> (mode, start)
     ends = {inst.dummy_start: 0}  # i -> completion time
     avail = list(inst.capacities)
+    free = ana.pack_free(avail)  # `avail` packed, kept beside it
     entries: dict[int, ScheduleEntry] = {}
     decisions: list[DecisionRecord] = []
     end_preds = acts[inst.dummy_end].predecessors
@@ -142,16 +149,17 @@ def solve(inst: ProjectInstance, policy: Policy,
             m, _ = running.pop(i)
             for r, k in enumerate(acts[i].modes[m].demand):
                 avail[r] += k
+            free += opts[i][m][1]
             complete(i)
 
-        elig = eligible_set(inst, ready, avail)
+        elig = eligible_set(inst, ready, free)
         while elig:
             ctx = DecisionContext(inst, t, avail, completed, running)
             group, filtered = policy.decide(ctx, elig)
             group = tuple(group)
             if not group:
                 break
-            _check_group(inst, group, elig, avail)
+            _check_group(inst, group, elig, avail, free)
             decisions.append(DecisionRecord(t, len(elig), filtered, group))
             zero_start = False
             for i, m in group:
@@ -164,33 +172,42 @@ def solve(inst: ProjectInstance, policy: Policy,
                 else:
                     for r, k in enumerate(acts[i].modes[m].demand):
                         avail[r] -= k
+                    free -= opts[i][m][1]
                     running[i] = (m, t)
                     ends[i] = t + d
             if zero_start:  # a completion may have readied successors
-                elig = eligible_set(inst, ready, avail)
+                elig = eligible_set(inst, ready, free)
             else:
-                elig = [(i, m) for i, m in elig if i in ready
-                        and all(map(le, acts[i].modes[m].demand, avail))]
+                elig = [p for p in elig if p[0] in ready
+                        and (free - opts[p[0]][p[1]][1]) & guard == guard]
 
     return SimResult(make_schedule(entries), tuple(decisions))
 
 
 def _check_group(inst: ProjectInstance, group: tuple[Pair, ...],
-                 eligible: list[Pair], avail: list[int]) -> None:
-    elig = set(eligible)
+                 eligible: list[Pair], avail: list[int], free: int) -> None:
+    """Refuse a group with a pair that is not eligible, an activity in two
+    modes, or more joint demand than the free capacity `avail` (`free`
+    packed). The members come off `free` one at a time, and only while
+    every guard bit is set: packed demands added together can carry into
+    the next lane, and a lane whose guard bit has cleared can borrow from
+    it."""
+    ana = inst.analysis
+    opts, guard = ana.options, ana.lanes[1]
+    # one lookup costs less as a list scan than as a set to build
+    elig = eligible if len(group) == 1 else set(eligible)
     seen = set()
-    need = [0] * inst.n_resources
     for i, m in group:
         if (i, m) not in elig:
             raise PolicyContractError(f"pair ({i}, {m}) is not eligible")
         if i in seen:
             raise PolicyContractError(f"activity {i} started in two modes")
         seen.add(i)
-        for r, k in enumerate(inst.activities[i].modes[m].demand):
-            need[r] += k
-    for r, k in enumerate(need):
-        if k > avail[r]:
-            raise PolicyContractError(
-                f"group demands {k} of resource {r}, only {avail[r]} free"
-            )
-
+        if free & guard == guard:
+            free -= opts[i][m][1]
+    if free & guard != guard:
+        need = [sum(col) for col in zip(*(inst.activities[i].modes[m].demand
+                                          for i, m in group))]
+        r = next(r for r, k in enumerate(need) if k > avail[r])
+        raise PolicyContractError(
+            f"group demands {need[r]} of resource {r}, only {avail[r]} free")

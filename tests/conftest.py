@@ -100,6 +100,28 @@ def rescan_eligible(inst: ProjectInstance, completed, running,
     return out
 
 
+def reference_check_group(inst: ProjectInstance, group, eligible,
+                          availability) -> str | None:
+    """The executor's verdict on a proposed group, on plain tuples: the
+    message of the `PolicyContractError` it must raise, or None when the
+    group may start. Each member is checked for eligibility and a repeated
+    activity in turn; the summed demand only after every member."""
+    elig = set(eligible)
+    seen = set()
+    need = [0] * inst.n_resources
+    for i, m in group:
+        if (i, m) not in elig:
+            return f"pair ({i}, {m}) is not eligible"
+        if i in seen:
+            return f"activity {i} started in two modes"
+        seen.add(i)
+        need = [a + k for a, k in zip(need, inst.activities[i].modes[m].demand)]
+    for r, k in enumerate(need):
+        if k > availability[r]:
+            return f"group demands {k} of resource {r}, only {availability[r]} free"
+    return None
+
+
 def count_calls(monkeypatch, name: str) -> list[tuple]:
     """Wrap `kneegp.sim.<name>`; the returned list gets the arguments of
     each call, without the instance."""
@@ -160,10 +182,11 @@ def parallel_instance(durations, demand=1, capacity=None) -> ProjectInstance:
 
 def random_instance(rng: random.Random, n=8, n_modes=2, n_resources=2,
                     capacity=12, edge_prob=0.3, max_demand=None,
-                    zero_prob=0.0) -> ProjectInstance:
+                    zero_prob=0.0, top_prob=0.0) -> ProjectInstance:
     """Small random project for property sweeps; ids are topological.
 
-    Each mode takes no time with probability `zero_prob`."""
+    Each mode takes no time with probability `zero_prob`, and each of its
+    demands is the whole capacity with probability `top_prob`."""
     if max_demand is None:
         max_demand = max(1, capacity // 2)
     idle = (0, 0, 0, (0,) * n_resources)
@@ -186,6 +209,8 @@ def random_instance(rng: random.Random, n=8, n_modes=2, n_resources=2,
             lo = max(1, exp - rng.randint(1, 3))
             hi = exp + rng.randint(1, 3)
             dem = tuple(rng.randint(1, max_demand) for _ in range(n_resources))
+            if top_prob:
+                dem = tuple(capacity if rng.random() < top_prob else k for k in dem)
             if zero_prob and rng.random() < zero_prob:
                 exp = lo = hi = 0
             modes.append((exp, lo, hi, dem))

@@ -416,8 +416,9 @@ def test_func_refuses_a_tree_deeper_than_the_bound():
 
 
 def test_a_tree_built_far_beyond_the_depth_bound_hashes():
-    """`Node` itself does not bound depth, and `hash`, `size()`, `depth()`
-    and its text walk a tree without recursing, however deep it is."""
+    """`Node` itself does not bound depth, and `hash`, `==`, pickling,
+    `size()`, `depth()`, its text and its rank form walk a tree without
+    recursing, however deep it is."""
     t = leaf("ExpDur")
     for _ in range(4999):
         t = Node("neg", (t,))
@@ -426,9 +427,30 @@ def test_a_tree_built_far_beyond_the_depth_bound_hashes():
         other = Node("neg", (other,))
     assert hash(t) == hash(other)
     assert hash(t) != hash(Node("neg", (t,)))
+    assert t == other and t is not other
+    assert t != Node("neg", (other,)) and Node("abs", other.children) != t
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and hash(copy) == hash(t)
     assert t.size() == t.depth() == 5000
     assert Node("add", (t, t)).size() == 10001
     assert format_sexpr(t) == str(t) == _nested(5000)
+    demo = demo_instance()
+    pairs = [(1, 0), (1, 1), (2, 0)]
+    ctx = DecisionContext(demo, 0, demo.capacities, {0}, {})
+    # an odd number of negations
+    assert t._rank(ctx, pairs) == [-demo.activities[i].modes[m].expected for i, m in pairs]
+
+
+def test_pickling_keeps_a_shared_subtree_shared():
+    """A tree that reuses one subtree object pickles it once: each level of
+    `(add t t)` doubles the tree's size but adds one row."""
+    t = leaf("RR")
+    for _ in range(60):
+        t = Node("add", (t, t))
+    data = pickle.dumps(t)
+    assert len(data) < 2000
+    copy = pickle.loads(data)
+    assert copy == t and copy.children[0] is copy.children[1]
 
 
 def test_a_tree_at_the_depth_bound_survives_every_walk():

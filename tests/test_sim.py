@@ -19,7 +19,8 @@ from kneegp.sim import (
 )
 
 from conftest import (
-    chain_instance, count_calls, demo_instance, random_instance, realized, rescan_eligible,
+    _act, chain_instance, count_calls, demo_instance, random_instance, realized,
+    reference_check_group, rescan_eligible,
 )
 
 
@@ -73,19 +74,19 @@ def test_scripted_group_run_reaches_seventeen(demo):
 
 
 def test_eligible_set_at_start(demo):
-    elig = eligible_set(demo, {2, 1}, demo.capacities)
+    elig = eligible_set(demo, {2, 1}, demo.analysis.pack_free(demo.capacities))
     assert elig == [(1, 0), (1, 1), (2, 0), (2, 1)]
     assert elig == rescan_eligible(demo, frozenset({0}), {}, demo.capacities)
 
 
 def test_eligible_set_respects_free_capacity(demo):
     # activity 1 running in mode 0 leaves 2 units: nothing else fits
-    assert eligible_set(demo, {2}, (2,)) == []
+    assert eligible_set(demo, {2}, demo.analysis.pack_free((2,))) == []
     assert rescan_eligible(demo, frozenset({0}), {1: (0, 0, 5)}, (2,)) == []
 
 
 def test_eligible_set_when_everything_done(demo):
-    assert eligible_set(demo, set(), demo.capacities) == []
+    assert eligible_set(demo, set(), demo.analysis.pack_free(demo.capacities)) == []
     done = frozenset(range(demo.n_activities))
     assert rescan_eligible(demo, done, {}, demo.capacities) == []
 
@@ -173,6 +174,141 @@ def test_ready_set_matches_full_rescan():
             decisions += policy.decisions
             zero_starts += sum(e.duration == 0 for e in res.schedule.entries.values())
     assert decisions > 500 and zero_starts > 100
+
+
+# (resources, capacity): both sides of each step in the lane width, which
+# is the capacity's bit length plus a guard bit
+LANE_EDGES = [(n_res, cap) for n_res in (1, 8) for k in range(1, 6)
+              for cap in (2 ** k - 1, 2 ** k)]
+
+
+def _lane_edge_instance(rng, n_resources, capacity):
+    """A random project whose demands often take a resource's whole
+    capacity, the top of its lane, with zero-duration modes."""
+    inst = random_instance(rng, n=rng.randint(3, 9), n_modes=rng.randint(1, 3),
+                           n_resources=n_resources, capacity=capacity,
+                           max_demand=capacity, zero_prob=0.25, top_prob=0.3)
+    assert inst.analysis.lanes[0] == capacity.bit_length() + 1
+    return inst
+
+
+class TopChecked(RescanChecked):
+    """`RescanChecked`, counting the eligible pairs that take all that is
+    free of some resource."""
+
+    tight = 0
+
+    def decide(self, ctx, eligible):
+        self.tight += sum(
+            any(map(int.__eq__, ctx.instance.activities[i].modes[m].demand,
+                    ctx.availability))
+            for i, m in eligible)
+        return super().decide(ctx, eligible)
+
+
+def test_eligible_sets_at_the_lane_edges():
+    rng = random.Random(53)
+    decisions = tight = 0
+    for k, (n_res, cap) in enumerate(LANE_EDGES * 2):
+        inst = _lane_edge_instance(rng, n_res, cap)
+        rules = RulePair(random_tree(rng, 4), random_tree(rng, 4))
+        for name in POLICY_NAMES:
+            policy = TopChecked(build_policy(rules, name))
+            res = solve(inst, policy, sample_durations(inst, seed=k))
+            assert validate_schedule(inst, res.schedule).ok
+            decisions += policy.decisions
+            tight += policy.tight
+    assert decisions > 500 and tight > 300
+
+
+class RandomGroups:
+    """Proposes a random group of eligible pairs of distinct activities at
+    every decision: mostly cut to the longest prefix that fits, otherwise
+    as drawn, now and then with a repeated activity or a pair of any
+    activity and mode, and its pairs sometimes as lists. `expected` is the
+    tuple reference's verdict on the last proposal."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.expected = None
+        self.decisions = 0
+
+    def decide(self, ctx, eligible):
+        assert self.expected is None  # the executor started only valid groups
+        self.decisions += 1
+        rng, inst = self.rng, ctx.instance
+        best = {}  # one random mode per activity
+        for pair in rng.sample(eligible, len(eligible)):
+            best.setdefault(pair[0], pair)
+        group = list(best.values())[:rng.randint(1, 4)]
+        roll = rng.random()
+        if roll < 0.7:
+            while reference_check_group(inst, group, eligible, ctx.availability):
+                group.pop()
+        elif roll < 0.8:
+            group.insert(rng.randrange(len(group) + 1), rng.choice(group))
+        elif roll < 0.9:
+            i = rng.choice(inst.non_dummy_ids())
+            group.insert(rng.randrange(len(group) + 1),
+                         (i, rng.randrange(inst.activities[i].n_modes)))
+        if rng.random() < 0.3:
+            group = [list(p) for p in group]
+        self.expected = reference_check_group(inst, group, eligible, ctx.availability)
+        return group, len(eligible)
+
+
+def test_contract_verdicts_match_the_tuple_reference_at_the_lane_edges():
+    rng = random.Random(59)
+    verdicts: dict[str, int] = {}
+    decisions = 0
+    for k, (n_res, cap) in enumerate(LANE_EDGES * 20):
+        inst = _lane_edge_instance(rng, n_res, cap)
+        policy = RandomGroups(rng)
+        try:
+            solve(inst, policy, sample_durations(inst, seed=k))
+        except PolicyContractError as exc:
+            assert str(exc) == policy.expected
+            verdict = policy.expected.split()[0]
+        else:
+            assert policy.expected is None
+            verdict = "finished"
+        verdicts[verdict] = verdicts.get(verdict, 0) + 1
+        decisions += policy.decisions
+    # pair not eligible, activity in two modes, group overdraws
+    assert min(verdicts[v] for v in ("pair", "activity", "group", "finished")) >= 40
+    assert decisions > 1000
+
+
+def _full_lane_instance(capacity):
+    """Four parallel activities, each taking all of resource 0 in one mode
+    and half of it in another; resource 1 is barely used."""
+    acts = [_act(0, [], [1, 2, 3, 4], [(0, 0, 0, (0, 0))])]
+    for k in range(1, 5):
+        acts.append(_act(k, [0], [5], [(3, 3, 3, (capacity, 1)),
+                                       (4, 4, 4, (capacity // 2, 0))]))
+    acts.append(_act(5, [1, 2, 3, 4], [], [(0, 0, 0, (0, 0))]))
+    return build_instance(acts, [capacity, capacity])
+
+
+@pytest.mark.parametrize("capacity", [3, 4, 7, 8, 15, 16])
+def test_contract_counts_members_at_a_lane_top_one_at_a_time(capacity):
+    """Full-capacity members overdraw however their packed demands add up.
+    Two of them sum to at most twice the top, which still fits a lane; from
+    three on a sum can carry into the next lane, or a borrow restore a
+    cleared guard bit, so the executor takes them off one at a time."""
+    inst = _full_lane_instance(capacity)
+    for n in (2, 3, 4):
+        group = [(k, 0) for k in range(1, n + 1)]
+        with pytest.raises(PolicyContractError) as exc:
+            solve(inst, _Misbehaving(group), DurationTable(inst))
+        assert str(exc.value) == (
+            f"group demands {n * capacity} of resource 0, only {capacity} free")
+        assert str(exc.value) == reference_check_group(
+            inst, group, rescan_eligible(inst, {0}, {}, inst.capacities), inst.capacities)
+    # two half-capacity members fit
+    script = {0: [[(1, 1), (2, 1)]], 4: [[(3, 1), (4, 1)]]}
+    res = solve(inst, Scripted(script), DurationTable(inst))
+    assert [d.group for d in res.decisions] == [((1, 1), (2, 1)), ((3, 1), (4, 1))]
 
 
 def test_empty_project_finishes_at_zero():
