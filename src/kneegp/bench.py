@@ -472,16 +472,22 @@ def experiment_from_dict(d: dict) -> Experiment:
 
 def _read_csv(path: Path, *columns: str) -> dict[tuple, list[dict]]:
     """Rows of a result CSV by run (scenario, algorithm, run); none if absent.
-    The header must name the run columns and `columns`."""
+    The header must name the run columns and `columns`, and every row must
+    have as many fields as the header."""
     runs: dict[tuple, list[dict]] = {}
     if path.exists():
         with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.reader(fh)
+            header = next(reader, [])
             missing = [c for c in ("scenario", "algorithm", "run", *columns)
-                       if c not in (reader.fieldnames or ())]
+                       if c not in header]
             if missing:
                 raise ValueError(f"{path.name}: missing column(s) {', '.join(missing)}")
-            for row in reader:
+            for fields in filter(None, reader):  # blank lines hold no row
+                if len(fields) != len(header):
+                    raise ValueError(f"{path.name}: line {reader.line_num} has "
+                                     f"{len(fields)} fields, the header {len(header)}")
+                row = dict(zip(header, fields))
                 key = (row["scenario"], row["algorithm"], int(row["run"]))
                 runs.setdefault(key, []).append(row)
     return runs

@@ -199,6 +199,8 @@ def mutate(rng: Random, t: Node, cfg: GpConfig) -> Node:
     """Replace a random subtree with a freshly grown one."""
     point = rng.choice(_common_paths(t, t))
     sub = random_tree(rng, rng.randint(*cfg.init_depth), "grow")
+    # cut it to the levels below `point` first: no tree built on the way passes max_depth
+    sub = truncate_depth(sub, max(1, cfg.max_depth - len(point)))
     return truncate_depth(_replace(t, point, sub), cfg.max_depth)
 
 

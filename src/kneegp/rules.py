@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import sub
+from operator import attrgetter, sub
 from pathlib import Path
 from string import Formatter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import InstanceAnalysis, ProjectInstance, byte_sum, byte_tables
 
@@ -69,42 +69,46 @@ ALL_TERMINALS = TIME_TERMINALS + PRECEDENCE_TERMINALS + RESOURCE_TERMINALS
 # short historical spellings accepted on input
 _ALIASES = {"LF": "LFT", "LS": "LST", "ES": "EST", "EF": "EFT"}
 
-# the deepest tree `func`, a rule file or GP may build, a leaf alone being
-# depth 1: far above the paper's 8, and far below the depth where the
-# recursive walks left (`repr` first, near 250) exhaust Python's stack
+# the deepest tree a `Node` may be, a leaf alone being depth 1: far above the
+# paper's 8, and far below the depth where a walk that recurses once or a few
+# times per level exhausts Python's stack, so every walk over a tree may recurse
 MAX_DEPTH = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Node:
     """Expression tree node; leaves carry a terminal name, no children.
 
-    A node caches its hash and each of its three compiled forms (`_rank`
-    over pairs, `_score` over a group, `_best` over a decision's feasible
-    groups) on first use. None of them takes part in
-    equality or in the pickled state: string hashes differ between
+    A node knows its depth and refuses to be built deeper than
+    `MAX_DEPTH`, so every walk over a tree may be a plain recursion. On
+    first use it caches its hash and its size, each from its children's,
+    and each of its three compiled forms (`_rank` over pairs, `_score` over
+    a group, `_best` over a decision's feasible groups). None of them takes
+    part in equality or in the pickled state: string hashes differ between
     processes, and generated functions do not pickle.
     """
 
     op: str
     children: tuple["Node", ...] = ()
 
+    def __init__(self, op: str, children: tuple["Node", ...] = ()):
+        depth = 1 + max(map(attrgetter("_depth"), children)) if children else 1
+        if depth > MAX_DEPTH:
+            raise ValueError(f"{op} would nest deeper than {MAX_DEPTH} levels")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "_depth", depth)
+
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        # hash the unhashed nodes below first, each after its children, so
-        # no hash recurses however deep the tree
-        stack, below = list(self.children), []
-        while stack:
-            n = stack.pop()
-            if "_hash" not in vars(n):
-                below.append(n)
-                stack += n.children
-        for n in reversed(below):
-            n._hash
         return hash((self.op, self.children))
+
+    @cached_property
+    def _size(self) -> int:
+        return 1 + sum(c._size for c in self.children)
 
     @cached_property
     def _rank(self) -> Callable:
@@ -119,8 +123,9 @@ class Node:
         return _compile_best(self)
 
     def __eq__(self, other) -> bool:
-        # pair the nodes from an explicit stack, so no comparison recurses,
-        # and each pair of node objects once, so shared subtrees cost once
+        # compare each pair of node objects once: two equal trees that each
+        # share their subtrees compare in linear time, where a recursion
+        # would take time exponential in their depth
         if other.__class__ is not Node:
             return NotImplemented
         stack, seen = [(self, other)], set()
@@ -135,49 +140,21 @@ class Node:
         return True
 
     def __reduce__(self):
-        # one row (op, child rows...) per distinct node object, children
-        # first: pickling does not recurse, and a shared subtree stays shared
-        rows, index, stack = [], {}, [self]
-        while stack:
-            n = stack[-1]
-            if id(n) in index:
-                stack.pop()
-                continue
-            todo = [c for c in n.children if id(c) not in index]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            index[id(n)] = len(rows)
-            rows.append((n.op, *(index[id(c)] for c in n.children)))
-        return _unflatten, (rows,)
+        # pickle's memo keeps a shared subtree shared
+        return Node, (self.op, self.children)
 
     def is_leaf(self) -> bool:
         return not self.children
 
-    def _levels(self) -> Iterator[list[Node]]:
-        level = [self]
-        while level:
-            yield level
-            level = [c for n in level for c in n.children]
-
     def size(self) -> int:
-        return sum(map(len, self._levels()))
+        """Node count, a shared subtree counted as often as it occurs."""
+        return self._size
 
     def depth(self) -> int:
-        return sum(1 for _ in self._levels())
+        return self._depth
 
     def __str__(self) -> str:
         return format_sexpr(self)
-
-
-def _unflatten(rows: list[tuple]) -> Node:
-    """The tree `Node.__reduce__` flattened: each row's node from the nodes
-    of the earlier rows it names."""
-    nodes: list[Node] = []
-    for op, *children in rows:
-        nodes.append(Node(op, tuple(nodes[k] for k in children)))
-    return nodes[-1]
 
 
 def leaf(name: str) -> Node:
@@ -193,23 +170,13 @@ def func(op: str, *children: Node) -> Node:
         raise ValueError(f"unknown function {op!r}")
     if arity != len(children):
         raise ValueError(f"{op} expects {arity} children, got {len(children)}")
-    node = Node(op, tuple(children))
-    if node.depth() > MAX_DEPTH:
-        raise ValueError(f"{op} would nest deeper than {MAX_DEPTH} levels")
-    return node
+    return Node(op, tuple(children))
 
 
 def format_sexpr(node: Node) -> str:
-    out, stack = [], [node]  # nodes and the text between them, last first
-    while stack:
-        n = stack.pop()
-        if isinstance(n, str):
-            out.append(n)
-        elif n.children:
-            stack += [")", *(x for c in reversed(n.children) for x in (c, " ")), "(" + n.op]
-        else:
-            out.append(n.op)
-    return "".join(out)
+    if not node.children:
+        return node.op
+    return f"({node.op} {' '.join(map(format_sexpr, node.children))})"
 
 
 def parse_sexpr(text: str) -> Node:
@@ -501,41 +468,34 @@ def _body(tree: Node, table: dict[str, str]) -> tuple[list[str], list[str], str]
     """How to evaluate `tree` with terminal values from `table`: the table
     entries it reads, then the statements, then the local holding the result.
 
-    Each distinct terminal is computed once, into `t<k>`. Each function node
-    becomes one assignment `v<k>` of its `_FUNCTIONS` value, so deep trees
-    never nest the generated source; a clamped function's is followed by
-    `_clamp` only if a range test fails. Only table entries, templates and
-    local names enter the source: symbols are looked up, never pasted.
+    Each distinct terminal is computed once, into `t<k>`, and each distinct
+    function node object once, into `v<k>`, numbered in post-order, as one
+    assignment of its `_FUNCTIONS` value, so the source never nests; a
+    clamped function's is followed by `_clamp` only if a range test fails.
+    Only table entries, templates and local names enter the source: symbols
+    are looked up, never pasted.
     """
     terms: dict[str, str] = {}
     lines: list[str] = []
-    nodes = 0
-    values: list[str] = []  # the locals of the subtrees done, in order
-    # a function node is checked on the way down and emitted on the way
-    # back, after its children: an explicit stack, so no walk recurses
-    stack = [(tree, False)]
-    while stack:
-        n, done = stack.pop()
-        if done:
-            args = values[len(values) - len(n.children):]
-            del values[len(values) - len(n.children):]
-            v = f"v{nodes}"
-            nodes += 1
-            lines.append(f"{v} = {_FUNCTIONS[n.op].format(*args)}")
-            if n.op in _CLAMPED:
-                lines.append(f"if not {-_HUGE!r} <= {v} <= {_HUGE!r}: {v} = _clamp({v})")
-            values.append(v)
-        elif not n.children:
+    done: dict[int, str] = {}  # id of a function node -> its local
+
+    def emit(n: Node) -> str:
+        if not n.children:
             if n.op not in table:
                 raise ValueError(f"unknown terminal {n.op!r}")
-            values.append(terms.setdefault(n.op, f"t{len(terms)}"))
-        else:
-            if n.op not in _FUNCTIONS or FUNCTION_ARITY[n.op] != len(n.children):
-                raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
-            stack.append((n, True))
-            stack += [(c, False) for c in reversed(n.children)]
+            return terms.setdefault(n.op, f"t{len(terms)}")
+        if id(n) in done:
+            return done[id(n)]
+        if n.op not in _FUNCTIONS or FUNCTION_ARITY[n.op] != len(n.children):
+            raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
+        args = [emit(c) for c in n.children]
+        v = done[id(n)] = f"v{len(done)}"
+        lines.append(f"{v} = {_FUNCTIONS[n.op].format(*args)}")
+        if n.op in _CLAMPED:
+            lines.append(f"if not {-_HUGE!r} <= {v} <= {_HUGE!r}: {v} = _clamp({v})")
+        return v
 
-    result, = values
+    result = emit(tree)
     exprs = [table[name] for name in terms]
     return exprs, [f"{t} = {e}" for t, e in zip(terms.values(), exprs)] + lines, result
 

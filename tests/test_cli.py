@@ -470,17 +470,23 @@ def test_bench_stats_reports_a_bad_report_entry(tmp_path, capsys, payload, messa
     assert err.startswith("error: report.json") and message in err
 
 
-@pytest.mark.parametrize("name, header, message", [
+@pytest.mark.parametrize("name, text, message", [
     ("history.csv", "scenario,algorithm,run,best_fitness,mean_fitness,ordering_size,"
-     "group_size", "history.csv: missing column(s) generation"),
-    ("timings.csv", "scenario,algorithm,run,status,censored",
+     "group_size\ntiny,sgp,0,timeout,1\n", "history.csv: missing column(s) generation"),
+    ("timings.csv", "scenario,algorithm,run,status,censored\ntiny,sgp,0,timeout,1\n",
      "timings.csv: missing column(s) train_seconds"),
-], ids=["history", "timings"])
-def test_bench_stats_reports_a_missing_csv_column(tmp_path, capsys, name, header, message):
+    ("history.csv", "scenario,algorithm,run,generation,best_fitness,mean_fitness,"
+     "ordering_size,group_size\ntiny,sgp,0,0\n", "history.csv: line 2 has 4 fields, the header 8"),
+    ("timings.csv", "scenario,algorithm,run,status,train_seconds,censored\ntiny,sgp,0\n",
+     "timings.csv: line 2 has 3 fields, the header 6"),
+], ids=["history", "timings", "history-short-row", "timings-short-row"])
+def test_bench_stats_reports_a_missing_csv_column(tmp_path, capsys, name, text, message):
     (tmp_path / "report.json").write_text(json.dumps({"reports": [_ENTRY]}))
-    (tmp_path / name).write_text(f"{header}\ntiny,sgp,0,timeout,1\n")
-    assert main(["bench", "stats", "--in", str(tmp_path)]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    (tmp_path / name).write_text(text)
+    for cmd in (["bench", "stats", "--in", str(tmp_path)],
+                ["bench", "plots", "--in", str(tmp_path), "--out", str(tmp_path / "plots")]):
+        assert main(cmd) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bench_stats_refuses_a_report_without_runs(tmp_path, capsys):

@@ -8,6 +8,8 @@ from kneegp.evolve import (
     CandidateReport,
     GpConfig,
     TrainingTimeout,
+    _common_paths,
+    _replace,
     crossover,
     evaluate_rules,
     evolve,
@@ -22,7 +24,7 @@ from kneegp.evolve import (
 )
 from kneegp.model import from_dict
 from kneegp.policy import KneeConfig, build_policy
-from kneegp.rules import ALL_TERMINALS, FUNCTION_ARITY, Node, RulePair, func, leaf
+from kneegp.rules import ALL_TERMINALS, FUNCTION_ARITY, MAX_DEPTH, Node, RulePair, func, leaf
 from kneegp.sim import derive_seed, sample_durations, solve
 
 from conftest import chain_instance, count_calls, random_instance, realized
@@ -150,6 +152,34 @@ def test_mutation_stays_well_formed_and_bounded():
         assert m.depth() <= 6
         changed += m != t
     assert changed > 40  # mutation usually does something
+
+
+def test_mutation_at_the_depth_bound_never_nests_deeper():
+    """A subtree grown below a deep point is cut before it is grafted, so
+    no tree built on the way passes `MAX_DEPTH`."""
+    cfg = GpConfig(max_depth=MAX_DEPTH)
+    t = leaf("ExpDur")
+    for k in range(MAX_DEPTH - 1):
+        t = func("add", t, leaf("RR")) if k % 2 else func("neg", t)
+    rng = random.Random(64)
+    for _ in range(300):
+        m = mutate(rng, t, cfg)
+        _assert_well_formed(m)
+        assert m.depth() <= MAX_DEPTH
+
+
+def test_mutation_equals_grafting_then_cutting():
+    """`mutate` gives the tree that grafting the uncut subtree and then
+    cutting the whole to `max_depth` gives, with the same draws."""
+    cfg = GpConfig()
+    rng = random.Random(23)
+    for k in range(300):
+        t = random_tree(rng, rng.randint(1, 8), rng.choice(["grow", "full"]))
+        ref = random.Random(k)
+        point = ref.choice(_common_paths(t, t))
+        sub = random_tree(ref, ref.randint(*cfg.init_depth), "grow")
+        assert mutate(random.Random(k), t, cfg) == \
+            truncate_depth(_replace(t, point, sub), cfg.max_depth)
 
 
 def test_pair_operators_touch_the_right_trees():

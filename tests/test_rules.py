@@ -415,30 +415,55 @@ def test_func_refuses_a_tree_deeper_than_the_bound():
             func(op, *kids)
 
 
-def test_a_tree_built_far_beyond_the_depth_bound_hashes():
-    """`Node` itself does not bound depth, and `hash`, `==`, pickling,
-    `size()`, `depth()`, its text and its rank form walk a tree without
-    recursing, however deep it is."""
-    t = leaf("ExpDur")
-    for _ in range(4999):
-        t = Node("neg", (t,))
-    other = leaf("ExpDur")
-    for _ in range(4999):
-        other = Node("neg", (other,))
-    assert hash(t) == hash(other)
-    assert hash(t) != hash(Node("neg", (t,)))
-    assert t == other and t is not other
-    assert t != Node("neg", (other,)) and Node("abs", other.children) != t
+def _chain(bottom: str = "ExpDur") -> Node:
+    """A `neg`/`add` chain exactly `MAX_DEPTH` levels deep."""
+    t = leaf(bottom)
+    for k in range(rules.MAX_DEPTH - 1):
+        t = Node("add", (t, leaf("RR"))) if k % 2 else Node("neg", (t,))
+    return t
+
+
+def _doubled(bottom: str = "RR") -> Node:
+    """`(add t t)` exactly `MAX_DEPTH` levels deep: one node object per
+    level, shared by both children of the level above."""
+    t = leaf(bottom)
+    for _ in range(rules.MAX_DEPTH - 1):
+        t = Node("add", (t, t))
+    return t
+
+
+def test_node_refuses_a_tree_deeper_than_the_bound():
+    """`Node` itself bounds depth, so every tree, however it is put
+    together, is at most `MAX_DEPTH` levels deep."""
+    for t in (_chain(), _doubled()):
+        assert t.depth() == rules.MAX_DEPTH
+        for op, kids in (("neg", (t,)), ("add", (leaf("RR"), t)), ("add", (t, t))):
+            with pytest.raises(ValueError,
+                               match=f"^{op} would nest deeper than {rules.MAX_DEPTH} levels$"):
+                Node(op, kids)
+
+
+@pytest.mark.parametrize("build, size", [(_chain, 95), (_doubled, 2 ** 64 - 1)],
+                         ids=["chain", "shared"])
+def test_every_walk_works_at_the_depth_bound(build, size):
+    """Hashing, `==`, pickling, `depth()` and `size()` of a tree at the
+    bound, and of one that shares a subtree at every level."""
+    t, other = build(), build()
+    assert t is not other and t == other and hash(t) == hash(other)
+    assert t != build("TSC") and Node("abs", t.children[:1]) != other
     copy = pickle.loads(pickle.dumps(t))
     assert copy == t and hash(copy) == hash(t)
-    assert t.size() == t.depth() == 5000
-    assert Node("add", (t, t)).size() == 10001
-    assert format_sexpr(t) == str(t) == _nested(5000)
-    demo = demo_instance()
-    pairs = [(1, 0), (1, 1), (2, 0)]
-    ctx = DecisionContext(demo, 0, demo.capacities, {0}, {})
-    # an odd number of negations
-    assert t._rank(ctx, pairs) == [-demo.activities[i].modes[m].expected for i, m in pairs]
+    assert build is _chain or copy.children[0] is copy.children[1]
+    assert t.depth() == copy.depth() == rules.MAX_DEPTH
+    assert t.size() == copy.size() == size
+
+
+def test_a_chain_at_the_depth_bound_has_a_repr():
+    """The dataclass `repr` nests one call per level, which the bound keeps
+    far from Python's stack limit; pytest prints it for a failed assertion."""
+    t = _chain()
+    assert repr(t).count("Node(op=") == t.size() == 95
+    assert str(t) == format_sexpr(t)
 
 
 def test_pickling_keeps_a_shared_subtree_shared():
@@ -717,12 +742,34 @@ def test_evaluated_rule_pair_pickles_and_compares_equal():
             full_enumeration_decide(copy, ctx, eligible)) == before
 
 
-def test_deep_trees_compile():
-    # one assignment per function node: depth never nests the source
-    t = leaf("ExpDur")
-    for _ in range(400):
-        t = Node("neg", (t,))
-    assert eval_pair_priority(t, fresh_ctx(demo_instance()), (1, 0)) == 5.0
+def test_deep_trees_compile(monkeypatch):
+    """Each distinct function node object becomes one assignment: a tree at
+    the bound that shares a subtree at every level compiles to a few lines
+    per level in all three forms, and `Node` refuses one level more."""
+    t = _doubled()
+    with pytest.raises(ValueError,
+                       match=f"^add would nest deeper than {rules.MAX_DEPTH} levels$"):
+        Node("add", (t, t))
+    ctx = fresh_ctx(demo_instance())
+    pairs, group = [(1, 0), (1, 1), (2, 0)], [(1, 1), (2, 1)]
+    eligible = [(1, 0), (1, 1), (2, 0), (2, 1)]
+    rr = leaf("RR")
+    ranked = [eval_pair_priority(rr, ctx, p) for p in pairs]
+    scored = eval_group_priority(rr, ctx, group)
+    chosen = full_enumeration_decide(RulePair(rr, rr), ctx, eligible)
+    sources, real = [], rules._exec
+
+    def spy(src: str, name: str):
+        sources.append(src)
+        return real(src, name)
+
+    monkeypatch.setattr(rules, "_exec", spy)
+    scale = 2.0 ** (rules.MAX_DEPTH - 1)  # the tree is `RR` doubled 63 times
+    assert [float(v) for v in t._rank(ctx, pairs)] == [scale * v for v in ranked]
+    assert eval_group_priority(t, ctx, group) == scale * scored
+    assert full_enumeration_decide(RulePair(rr, t), ctx, eligible) == chosen
+    assert len(sources) == 3
+    assert all(src.count("\n") < 4 * rules.MAX_DEPTH for src in sources)
 
 
 def test_malformed_nodes_are_rejected(ctx):

@@ -1,0 +1,154 @@
+"""Named mutants of `src/`, each with the tests that must catch it.
+
+    python3 tools/mutants.py [NAME ...]
+
+For each mutant (all of them, or the ones named), copies `src/` to a
+temporary directory, replaces the mutant's snippet in its file there and
+runs only the mutant's tests, with `python -m pytest` from the repo root
+and the copy first on the import path. A mutant is *killed* when a test
+fails, *survived* when they all pass, and *stale* when its snippet does not
+occur exactly once in its file or pytest could not run its tests (a
+renamed test, a mutant that does not import). Prints one line per mutant
+and the totals, and exits 1 unless every mutant was killed. Standard
+library only.
+
+A change that has a mutation check in mind adds the mutant here, so that
+any later change can rerun it.
+"""
+from __future__ import annotations
+
+import argparse
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    snippet: str  # exact source text, found exactly once in `file`
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+_RULES, _SIM, _EVOLVE, _MODEL = ("kneegp/rules.py", "kneegp/sim.py", "kneegp/evolve.py",
+                                 "kneegp/model.py")
+
+# the lines of `rules._body` between its memo lookup and its memo entry
+_BODY_CHECK = """\
+        if n.op not in _FUNCTIONS or FUNCTION_ARITY[n.op] != len(n.children):
+            raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
+        args = [emit(c) for c in n.children]
+"""
+
+MUTANTS: tuple[Mutant, ...] = (
+    # the depth bound where a tree is built
+    Mutant("node-bound-at-ge", _RULES,
+           "        if depth > MAX_DEPTH:\n            raise ValueError(f\"{op} would",
+           "        if depth >= MAX_DEPTH:\n            raise ValueError(f\"{op} would",
+           ("tests/test_rules.py::test_node_refuses_a_tree_deeper_than_the_bound",)),
+    Mutant("node-depth-off-by-one", _RULES,
+           'depth = 1 + max(map(attrgetter("_depth"), children)) if children else 1',
+           'depth = 1 + max(map(attrgetter("_depth"), children)) if children else 0',
+           ("tests/test_rules.py::test_node_refuses_a_tree_deeper_than_the_bound",)),
+    Mutant("node-size-without-self", _RULES,
+           "return 1 + sum(c._size for c in self.children)",
+           "return sum(c._size for c in self.children)",
+           ("tests/test_rules.py::test_every_walk_works_at_the_depth_bound",)),
+    Mutant("body-memo-by-op", _RULES,
+           "        if id(n) in done:\n            return done[id(n)]\n" + _BODY_CHECK
+           + "        v = done[id(n)] = ",
+           "        if n.op in done:\n            return done[n.op]\n" + _BODY_CHECK
+           + "        v = done[n.op] = ",
+           ("tests/test_rules.py::test_compiled_trees_equal_the_interpreter_exactly",)),
+    Mutant("mutate-grafts-uncut", _EVOLVE,
+           "    sub = truncate_depth(sub, max(1, cfg.max_depth - len(point)))\n", "",
+           ("tests/test_evolve.py::test_mutation_at_the_depth_bound_never_nests_deeper",)),
+    # the pair terminals at a ready pair
+    Mutant("est-as-int", _RULES, '"EST": "0.0",', '"EST": "0",',
+           ("tests/test_rules.py::test_time_terminals_exact_at_every_decision_of_solve",)),
+    Mutant("eft-without-float", _RULES, '"EFT": "0.0 + r[0]",', '"EFT": "r[0]",',
+           ("tests/test_rules.py::test_time_terminals_exact_at_every_decision_of_solve",)),
+    Mutant("group-tsc-dsc-swapped", _RULES,
+           '    "TSC": "u_tsucc.bit_count()",\n    "DSC": "u_succ.bit_count()",',
+           '    "TSC": "u_succ.bit_count()",\n    "DSC": "u_tsucc.bit_count()",',
+           ("tests/test_policy.py::test_every_group_decision_of_a_solve_equals_the_reference",)),
+    Mutant("mul-unclamped", _RULES, '_CLAMPED = frozenset({"add", "sub", "mul", "div"})',
+           '_CLAMPED = frozenset({"add", "sub", "div"})',
+           ("tests/test_rules.py::test_clamp_blocks_overflow",)),
+    # packed capacity in the decision form
+    Mutant("take-tests-any-guard-bit", _RULES, "            if x & G == G:",
+           "            if x & G:",
+           ("tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots",)),
+    Mutant("extendable-tests-any-guard-bit", _RULES,
+           "return any((free - o[1]) & guard == guard for j in skipped for o in opts[j])",
+           "return any((free - o[1]) & guard for j in skipped for o in opts[j])",
+           ("tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots",)),
+    Mutant("byte-sum-two-tables", _MODEL,
+           'return sum(map(getitem, tables, mask.to_bytes(len(tables), "little")))',
+           'return sum(map(getitem, tables[:2], mask.to_bytes(len(tables), "little")))',
+           ("tests/test_rules.py::test_compiled_trees_equal_the_interpreter_exactly",)),
+    # the executor
+    Mutant("ready-with-one-predecessor-left", _SIM,
+           "if not waiting[j] and j in real:", "if waiting[j] <= 1 and j in real:",
+           ("tests/test_rules.py::test_time_terminals_exact_at_every_decision_of_solve",)),
+    Mutant("started-stays-ready", _SIM, "                ready.discard(i)\n", "",
+           ("tests/test_rules.py::test_time_terminals_exact_at_every_decision_of_solve",)),
+    Mutant("within-clock-without-fit", _SIM,
+           "if p[0] in ready\n" + " " * 24 + "and (free - opts[p[0]][p[1]][1]) & guard == guard]",
+           "if p[0] in ready]",
+           ("tests/test_sim.py::test_eligible_sets_at_the_lane_edges",)),
+    Mutant("check-group-without-guard-test", _SIM,
+           "        if free & guard == guard:\n            free -= opts[i][m][1]",
+           "        free -= opts[i][m][1]",
+           ("tests/test_sim.py::test_contract_counts_members_at_a_lane_top_one_at_a_time",)),
+)
+
+
+def occurrences(mutant: Mutant) -> int:
+    return (SRC / mutant.file).read_text().count(mutant.snippet)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived' or 'stale'."""
+    if occurrences(mutant) != 1:
+        return "stale"
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / mutant.file
+        path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement))
+        # `pythonpath = ["src"]` in pyproject.toml would put the repo's own
+        # src/ first, so the copy goes first by `-o pythonpath`
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "-o", f"pythonpath={src}", *mutant.tests],
+            cwd=ROOT, capture_output=True, text=True)
+    return {0: "survived", 1: "killed"}.get(done.returncode, "stale")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = ap.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        ap.error(f"unknown mutant(s): {', '.join(unknown)}")
+    counts = {"killed": 0, "survived": 0, "stale": 0}
+    for m in [known[n] for n in args.names] or MUTANTS:
+        verdict = run(m)
+        counts[verdict] += 1
+        print(f"{verdict:<9}{m.name}", flush=True)
+    print(", ".join(f"{n} {k}" for k, n in counts.items()))
+    return 0 if counts["killed"] == sum(counts.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
