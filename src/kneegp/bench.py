@@ -470,26 +470,31 @@ def experiment_from_dict(d: dict) -> Experiment:
     return replace(exp, gp=replace(exp.gp, policy=GpConfig.policy))
 
 
-def _read_csv(path: Path, *columns: str) -> dict[tuple, list[dict]]:
+def _read_csv(path: Path, **columns: type) -> dict[tuple, list[dict]]:
     """Rows of a result CSV by run (scenario, algorithm, run); none if absent.
-    The header must name the run columns and `columns`, and every row must
-    have as many fields as the header."""
+    The header must name the run columns and `columns`, every row must have
+    as many fields as the header, and a row holds `run` and `columns` parsed."""
     runs: dict[tuple, list[dict]] = {}
+    types = {"run": int, **columns}
     if path.exists():
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            missing = [c for c in ("scenario", "algorithm", "run", *columns)
-                       if c not in header]
+            missing = [c for c in ("scenario", "algorithm", *types) if c not in header]
             if missing:
                 raise ValueError(f"{path.name}: missing column(s) {', '.join(missing)}")
             for fields in filter(None, reader):  # blank lines hold no row
+                where = f"{path.name}: line {reader.line_num}"
                 if len(fields) != len(header):
-                    raise ValueError(f"{path.name}: line {reader.line_num} has "
-                                     f"{len(fields)} fields, the header {len(header)}")
+                    raise ValueError(f"{where} has {len(fields)} fields, the header {len(header)}")
                 row = dict(zip(header, fields))
-                key = (row["scenario"], row["algorithm"], int(row["run"]))
-                runs.setdefault(key, []).append(row)
+                for c, kind in types.items():
+                    try:
+                        row[c] = kind(row[c])
+                    except ValueError:
+                        raise ValueError(f"{where}, column {c}: {row[c]!r} is not "
+                                         f"{kind.__name__}") from None
+                runs.setdefault((row["scenario"], row["algorithm"], row["run"]), []).append(row)
     return runs
 
 
@@ -499,10 +504,11 @@ def read_reports(indir: Path) -> list[RunReport]:
     payload = json.loads((indir / "report.json").read_text())
     if not isinstance(payload, dict) or not isinstance(payload.get("reports"), list):
         raise ValueError("report.json must be an object with a 'reports' list")
-    history = _read_csv(indir / "history.csv", "generation", "best_fitness",
-                        "mean_fitness", "ordering_size", "group_size")
-    seconds = {key: float(rows[-1]["train_seconds"])
-               for key, rows in _read_csv(indir / "timings.csv", "train_seconds").items()}
+    columns = dict(generation=int, best_fitness=float, mean_fitness=float,
+                   ordering_size=float, group_size=float)  # `GenerationStat` order
+    history = _read_csv(indir / "history.csv", **columns)
+    seconds = {key: rows[-1]["train_seconds"]
+               for key, rows in _read_csv(indir / "timings.csv", train_seconds=float).items()}
 
     reports = []
     for d in payload["reports"]:
@@ -529,11 +535,8 @@ def read_reports(indir: Path) -> list[RunReport]:
         reports.append(RunReport(
             **checked,
             rules=rules,
-            history=tuple(
-                GenerationStat(int(row["generation"]), float(row["best_fitness"]),
-                               float(row["mean_fitness"]), float(row["ordering_size"]),
-                               float(row["group_size"]), wall_seconds=0.0)
-                for row in history.get(key, ())),
+            history=tuple(GenerationStat(*map(row.get, columns), wall_seconds=0.0)
+                          for row in history.get(key, ())),
             train_seconds=seconds.get(key, 0.0),
         ))
     return reports

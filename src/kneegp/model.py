@@ -167,6 +167,12 @@ class InstanceAnalysis:
                              f"[0, capacity {caps}]")
         return self.pack(availability) | self.lanes[1]
 
+    def unpack(self, free: int) -> tuple[int, ...]:
+        """The availability that `pack_free` packed into `free`."""
+        width = self.lanes[0]
+        low = (1 << width - 1) - 1  # a lane without its guard bit
+        return tuple([free >> s & low for s in range(0, width * len(self.capacities), width)])
+
     @cached_property
     def options(self) -> list[tuple[tuple[tuple[int, int], int], ...]]:
         """Every activity's `((i, m), packed demand)` per mode, `options[i]`,

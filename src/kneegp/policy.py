@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from math import prod
-from operator import itemgetter, le
+from operator import itemgetter
 from typing import Callable, ClassVar, Sequence
 
 from .rules import DecisionContext, Node, Pair, RulePair
@@ -132,14 +132,13 @@ def _best_group(tree: Node, ctx: DecisionContext, slots: Sequence[Slot],
     how many groups were scored: one call to the group tree's decision form.
 
     Ties break on the sorted activity ids, then on the group itself. A lone
-    option that fits is the only feasible group, so it is taken unscored;
-    that test stays on tuples, since the context carries no packed capacity
-    and packing one costs more than the test.
+    option that fits is the only feasible group, so it is taken unscored.
     """
     if len(slots) == 1 and len(slots[0]) == 1:
-        pair, = slots[0]
-        i, m = pair
-        if all(map(le, ctx.instance.activities[i].modes[m].demand, ctx.availability)):
+        i, m = pair = slots[0][0]
+        ana = ctx.instance.analysis
+        G = ana.lanes[1]
+        if (ctx.free - ana.options[i][m][1]) & G == G:
             return (pair,), 1
     return tree._best(ctx, slots, maximal)
 

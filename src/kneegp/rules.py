@@ -251,6 +251,7 @@ def save_rules(rules: RulePair, path) -> None:
 class DecisionContext:
     """Snapshot of the simulation state at one decision point.
 
+    `free` is the packed free capacity (`InstanceAnalysis.pack_free`) and
     `running` maps an activity id to its (mode index, start time). Remaining
     work of running activities is estimated from expected durations; realized
     durations of anything unfinished are deliberately not visible here. It
@@ -265,14 +266,17 @@ class DecisionContext:
     eligible pair of `sim.solve` is.
     """
 
-    def __init__(self, instance: ProjectInstance, clock: int,
-                 availability: Sequence[int], completed: Iterable[int],
-                 running: Mapping[int, tuple[int, int]]):
+    def __init__(self, instance: ProjectInstance, clock: int, free: int,
+                 completed: Iterable[int], running: Mapping[int, tuple[int, int]]):
         self.instance = instance
         self.clock = clock
-        self.availability = tuple(availability)
+        self.free = free
         self.completed = frozenset(completed)
         self.running = dict(running)
+
+    @cached_property
+    def availability(self) -> tuple[int, ...]:
+        return self.instance.analysis.unpack(self.free)
 
     @cached_property
     def _avail_stats(self) -> tuple[float, int, int]:
@@ -563,8 +567,7 @@ def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair]], fl
 
 # the decision form; `{...}` marks what a tree fills in. A slot holds plain
 # pairs, and each option carries its packed demand `pd` from its static row;
-# `F` is the packed free capacity with every guard bit set
-# (`InstanceAnalysis.pack_free`)
+# `F` is the packed free capacity the walk has left, `ctx.free` at its root
 _BEST = """\
 def best(ctx, slots, maximal):
 {reads}
@@ -581,7 +584,7 @@ def best(ctx, slots, maximal):
         opts.append(row)
     end = len(slots)
     chosen, low, count = (), None, 0
-    stack = [(0, ana.pack_free(ctx.availability), (), (){starts})]
+    stack = [(0, ctx.free, (), (){starts})]
     pop, push = stack.pop, stack.append
     while stack:
         k, F, group, skipped{names} = pop()

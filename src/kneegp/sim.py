@@ -106,11 +106,9 @@ def solve(inst: ProjectInstance, policy: Policy,
     and the modes that no longer fit; the ready set is rescanned when the
     clock advances or a zero-duration start completes.
 
-    Free capacity is kept twice: as a list, which each `DecisionContext`
-    copies, and packed (`InstanceAnalysis.pack_free`, packed once per
-    solve), which every fit test reads: the rescan, the within-clock filter
-    and `_check_group` test a pair with one int operation on its packed
-    demand (`InstanceAnalysis.options`).
+    Free capacity is one packed int (`InstanceAnalysis.pack_free`), which
+    each `DecisionContext` holds: the rescan, the within-clock filter and
+    `_check_group` test a pair with one int operation on its packed demand.
 
     A policy that starts nothing while nothing runs stalls the project: no
     completion can change what it sees, since everything it reads is relative
@@ -123,8 +121,7 @@ def solve(inst: ProjectInstance, policy: Policy,
     # the dummy source runs from 0 to 0, so the first step completes it
     running = {inst.dummy_start: (0, 0)}  # i -> (mode, start)
     ends = {inst.dummy_start: 0}  # i -> completion time
-    avail = list(inst.capacities)
-    free = ana.pack_free(avail)  # `avail` packed, kept beside it
+    free = ana.pack_free(inst.capacities)
     entries: dict[int, ScheduleEntry] = {}
     decisions: list[DecisionRecord] = []
     end_preds = acts[inst.dummy_end].predecessors
@@ -147,19 +144,17 @@ def solve(inst: ProjectInstance, policy: Policy,
         for i in [i for i, e in ends.items() if e == t]:
             del ends[i]
             m, _ = running.pop(i)
-            for r, k in enumerate(acts[i].modes[m].demand):
-                avail[r] += k
             free += opts[i][m][1]
             complete(i)
 
         elig = eligible_set(inst, ready, free)
         while elig:
-            ctx = DecisionContext(inst, t, avail, completed, running)
+            ctx = DecisionContext(inst, t, free, completed, running)
             group, filtered = policy.decide(ctx, elig)
             group = tuple(group)
             if not group:
                 break
-            _check_group(inst, group, elig, avail, free)
+            _check_group(inst, group, elig, free)
             decisions.append(DecisionRecord(t, len(elig), filtered, group))
             zero_start = False
             for i, m in group:
@@ -170,8 +165,6 @@ def solve(inst: ProjectInstance, policy: Policy,
                     complete(i)
                     zero_start = True
                 else:
-                    for r, k in enumerate(acts[i].modes[m].demand):
-                        avail[r] -= k
                     free -= opts[i][m][1]
                     running[i] = (m, t)
                     ends[i] = t + d
@@ -185,29 +178,27 @@ def solve(inst: ProjectInstance, policy: Policy,
 
 
 def _check_group(inst: ProjectInstance, group: tuple[Pair, ...],
-                 eligible: list[Pair], avail: list[int], free: int) -> None:
+                 eligible: list[Pair], free: int) -> None:
     """Refuse a group with a pair that is not eligible, an activity in two
-    modes, or more joint demand than the free capacity `avail` (`free`
-    packed). The members come off `free` one at a time, and only while
-    every guard bit is set: packed demands added together can carry into
-    the next lane, and a lane whose guard bit has cleared can borrow from
-    it."""
+    modes, or more joint demand than the packed free capacity `free`. The
+    members come off it one at a time, and only while every guard bit is
+    set: packed demands added together can carry into the next lane, and a
+    lane whose guard bit has cleared can borrow from it."""
     ana = inst.analysis
     opts, guard = ana.options, ana.lanes[1]
     # one lookup costs less as a list scan than as a set to build
     elig = eligible if len(group) == 1 else set(eligible)
-    seen = set()
+    seen, left = set(), free
     for i, m in group:
         if (i, m) not in elig:
             raise PolicyContractError(f"pair ({i}, {m}) is not eligible")
         if i in seen:
             raise PolicyContractError(f"activity {i} started in two modes")
         seen.add(i)
-        if free & guard == guard:
-            free -= opts[i][m][1]
-    if free & guard != guard:
-        need = [sum(col) for col in zip(*(inst.activities[i].modes[m].demand
-                                          for i, m in group))]
+        if left & guard == guard:
+            left -= opts[i][m][1]
+    if left & guard != guard:
+        avail, need = ana.unpack(free), [sum(col) for col in zip(
+            *(inst.activities[i].modes[m].demand for i, m in group))]
         r = next(r for r, k in enumerate(need) if k > avail[r])
-        raise PolicyContractError(
-            f"group demands {need[r]} of resource {r}, only {avail[r]} free")
+        raise PolicyContractError(f"group demands {need[r]} of resource {r}, only {avail[r]} free")

@@ -78,7 +78,7 @@ def readied(ctx: DecisionContext, pairs) -> tuple[DecisionContext, list]:
         below |= inst.analysis.trans_pred_mask[i]
     done = ctx.completed | {j for j in range(inst.n_activities) if below >> j & 1}
     running = {i: v for i, v in ctx.running.items() if i not in done}
-    return (DecisionContext(inst, ctx.clock, ctx.availability, done, running),
+    return (DecisionContext(inst, ctx.clock, ctx.free, done, running),
             [(i, m) for i, m in pairs if i not in done])
 
 

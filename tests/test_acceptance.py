@@ -145,7 +145,7 @@ def _random_rules(rng: random.Random, depth_hi: int = 4) -> RulePair:
 
 
 def _root_context(inst) -> DecisionContext:
-    return DecisionContext(inst, 0, inst.capacities,
+    return DecisionContext(inst, 0, inst.analysis.pack_free(inst.capacities),
                            frozenset({inst.dummy_start}), {})
 
 
@@ -394,10 +394,10 @@ def test_10_terminals_are_clock_shift_invariant(criterion):
             act = rng.choice(free)
             pair = (act, rng.randrange(len(inst.activities[act].modes)))
             shift = rng.randint(1, 10**6)
-            here = DecisionContext(inst, clock, avail, frozenset(completed),
-                                   running)
+            here = DecisionContext(inst, clock, inst.analysis.pack_free(avail),
+                                   frozenset(completed), running)
             later = DecisionContext(
-                inst, clock + shift, avail, frozenset(completed),
+                inst, clock + shift, inst.analysis.pack_free(avail), frozenset(completed),
                 {i: (m, s + shift) for i, (m, s) in running.items()})
             for tree in trees:
                 assert (eval_pair_priority(tree, here, pair)

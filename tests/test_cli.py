@@ -479,7 +479,14 @@ def test_bench_stats_reports_a_bad_report_entry(tmp_path, capsys, payload, messa
      "ordering_size,group_size\ntiny,sgp,0,0\n", "history.csv: line 2 has 4 fields, the header 8"),
     ("timings.csv", "scenario,algorithm,run,status,train_seconds,censored\ntiny,sgp,0\n",
      "timings.csv: line 2 has 3 fields, the header 6"),
-], ids=["history", "timings", "history-short-row", "timings-short-row"])
+    ("history.csv", "scenario,algorithm,run,generation,best_fitness,mean_fitness,"
+     "ordering_size,group_size\ntiny,sgp,0,0,x0.40625,0.5,3,3\n",
+     "history.csv: line 2, column best_fitness: 'x0.40625' is not float"),
+    ("timings.csv", "scenario,algorithm,run,status,train_seconds,censored\n"
+     "tiny,sgp,0,ok,1.5,0\ntiny,sgp,zero,ok,1.5,0\n",
+     "timings.csv: line 3, column run: 'zero' is not int"),
+], ids=["history", "timings", "history-short-row", "timings-short-row",
+        "history-bad-number", "timings-bad-run"])
 def test_bench_stats_reports_a_missing_csv_column(tmp_path, capsys, name, text, message):
     (tmp_path / "report.json").write_text(json.dumps({"reports": [_ENTRY]}))
     (tmp_path / name).write_text(text)

@@ -348,6 +348,25 @@ def test_byte_sum_equals_the_bit_by_bit_sum(n):
         assert byte_sum(tables, mask) == _masked_sum(values, mask), mask
 
 
+@pytest.mark.parametrize("n_res", [1, 8])
+def test_unpack_inverts_pack_free(n_res):
+    """Every availability comes back from its packed form, guard bits
+    stripped, at capacities 0, 1, 2^k - 1 and 2^k, equal on every resource
+    or mixed."""
+    rng = random.Random(n_res)
+    edges = [0, 1] + [c for k in range(1, 10) for c in (2 ** k - 1, 2 ** k)]
+    idle = Mode(0, 0, 0, (0,) * n_res)
+    for k in range(60):
+        caps = ((edges[k % len(edges)],) * n_res if k < len(edges)
+                else tuple(rng.choice(edges) for _ in range(n_res)))
+        inst = build_instance([Activity(0, frozenset(), frozenset({1}), (idle,)),
+                               Activity(1, frozenset({0}), frozenset(), (idle,))], caps)
+        ana = inst.analysis
+        draws = [tuple(rng.randint(0, c) for c in caps) for _ in range(20)]
+        for avail in [(0,) * n_res, caps, *draws]:
+            assert ana.unpack(ana.pack_free(avail)) == tuple(avail), (caps, avail)
+
+
 def test_schedule_json_roundtrip():
     s = _sched(GRP_17)
     assert schedule_from_dict(schedule_to_dict(s)) == s

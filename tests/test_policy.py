@@ -98,8 +98,8 @@ def _flat_instance(expecteds, demands, capacity):
 
 
 def _context(inst):
-    avail = inst.capacities
-    return DecisionContext(inst, 0, avail, frozenset({inst.dummy_start}), {})
+    return DecisionContext(inst, 0, inst.analysis.pack_free(inst.capacities),
+                           frozenset({inst.dummy_start}), {})
 
 
 def test_walkthrough_scenario():
@@ -158,11 +158,26 @@ def test_group_tie_breaks_on_smallest_activity_ids():
 
 def test_no_feasible_subset_returns_empty():
     inst = _flat_instance([3, 3], [5, 5], 12)
-    ctx = DecisionContext(inst, 0, (4,), frozenset({0}), {})
+    ctx = DecisionContext(inst, 0, inst.analysis.pack_free((4,)), frozenset({0}), {})
     rules = RulePair(leaf("ExpDur"), leaf("RR"))
     gd = knee_group_decide(rules, ctx, [(1, 0), (2, 0)], KneeConfig())
     assert gd.group == ()
     assert gd.count == 0
+
+
+def test_a_lone_option_is_taken_only_if_it_fits():
+    # a demand that overdraws one resource leaves the other's guard bit set
+    idle = (Mode(0, 0, 0, (0, 0)),)
+    inst = build_instance([Activity(0, frozenset(), frozenset({1}), idle),
+                           Activity(1, frozenset({0}), frozenset({2}), (Mode(3, 3, 3, (5, 1)),)),
+                           Activity(2, frozenset({1}), frozenset(), idle)], (8, 8))
+    rules = RulePair(leaf("ExpDur"), leaf("RR"))
+    for avail, group in (((4, 8), ()), ((8, 0), ()), ((5, 1), ((1, 0),))):
+        ctx = DecisionContext(inst, 0, inst.analysis.pack_free(avail), frozenset({0}), {})
+        for maximal in (False, True):
+            d = knee_group_decide(rules, ctx, [(1, 0)], KneeConfig(), maximal)
+            assert (d.group, d.count) == (group, len(group)), avail
+        assert full_enumeration_decide(rules, ctx, [(1, 0)]).group == group, avail
 
 
 def test_hard_limit_narrows_the_enumeration():
@@ -506,7 +521,7 @@ def _pairs(slots):
 
 TIE_HEAVY_GROUP_TREES = ["(sub RR RR)", "DSC", "TPC", "(min DSC DPC)", "ExpDur",
                          "(neg (add GRD DSC))", "(div EST (sub LFT LFT))"]
-WORK_GROUP_TREES = ["GRPW", "GRPW_all", "(sub GRPW_all (mul GRPW DSC))"]
+WORK_GROUP_TREES = ["GRPW", "GRPW_all", "(sub GRPW_all (mul GRPW DSC))", "(sub TSC DSC)"]
 
 
 def _wide_instance(rng, n_res):
@@ -561,7 +576,8 @@ def test_group_choice_equals_the_reference_on_random_slots(monkeypatch):
                      else tuple(rng.randint(0, 8) for _ in range(n_res)))
         pairs = [(i, m) for i in inst.non_dummy_ids()
                  for m in range(inst.activities[i].n_modes)]
-        ctx, eligible = readied(DecisionContext(inst, 0, avail, {0}, {}), rng.sample(
+        root = DecisionContext(inst, 0, inst.analysis.pack_free(avail), {0}, {})
+        ctx, eligible = readied(root, rng.sample(
             pairs, rng.randint(1, 8 if wide else len(pairs))))
         texts = ((WORK_GROUP_TREES if wide else TIE_HEAVY_GROUP_TREES)
                  + [format_sexpr(random_tree(rng, 4))])
@@ -603,16 +619,12 @@ def _left(inst, group, avail):
 
 
 def test_an_availability_outside_the_capacities_is_refused():
-    # a packed lane holds a value up to the largest capacity or demand only
+    # a packed lane holds a value up to the largest capacity or demand only,
+    # so no context can hold an availability outside [0, capacity]
     inst = _flat_instance([3, 3], [5, 5], 12)
-    rules = RulePair(leaf("ExpDur"), leaf("RR"))
     for avail in ((13,), (-1,)):
-        ctx = DecisionContext(inst, 0, avail, frozenset({0}), {})
         with pytest.raises(ValueError, match="outside"):
-            full_enumeration_decide(rules, ctx, [(1, 0), (2, 0)])
-        for maximal in (False, True):
-            with pytest.raises(ValueError, match="outside"):
-                knee_group_decide(rules, ctx, [(1, 0), (2, 0)], KneeConfig(), maximal)
+            inst.analysis.pack_free(avail)
 
 
 @pytest.mark.parametrize("name", ["kggp-max", "kggp-all", "ggp"])

@@ -47,7 +47,8 @@ from conftest import (
 
 
 def fresh_ctx(inst, clock=0):
-    return DecisionContext(inst, clock, inst.capacities, frozenset({0}), {})
+    return DecisionContext(inst, clock, inst.analysis.pack_free(inst.capacities),
+                           frozenset({0}), {})
 
 
 @pytest.fixture
@@ -116,7 +117,8 @@ def test_resource_terminals(ctx):
 
 def test_mid_run_state():
     inst = demo_instance()
-    ctx = DecisionContext(inst, 6, (7,), frozenset({0, 1}), {2: (1, 0)})
+    ctx = DecisionContext(inst, 6, inst.analysis.pack_free((7,)), frozenset({0, 1}),
+                          {2: (1, 0)})
     assert terminal_value("EST", ctx, (3, 0)) == 0.0
     assert ctx.horizon == 7.0
     assert terminal_value("LFT", ctx, (3, 0)) == 4.0
@@ -176,7 +178,8 @@ def _random_state(rng, zero_prob=0.0, n=None):
     for i, (m, _) in running.items():
         for r, k in enumerate(inst.activities[i].modes[m].demand):
             avail[r] = max(0, avail[r] - k)
-    return inst, DecisionContext(inst, clock, avail, frozenset(done), running)
+    return inst, DecisionContext(inst, clock, inst.analysis.pack_free(avail),
+                                 frozenset(done), running)
 
 
 def _eligible(inst, ctx):
@@ -212,7 +215,7 @@ def test_terminals_invariant_under_time_shift():
         inst, ctx = _random_state(rng)
         shift = rng.randint(1, 50)
         moved = DecisionContext(
-            inst, ctx.clock + shift, ctx.availability, ctx.completed,
+            inst, ctx.clock + shift, ctx.free, ctx.completed,
             {i: (m, s + shift) for i, (m, s) in ctx.running.items()},
         )
         for i, m in _eligible(inst, ctx):
@@ -294,13 +297,15 @@ def test_time_terminals_equal_the_reference_passes():
 def test_horizon_ties_are_floats(demo):
     # running 2 has 3 expected ticks left, then 4 via activity 4: 7;
     # ready 3 takes 4, then 3 via activity 5: 7 as well
-    ctx = DecisionContext(demo, 1, (5,), frozenset({0, 1}), {2: (0, 0)})
+    ctx = DecisionContext(demo, 1, demo.analysis.pack_free((5,)), frozenset({0, 1}),
+                          {2: (0, 0)})
     assert _exact(ctx.horizon, 7.0)
     assert _exact(latest_finish(ctx, 3), 4.0)
     assert _assert_times_exact(ctx)
     # running 3 has 1 tick left, then 3 via activity 5: 4;
     # ready 4 takes 4: 4 as well
-    ctx = DecisionContext(demo, 3, (3,), frozenset({0, 1, 2}), {3: (0, 0)})
+    ctx = DecisionContext(demo, 3, demo.analysis.pack_free((3,)), frozenset({0, 1, 2}),
+                          {3: (0, 0)})
     assert _exact(ctx.horizon, 4.0)
     assert _exact(latest_finish(ctx, 5), 4.0)
     assert _assert_times_exact(ctx)

@@ -110,7 +110,8 @@ def _lazy_reveal_reference(inst, policy, seed):
                 break
             from kneegp.rules import DecisionContext
 
-            ctx = DecisionContext(inst, t, tuple(avail), frozenset(completed),
+            ctx = DecisionContext(inst, t, inst.analysis.pack_free(avail),
+                                  frozenset(completed),
                                   {i: (m, s) for i, (m, s, _) in running.items()})
             group, filtered = policy.decide(ctx, elig)
             if not group:
@@ -219,6 +220,45 @@ def test_eligible_sets_at_the_lane_edges():
             decisions += policy.decisions
             tight += policy.tight
     assert decisions > 500 and tight > 300
+
+
+class CapacityChecked(RescanChecked):
+    """`RescanChecked`, also checking the context's free capacity: unpacked,
+    it is the capacities less the running demands, and packing that again
+    gives the packed `free` the context holds."""
+
+    busy = 0
+
+    def decide(self, ctx, eligible):
+        inst = ctx.instance
+        left = list(inst.capacities)
+        for i, (m, _) in ctx.running.items():
+            for r, k in enumerate(inst.activities[i].modes[m].demand):
+                left[r] -= k
+        assert ctx.availability == tuple(left)
+        assert inst.analysis.pack_free(ctx.availability) == ctx.free
+        self.busy += bool(ctx.running)
+        return super().decide(ctx, eligible)
+
+
+def test_free_capacity_is_the_capacities_less_the_running_demands():
+    """At every decision of all four policies, on random projects with
+    zero-duration modes at the lane edges, whose demands take a whole
+    capacity or share it."""
+    rng = random.Random(61)
+    decisions = busy = 0
+    for k, (n_res, cap) in enumerate(LANE_EDGES * 4):
+        inst = random_instance(rng, n=rng.randint(3, 9), n_modes=rng.randint(1, 3),
+                               n_resources=n_res, capacity=cap,
+                               max_demand=rng.choice([cap, max(1, cap // 4)]),
+                               zero_prob=0.25, top_prob=rng.choice([0.0, 0.3]))
+        rules = RulePair(random_tree(rng, 4), random_tree(rng, 4))
+        for name in POLICY_NAMES:
+            policy = CapacityChecked(build_policy(rules, name))
+            solve(inst, policy, sample_durations(inst, seed=k))
+            decisions += policy.decisions
+            busy += policy.busy
+    assert decisions > 1000 and busy > 200
 
 
 class RandomGroups:
@@ -461,9 +501,8 @@ def test_stall_guard_fires(demo):
 
 def test_decision_context_keeps_its_snapshot(demo):
     # the executor hands its live state over and goes on changing it
-    avail, completed, running = [5], {0, 1}, {2: (0, 5)}
-    ctx = DecisionContext(demo, 7, avail, completed, running)
-    avail[0] = 0
+    completed, running = {0, 1}, {2: (0, 5)}
+    ctx = DecisionContext(demo, 7, demo.analysis.pack_free((5,)), completed, running)
     completed.add(3)
     running[4] = (1, 6)
     running[2] = (1, 7)

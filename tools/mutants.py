@@ -37,8 +37,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, relative to the repo root
 
 
-_RULES, _SIM, _EVOLVE, _MODEL = ("kneegp/rules.py", "kneegp/sim.py", "kneegp/evolve.py",
-                                 "kneegp/model.py")
+_RULES, _SIM, _EVOLVE, _MODEL, _POLICY = (
+    "kneegp/rules.py", "kneegp/sim.py", "kneegp/evolve.py", "kneegp/model.py",
+    "kneegp/policy.py")
 
 # the lines of `rules._body` between its memo lookup and its memo entry
 _BODY_CHECK = """\
@@ -78,7 +79,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("group-tsc-dsc-swapped", _RULES,
            '    "TSC": "u_tsucc.bit_count()",\n    "DSC": "u_succ.bit_count()",',
            '    "TSC": "u_succ.bit_count()",\n    "DSC": "u_tsucc.bit_count()",',
-           ("tests/test_policy.py::test_every_group_decision_of_a_solve_equals_the_reference",)),
+           ("tests/test_policy.py::test_every_group_decision_of_a_solve_equals_the_reference",
+            "tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots")),
     Mutant("mul-unclamped", _RULES, '_CLAMPED = frozenset({"add", "sub", "mul", "div"})',
            '_CLAMPED = frozenset({"add", "sub", "div"})',
            ("tests/test_rules.py::test_clamp_blocks_overflow",)),
@@ -94,7 +96,18 @@ MUTANTS: tuple[Mutant, ...] = (
            'return sum(map(getitem, tables, mask.to_bytes(len(tables), "little")))',
            'return sum(map(getitem, tables[:2], mask.to_bytes(len(tables), "little")))',
            ("tests/test_rules.py::test_compiled_trees_equal_the_interpreter_exactly",)),
+    # packed free capacity: the context's unpacked copy and the lone option
+    Mutant("unpack-keeps-guard-bit", _MODEL, "low = (1 << width - 1) - 1",
+           "low = (1 << width) - 1", ("tests/test_model.py::test_unpack_inverts_pack_free",)),
+    Mutant("lone-option-tests-any-guard-bit", _POLICY,
+           "if (ctx.free - ana.options[i][m][1]) & G == G:",
+           "if (ctx.free - ana.options[i][m][1]) & G:",
+           ("tests/test_policy.py::test_a_lone_option_is_taken_only_if_it_fits",)),
     # the executor
+    Mutant("completion-keeps-its-demand", _SIM,
+           "            m, _ = running.pop(i)\n            free += opts[i][m][1]\n",
+           "            m, _ = running.pop(i)\n",
+           ("tests/test_sim.py::test_free_capacity_is_the_capacities_less_the_running_demands",)),
     Mutant("ready-with-one-predecessor-left", _SIM,
            "if not waiting[j] and j in real:", "if waiting[j] <= 1 and j in real:",
            ("tests/test_rules.py::test_time_terminals_exact_at_every_decision_of_solve",)),
@@ -105,8 +118,8 @@ MUTANTS: tuple[Mutant, ...] = (
            "if p[0] in ready]",
            ("tests/test_sim.py::test_eligible_sets_at_the_lane_edges",)),
     Mutant("check-group-without-guard-test", _SIM,
-           "        if free & guard == guard:\n            free -= opts[i][m][1]",
-           "        free -= opts[i][m][1]",
+           "        if left & guard == guard:\n            left -= opts[i][m][1]",
+           "        left -= opts[i][m][1]",
            ("tests/test_sim.py::test_contract_counts_members_at_a_lane_top_one_at_a_time",)),
 )
 
