@@ -501,7 +501,10 @@ def _read_csv(path: Path, **columns: type) -> dict[tuple, list[dict]]:
 def read_reports(indir: Path) -> list[RunReport]:
     """Rebuild run reports from a result directory written by write_reports."""
     indir = Path(indir)
-    payload = json.loads((indir / "report.json").read_text())
+    try:
+        payload = json.loads((indir / "report.json").read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"report.json: {exc}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("reports"), list):
         raise ValueError("report.json must be an object with a 'reports' list")
     columns = dict(generation=int, best_fitness=float, mean_fitness=float,

@@ -56,21 +56,22 @@ def cmd_solve(args) -> int:
     policy = build_policy(rules, args.policy, knee, args.group_limit)
     res = solve(inst, policy,
                 DurationTable(inst, None if args.expected else args.duration_seed))
-    check = validate_schedule(inst, res.schedule)
+    schedule, decisions = res.schedule, res.decisions  # each built on its read
+    check = validate_schedule(inst, schedule)
     if not check:
         for v in check.violations:
             print(f"violation: {v.message}", file=sys.stderr)
         return 1
     print(f"makespan {res.makespan}")
-    print(f"decisions {len(res.decisions)}")
+    print(f"decisions {len(decisions)}")
     if args.schedule_out:
         Path(args.schedule_out).write_text(
-            json.dumps(schedule_to_dict(res.schedule), indent=2, sort_keys=True) + "\n")
+            json.dumps(schedule_to_dict(schedule), indent=2, sort_keys=True) + "\n")
     if args.log:  # one row per group start
         _write_csv(Path(args.log),
                    ["clock", "eligible_size", "filtered_size", "group_size", "pairs"],
                    ([d.clock, d.eligible_size, d.filtered_size, len(d.group),
-                     ";".join(f"{i}:{m}" for i, m in d.group)] for d in res.decisions))
+                     ";".join(f"{i}:{m}" for i, m in d.group)] for d in decisions))
     return 0
 
 

@@ -127,7 +127,9 @@ def random_tree(rng: Random, depth: int, method: str = "grow",
         return Node(op, tuple(build(budget - 1, False)
                               for _ in range(FUNCTION_ARITY[op])))
 
-    return build(depth, True)
+    tree = build(depth, True)
+    del build  # a recursive closure is a cycle: free it now, not at a collection
+    return tree
 
 
 def ramped_population(rng: Random, cfg: GpConfig) -> list[RulePair]:

@@ -325,11 +325,6 @@ class Schedule:
     makespan: int
 
 
-def make_schedule(entries: Mapping[int, ScheduleEntry]) -> Schedule:
-    ms = max((e.start + e.duration for e in entries.values()), default=0)
-    return Schedule(dict(entries), ms)
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str  # "precedence" | "resource" | "makespan"

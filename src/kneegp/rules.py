@@ -208,6 +208,7 @@ def parse_sexpr(text: str) -> Node:
         return func(op, *children)
 
     node = read(1)
+    del read  # a recursive closure is a cycle: free it now, not at a collection
     if pos != len(tokens):
         raise ValueError(f"trailing tokens: {' '.join(tokens[pos:])}")
     return node
@@ -248,6 +249,25 @@ def save_rules(rules: RulePair, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+class lazy:
+    """An attribute computed on its first read and kept in the instance
+    `__dict__`, which every later read finds first. A `DecisionContext` is
+    new at every decision, so every read of one of its attributes there is
+    a first read, and on Python 3.11 `functools.cached_property` takes a
+    lock on each; this takes none."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class DecisionContext:
     """Snapshot of the simulation state at one decision point.
 
@@ -274,16 +294,16 @@ class DecisionContext:
         self.completed = frozenset(completed)
         self.running = dict(running)
 
-    @cached_property
+    @lazy
     def availability(self) -> tuple[int, ...]:
         return self.instance.analysis.unpack(self.free)
 
-    @cached_property
+    @lazy
     def _avail_stats(self) -> tuple[float, int, int]:
         a = self.availability
         return (sum(a) / len(a), max(a), min(a))
 
-    @cached_property
+    @lazy
     def horizon(self) -> float:
         """Projected completion of the whole project, relative to the clock,
         as a float in every state: the longest chain, `rem + tail` from a
@@ -500,6 +520,7 @@ def _body(tree: Node, table: dict[str, str]) -> tuple[list[str], list[str], str]
         return v
 
     result = emit(tree)
+    del emit  # a recursive closure is a cycle: free it now, not at a collection
     exprs = [table[name] for name in terms]
     return exprs, [f"{t} = {e}" for t, e in zip(terms.values(), exprs)] + lines, result
 

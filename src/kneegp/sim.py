@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import ProjectInstance, Schedule, ScheduleEntry, make_schedule
+from .model import ProjectInstance, Schedule, ScheduleEntry
 from .policy import Policy
 from .rules import DecisionContext, Pair
 
@@ -74,12 +74,23 @@ class DecisionRecord:
 
 @dataclass(frozen=True)
 class SimResult:
-    schedule: Schedule
-    decisions: tuple[DecisionRecord, ...]
+    """One solve: its makespan, each start as activity -> (mode, start,
+    duration) and each decision as (clock, eligible size, filtered size,
+    group). A training solve reads only the makespan, so `schedule` and
+    `decisions` build their typed records on every read, not before."""
+
+    makespan: int
+    starts: dict[int, tuple[int, int, int]]
+    log: tuple[tuple[int, int, int, tuple[Pair, ...]], ...]
 
     @property
-    def makespan(self) -> int:
-        return self.schedule.makespan
+    def schedule(self) -> Schedule:
+        return Schedule({i: ScheduleEntry(*e) for i, e in self.starts.items()},
+                        self.makespan)
+
+    @property
+    def decisions(self) -> tuple[DecisionRecord, ...]:
+        return tuple(DecisionRecord(*d) for d in self.log)
 
 
 def eligible_set(inst: ProjectInstance, ready: Iterable[int],
@@ -122,8 +133,8 @@ def solve(inst: ProjectInstance, policy: Policy,
     running = {inst.dummy_start: (0, 0)}  # i -> (mode, start)
     ends = {inst.dummy_start: 0}  # i -> completion time
     free = ana.pack_free(inst.capacities)
-    entries: dict[int, ScheduleEntry] = {}
-    decisions: list[DecisionRecord] = []
+    starts: dict[int, tuple[int, int, int]] = {}
+    log: list[tuple[int, int, int, tuple[Pair, ...]]] = []
     end_preds = acts[inst.dummy_end].predecessors
     waiting = [len(a.predecessors) for a in acts]  # unfinished predecessors
     ready: set[int] = set()
@@ -155,12 +166,12 @@ def solve(inst: ProjectInstance, policy: Policy,
             if not group:
                 break
             _check_group(inst, group, elig, free)
-            decisions.append(DecisionRecord(t, len(elig), filtered, group))
+            log.append((t, len(elig), filtered, group))
             zero_start = False
             for i, m in group:
                 ready.discard(i)
                 d = durations.duration(i, m)
-                entries[i] = ScheduleEntry(m, t, d)
+                starts[i] = (m, t, d)
                 if d == 0:
                     complete(i)
                     zero_start = True
@@ -174,7 +185,8 @@ def solve(inst: ProjectInstance, policy: Policy,
                 elig = [p for p in elig if p[0] in ready
                         and (free - opts[p[0]][p[1]][1]) & guard == guard]
 
-    return SimResult(make_schedule(entries), tuple(decisions))
+    makespan = max((s + d for _, s, d in starts.values()), default=0)
+    return SimResult(makespan, starts, tuple(log))
 
 
 def _check_group(inst: ProjectInstance, group: tuple[Pair, ...],

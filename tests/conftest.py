@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from operator import le, sub
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import pytest
 
@@ -17,6 +17,7 @@ from kneegp.rules import (
     eval_group_priority,
     eval_pair_priority,
 )
+from kneegp.sim import DecisionRecord
 
 
 def _act(i, preds, succs, modes):
@@ -142,6 +143,39 @@ def realized(table) -> dict[tuple[int, int], int]:
     drawn yet."""
     return {(a.id, m): table.duration(a.id, m)
             for a in table.inst.activities for m in range(a.n_modes)}
+
+
+def make_schedule(entries: Mapping[int, ScheduleEntry]) -> Schedule:
+    """The schedule of `entries`, whose makespan is their latest end (0 for
+    none)."""
+    ms = max((e.start + e.duration for e in entries.values()), default=0)
+    return Schedule(dict(entries), ms)
+
+
+class EagerRecords:
+    """Delegates to a policy and builds the typed records of each decision
+    as it is made, the way the executor once did: a `DecisionRecord` for
+    each group the policy starts, and a `ScheduleEntry` for each member,
+    lasting what `durations` gives it."""
+
+    def __init__(self, policy, durations):
+        self.policy = policy
+        self.durations = durations
+        self.entries: dict[int, ScheduleEntry] = {}
+        self.decisions: list[DecisionRecord] = []
+
+    def decide(self, ctx, eligible):
+        group, filtered = self.policy.decide(ctx, eligible)
+        group = tuple(group)
+        if group:
+            self.decisions.append(DecisionRecord(ctx.clock, len(eligible), filtered, group))
+            for i, m in group:
+                self.entries[i] = ScheduleEntry(m, ctx.clock, self.durations.duration(i, m))
+        return group, filtered
+
+    @property
+    def schedule(self) -> Schedule:
+        return make_schedule(self.entries)
 
 
 def schedule_from_dict(data: dict) -> Schedule:

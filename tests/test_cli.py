@@ -485,8 +485,10 @@ def test_bench_stats_reports_a_bad_report_entry(tmp_path, capsys, payload, messa
     ("timings.csv", "scenario,algorithm,run,status,train_seconds,censored\n"
      "tiny,sgp,0,ok,1.5,0\ntiny,sgp,zero,ok,1.5,0\n",
      "timings.csv: line 3, column run: 'zero' is not int"),
+    ("report.json", '{"reports": [',
+     "report.json: Expecting value: line 1 column 14 (char 13)"),
 ], ids=["history", "timings", "history-short-row", "timings-short-row",
-        "history-bad-number", "timings-bad-run"])
+        "history-bad-number", "timings-bad-run", "report-not-json"])
 def test_bench_stats_reports_a_missing_csv_column(tmp_path, capsys, name, text, message):
     (tmp_path / "report.json").write_text(json.dumps({"reports": [_ENTRY]}))
     (tmp_path / name).write_text(text)

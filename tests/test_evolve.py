@@ -328,6 +328,33 @@ def test_fitness_cache_scores_each_distinct_individual_once(demo, monkeypatch):
     assert distinct < sum(len(p) for p in pops) + len(champions)
 
 
+@pytest.mark.parametrize("policy", ["sgp", "kggp-max"])
+def test_training_builds_no_typed_record(monkeypatch, demo, policy):
+    """Fitness reads only the makespan, so neither scoring a rule pair nor a
+    training run builds a `DecisionRecord` or a `ScheduleEntry`; reading a
+    result's decision log does."""
+    import kneegp.sim
+
+    made = []
+    for name in ("DecisionRecord", "ScheduleEntry"):
+        def counted(*args, real=getattr(kneegp.sim, name), name=name):
+            made.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(kneegp.sim, name, counted)
+    cfg = GpConfig(population_size=6, max_generations=2, tournament_size=2,
+                   init_depth=(2, 3), policy=policy, seed=13)
+    instances = [demo, random_instance(random.Random(5), n=8, zero_prob=0.2)]
+    tables = generation_tables(cfg, instances, 0)
+    rules = ramped_population(random.Random(3), cfg)[0]
+    evaluate_rules(rules, instances, tables, cfg)
+    evolve(cfg, instances)
+    res = solve(demo, build_policy(rules, policy), tables[0])
+    assert made == []
+    res.decisions
+    assert made and set(made) == {"DecisionRecord"}
+
+
 def test_evolve_zero_generations_scores_the_initial_population(demo):
     cfg = GpConfig(population_size=5, max_generations=0, tournament_size=2,
                    init_depth=(2, 3), seed=7)

@@ -10,7 +10,8 @@ from kneegp import instgen, model
 from kneegp.instgen import GenSpec, GenerationError, derive_capacities, generate_instance
 from kneegp.model import Mode, from_dict, instance_from_dict, instance_to_dict
 
-from conftest import chain_instance, demo_instance, order_strength, parallel_instance
+from conftest import (chain_instance, demo_instance, make_schedule, order_strength,
+                      parallel_instance)
 
 
 def test_order_strength_chain_is_one():
@@ -180,7 +181,7 @@ def test_derive_capacities_quarter_strength_matches_demo():
 def test_full_strength_admits_critical_path_schedule():
     # with rs = 1 the earliest-start schedule fits, so a greedy run can reach
     # the lower bound; here we just check the ESS profile is feasible
-    from kneegp.model import ScheduleEntry, make_schedule, validate_schedule
+    from kneegp.model import ScheduleEntry, validate_schedule
 
     spec = GenSpec(n_activities=20, order_strength=0.5, resource_strength=1.0)
     for seed in (0, 1, 2):

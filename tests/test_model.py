@@ -17,14 +17,13 @@ from kneegp.model import (
     byte_tables,
     instance_from_dict,
     instance_to_dict,
-    make_schedule,
     schedule_to_dict,
     _resource_violation,
     validate_schedule,
 )
 
-from conftest import (_masked_sum, chain_instance, demo_instance, parallel_instance,
-                      random_instance, schedule_from_dict)
+from conftest import (_masked_sum, chain_instance, demo_instance, make_schedule,
+                      parallel_instance, random_instance, schedule_from_dict)
 
 
 def test_demo_lower_bound(demo):

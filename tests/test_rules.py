@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import pickle
 import random
@@ -7,6 +8,7 @@ from operator import le
 
 import pytest
 
+import kneegp.evolve
 from kneegp import rules
 from kneegp.evolve import GpConfig, evolve
 from kneegp.policy import POLICY_NAMES, build_policy, full_enumeration_decide
@@ -20,6 +22,7 @@ from kneegp.rules import (
     eval_pair_priority,
     format_sexpr,
     func,
+    lazy,
     leaf,
     parse_sexpr,
 )
@@ -180,6 +183,29 @@ def _random_state(rng, zero_prob=0.0, n=None):
             avail[r] = max(0, avail[r] - k)
     return inst, DecisionContext(inst, clock, inst.analysis.pack_free(avail),
                                  frozenset(done), running)
+
+
+@pytest.mark.parametrize("name", ["horizon", "availability", "_avail_stats"])
+def test_a_lazy_context_attribute_is_computed_once(monkeypatch, name):
+    """However often it is read, a context computes the attribute once, and
+    its value is what the function gives on a fresh context."""
+    descriptor = DecisionContext.__dict__[name]
+    assert isinstance(descriptor, lazy) and getattr(DecisionContext, name) is descriptor
+    real, calls = descriptor.func, []
+
+    def counted(ctx):
+        calls.append(ctx)
+        return real(ctx)
+
+    monkeypatch.setattr(descriptor, "func", counted)
+    rng = random.Random(71)
+    for _ in range(40):
+        inst, ctx = _random_state(rng, zero_prob=0.2)
+        calls.clear()
+        values = [getattr(ctx, name) for _ in range(3)]
+        assert calls == [ctx]
+        fresh = real(DecisionContext(inst, ctx.clock, ctx.free, ctx.completed, ctx.running))
+        assert all(v == fresh and type(v) is type(fresh) for v in values)
 
 
 def _eligible(inst, ctx):
@@ -745,6 +771,24 @@ def test_evaluated_rule_pair_pickles_and_compares_equal():
     assert (eval_pair_priority(copy.ordering, ctx, (1, 0)),
             eval_group_priority(copy.group, ctx, [(1, 0)]),
             full_enumeration_decide(copy, ctx, eligible)) == before
+
+
+def test_building_parsing_and_compiling_a_tree_leave_no_cyclic_garbage():
+    """What each builds is freed when it returns, not at the next
+    collection, whose timing depends on everything else a run allocates."""
+    texts = ["(add (mul RR ExpDur) (sub LFT (div EST RR)))",
+             "(sub (neg GRD) (mul MaxRR (add GRD GRPW)))"]
+    rng = random.Random(5)
+    gc.collect()
+    gc.disable()
+    try:
+        trees = [parse_sexpr(t) for t in texts * 3]
+        trees += [kneegp.evolve.random_tree(rng, 5, method) for method in ("grow", "full")]
+        for k, tree in enumerate(trees):
+            tree._best if k % 2 else tree._rank
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_deep_trees_compile(monkeypatch):

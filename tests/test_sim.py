@@ -19,8 +19,8 @@ from kneegp.sim import (
 )
 
 from conftest import (
-    _act, chain_instance, count_calls, demo_instance, random_instance, realized,
-    reference_check_group, rescan_eligible,
+    EagerRecords, _act, chain_instance, count_calls, demo_instance, random_instance,
+    realized, reference_check_group, rescan_eligible,
 )
 
 
@@ -349,6 +349,32 @@ def test_contract_counts_members_at_a_lane_top_one_at_a_time(capacity):
     script = {0: [[(1, 1), (2, 1)]], 4: [[(3, 1), (4, 1)]]}
     res = solve(inst, Scripted(script), DurationTable(inst))
     assert [d.group for d in res.decisions] == [((1, 1), (2, 1)), ((3, 1), (4, 1))]
+
+
+def test_records_equal_the_eager_reference():
+    """At every decision of all four policies, on random projects with
+    zero-duration modes and on ones whose modes all take 0, the records a
+    result builds on each read are those built as the solve went."""
+    rng = random.Random(67)
+    zero_makespans = 0
+    for k in range(40):
+        zero_prob = 1.0 if k % 8 == 0 else 0.3
+        inst = random_instance(rng, n=rng.randint(3, 9), n_modes=rng.randint(1, 3),
+                               capacity=12, max_demand=7, zero_prob=zero_prob)
+        rules = RulePair(random_tree(rng, 4), random_tree(rng, 4))
+        for name in POLICY_NAMES:
+            table = sample_durations(inst, seed=k)
+            eager = EagerRecords(build_policy(rules, name), table)
+            res = solve(inst, eager, table)
+            schedule, decisions = res.schedule, res.decisions
+            assert res.makespan == max((e.start + e.duration
+                                        for e in schedule.entries.values()), default=0)
+            assert schedule == eager.schedule
+            assert list(schedule.entries.items()) == list(eager.schedule.entries.items())
+            assert decisions == tuple(eager.decisions)
+            assert res.schedule == schedule and res.decisions == decisions
+            zero_makespans += res.makespan == 0
+    assert zero_makespans >= 20
 
 
 def test_empty_project_finishes_at_zero():

@@ -37,9 +37,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, relative to the repo root
 
 
-_RULES, _SIM, _EVOLVE, _MODEL, _POLICY = (
+_RULES, _SIM, _EVOLVE, _MODEL, _POLICY, _BENCH = (
     "kneegp/rules.py", "kneegp/sim.py", "kneegp/evolve.py", "kneegp/model.py",
-    "kneegp/policy.py")
+    "kneegp/policy.py", "kneegp/bench.py")
 
 # the lines of `rules._body` between its memo lookup and its memo entry
 _BODY_CHECK = """\
@@ -47,6 +47,9 @@ _BODY_CHECK = """\
             raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
         args = [emit(c) for c in n.children]
 """
+
+_NO_CYCLES = ("tests/test_rules.py::"
+              "test_building_parsing_and_compiling_a_tree_leave_no_cyclic_garbage")
 
 MUTANTS: tuple[Mutant, ...] = (
     # the depth bound where a tree is built
@@ -121,6 +124,30 @@ MUTANTS: tuple[Mutant, ...] = (
            "        if left & guard == guard:\n            left -= opts[i][m][1]",
            "        left -= opts[i][m][1]",
            ("tests/test_sim.py::test_contract_counts_members_at_a_lane_top_one_at_a_time",)),
+    # recursive closures that clear themselves
+    *(Mutant(f"{name}-keeps-its-cycle", file, f"    del {name}  # a recursive closure",
+             "    # a recursive closure", (_NO_CYCLES,))
+      for name, file in (("emit", _RULES), ("read", _RULES), ("build", _EVOLVE))),
+    # a result's plain tuples and the records built from them
+    Mutant("makespan-keeps-last-end", _SIM,
+           "makespan = max((s + d for _, s, d in starts.values()), default=0)",
+           "makespan = [0, *(s + d for _, s, d in starts.values())][-1]",
+           ("tests/test_sim.py::test_records_equal_the_eager_reference",)),
+    Mutant("schedule-swaps-start-and-duration", _SIM,
+           "ScheduleEntry(*e) for i, e in self.starts.items()",
+           "ScheduleEntry(e[0], e[2], e[1]) for i, e in self.starts.items()",
+           ("tests/test_sim.py::test_records_equal_the_eager_reference",)),
+    Mutant("log-keeps-eligible-as-filtered", _SIM,
+           "log.append((t, len(elig), filtered, group))",
+           "log.append((t, len(elig), len(elig), group))",
+           ("tests/test_sim.py::test_records_equal_the_eager_reference",)),
+    Mutant("lazy-stores-nothing", _RULES,
+           "value = obj.__dict__[self.name] = self.func(obj)", "value = self.func(obj)",
+           ("tests/test_rules.py::test_a_lazy_context_attribute_is_computed_once",)),
+    Mutant("report-json-error-unnamed", _BENCH,
+           'raise ValueError(f"report.json: {exc}") from None',
+           "raise ValueError(str(exc)) from None",
+           ("tests/test_cli.py::test_bench_stats_reports_a_missing_csv_column",)),
 )
 
 
