@@ -25,7 +25,7 @@ from typing import ClassVar, Sequence
 from .evolve import GenerationStat, GpConfig, TrainingTimeout, evolve, rule_size
 from .instgen import GenSpec, generate_instance
 from .model import ProjectInstance, check_types, from_dict
-from .policy import EnumerationOverflowError, build_policy
+from .policy import EnumerationOverflowError, build_policy, check_policy_name
 from .rules import RulePair, format_sexpr, parse_sexpr
 from .sim import DecisionRecord, derive_seed, sample_durations, solve
 
@@ -64,6 +64,10 @@ class Experiment:
             raise ValueError("need at least one scenario and one algorithm")
         if self.n_runs < 1 or self.test_realizations < 1:
             raise ValueError("run and realization counts must be positive")
+        for k, name in enumerate(self.algorithms):
+            check_policy_name(name)
+            if name in self.algorithms[:k]:
+                raise ValueError(f"algorithm {name!r} is named more than once")
 
 
 @dataclass(frozen=True)
@@ -464,8 +468,8 @@ def emit_plot_data(reports: Sequence[RunReport], outdir: Path) -> dict[str, Path
 
 def experiment_from_dict(d: dict) -> Experiment:
     """Experiment from a JSON-style dict; only `scenarios` and each
-    scenario's `name` are required. `gp.policy` is ignored: the algorithm
-    list decides it per run."""
+    scenario's `name` are required. `gp.policy` must name a policy but is
+    ignored: the algorithm list decides it per run."""
     exp = from_dict(Experiment, d)
     return replace(exp, gp=replace(exp.gp, policy=GpConfig.policy))
 

@@ -16,7 +16,7 @@ from random import Random
 from typing import ClassVar, Sequence
 
 from .model import ProjectInstance
-from .policy import DEFAULT_ENUMERATION_LIMIT, KneeConfig, build_policy
+from .policy import DEFAULT_ENUMERATION_LIMIT, KneeConfig, build_policy, check_policy_name
 from .rules import ALL_TERMINALS, FUNCTION_ARITY, MAX_DEPTH, Node, RulePair, leaf
 from .sim import DurationTable, derive_seed, sample_durations, solve
 
@@ -67,6 +67,7 @@ class GpConfig:
                              "and sum to at most 1")
         if self.enumeration_limit < 1:
             raise ValueError("enumeration limit must be at least 1")
+        check_policy_name(self.policy)
 
     @property
     def single_tree(self) -> bool:

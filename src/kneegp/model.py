@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from functools import cached_property
 from operator import getitem, le, lshift
 from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -19,6 +18,24 @@ ResourceVector = tuple[int, ...]
 
 class StructuralError(ValueError):
     """Malformed instance or schedule (bad ids, cycles, wrong shapes)."""
+
+
+class lazy:
+    """An attribute computed on its first read and kept in the instance
+    `__dict__`, which every later read finds first. On Python 3.11 the
+    cached property of `functools` takes a lock on every first read; this
+    takes none."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -88,7 +105,7 @@ class ProjectInstance:
     def non_dummy_ids(self) -> range:
         return range(1, self.dummy_end)
 
-    @cached_property
+    @lazy
     def analysis(self) -> "InstanceAnalysis":
         return InstanceAnalysis(self)
 
@@ -128,13 +145,13 @@ class InstanceAnalysis:
                 if dmin[j] + tail[j] > tail[i]:
                     tail[i] = dmin[j] + tail[j]
 
-    @cached_property
+    @lazy
     def work_bytes(self) -> list[list[int]]:
         """`dmin_exp` as byte tables (`byte_tables`), for `byte_sum`: kept
         for the group forms that read the group work terminals."""
         return byte_tables(self.dmin_exp)
 
-    @cached_property
+    @lazy
     def lanes(self) -> tuple[int, int]:
         """The layout of a packed resource vector: (lane width, guard mask).
 
@@ -173,7 +190,7 @@ class InstanceAnalysis:
         low = (1 << width - 1) - 1  # a lane without its guard bit
         return tuple([free >> s & low for s in range(0, width * len(self.capacities), width)])
 
-    @cached_property
+    @lazy
     def options(self) -> list[tuple[tuple[tuple[int, int], int], ...]]:
         """Every activity's `((i, m), packed demand)` per mode, `options[i]`,
         so the executor's fit tests build no pair and pack no demand. Built
@@ -181,7 +198,7 @@ class InstanceAnalysis:
         return [tuple(((a.id, m), self.pack(mo.demand)) for m, mo in enumerate(a.modes))
                 for a in self.activities]
 
-    @cached_property
+    @lazy
     def rows(self) -> list[tuple[tuple, ...]]:
         """Static terminal row of every (activity, mode) pair, `rows[i][m]`.
 

@@ -193,11 +193,15 @@ def full_enumeration_decide(rules: RulePair, ctx: DecisionContext,
     return Decision(group, len(eligible), count)
 
 
+def check_policy_name(name: str) -> None:
+    if name not in POLICY_NAMES:
+        raise ValueError(f"unknown policy {name!r}; pick one of {', '.join(POLICY_NAMES)}")
+
+
 def build_policy(rules: RulePair, name: str, knee: KneeConfig | None = None,
                  hard_limit: int | None = None) -> Policy:
     """Instantiate a policy by its command-line name."""
-    if name not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {name!r}; pick one of {', '.join(POLICY_NAMES)}")
+    check_policy_name(name)
     limit = DEFAULT_ENUMERATION_LIMIT if hard_limit is None else hard_limit
     if limit < 1:
         raise ValueError("hard limit must be at least 1")

@@ -14,13 +14,13 @@ shifting an identical state along the time axis never changes a priority.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from operator import attrgetter, sub
 from pathlib import Path
 from string import Formatter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .model import InstanceAnalysis, ProjectInstance, byte_sum, byte_tables
+from .model import InstanceAnalysis, ProjectInstance, byte_sum, byte_tables, lazy
 
 Pair = tuple[int, int]  # (activity id, mode index)
 
@@ -102,23 +102,23 @@ class Node:
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
+    @lazy
     def _hash(self) -> int:
         return hash((self.op, self.children))
 
-    @cached_property
+    @lazy
     def _size(self) -> int:
         return 1 + sum(c._size for c in self.children)
 
-    @cached_property
+    @lazy
     def _rank(self) -> Callable:
         return _compile_rank(self)
 
-    @cached_property
+    @lazy
     def _score(self) -> Callable:
         return _compile_score(self)
 
-    @cached_property
+    @lazy
     def _best(self) -> Callable:
         return _compile_best(self)
 
@@ -142,9 +142,6 @@ class Node:
     def __reduce__(self):
         # pickle's memo keeps a shared subtree shared
         return Node, (self.op, self.children)
-
-    def is_leaf(self) -> bool:
-        return not self.children
 
     def size(self) -> int:
         """Node count, a shared subtree counted as often as it occurs."""
@@ -247,25 +244,6 @@ def save_rules(rules: RulePair, path) -> None:
     if rules.group is not None:
         lines.append(f"group: {format_sexpr(rules.group)}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-class lazy:
-    """An attribute computed on its first read and kept in the instance
-    `__dict__`, which every later read finds first. A `DecisionContext` is
-    new at every decision, so every read of one of its attributes there is
-    a first read, and on Python 3.11 `functools.cached_property` takes a
-    lock on each; this takes none."""
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 class DecisionContext:

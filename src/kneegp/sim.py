@@ -135,8 +135,7 @@ def solve(inst: ProjectInstance, policy: Policy,
     free = ana.pack_free(inst.capacities)
     starts: dict[int, tuple[int, int, int]] = {}
     log: list[tuple[int, int, int, tuple[Pair, ...]]] = []
-    end_preds = acts[inst.dummy_end].predecessors
-    waiting = [len(a.predecessors) for a in acts]  # unfinished predecessors
+    waiting = [len(a.predecessors) for a in acts]  # unfinished predecessors, the sink's too
     ready: set[int] = set()
     real = inst.non_dummy_ids()
 
@@ -147,7 +146,7 @@ def solve(inst: ProjectInstance, policy: Policy,
             if not waiting[j] and j in real:
                 ready.add(j)
 
-    while not end_preds <= completed:
+    while waiting[inst.dummy_end]:
         if not ends:
             raise RuntimeError("executor stalled: the policy started nothing "
                                "while nothing runs")

@@ -90,6 +90,11 @@ def test_bench_run_reports_a_missing_key(tmp_path, capsys, experiment, message):
 
 
 _SCENARIO = {"name": "tiny", "gen": {"n_activities": 6}}
+# an experiment whose cells each train in a moment
+_TINY_RUNS = {"n_runs": 2, "gp": {"population_size": 4, "max_generations": 2,
+                                  "tournament_size": 2},
+              "scenarios": [{"name": "tiny", "gen": {"n_activities": 10, "os_tolerance": 0.1},
+                             "n_train": 1, "n_test": 1}]}
 
 
 @pytest.mark.parametrize("command, config, message", [
@@ -126,19 +131,25 @@ _SCENARIO = {"name": "tiny", "gen": {"n_activities": 6}}
     ("evolve", {"knee": {"apply_knee": False}}, "unknown knee config key(s): apply_knee"),
     ("gen --count 0", {"n_activities": 6}, "--count must be at least 1, not 0"),
     ("gen --count -2", {"n_activities": 6}, "--count must be at least 1, not -2"),
+    # refused before the first cell trains, so no cell is lost or counted twice
+    ("bench run", dict(_TINY_RUNS, algorithms=["sgp", "sgp"]),
+     "algorithm 'sgp' is named more than once"),
+    ("bench run", dict(_TINY_RUNS, algorithms=["sgp", "foo"]),
+     "unknown policy 'foo'; pick one of sgp, ggp, kggp-max, kggp-all"),
 ], ids=["gen-float", "evolve-int", "evolve-knee", "evolve-tuple", "bench-scenario",
         "bench-experiment", "evolve-wall-limit", "evolve-instances", "gen-range",
         "gen-list", "evolve-list", "bench-list", "bench-scenario-gen-list",
         "bench-removed-maximal", "bench-removed-reproduction", "evolve-removed-reproduction",
-        "evolve-removed-knee-switch", "gen-count-zero", "gen-count-negative"])
+        "evolve-removed-knee-switch", "gen-count-zero", "gen-count-negative",
+        "bench-repeated-algorithm", "bench-unknown-algorithm"])
 def test_a_wrongly_typed_config_value_is_reported(tmp_path, demo_file, capsys,
                                                  command, config, message):
     _assert_refused(tmp_path, demo_file, capsys, command, config, message)
 
 
 def _assert_refused(tmp_path, demo_file, capsys, command, config, message):
-    """`command` on a config file holding `config` prints `error: message`,
-    exits 1 and makes no output directory."""
+    """`command` on a config file holding `config` prints `error: message`
+    before anything else, exits 1 and makes no output directory."""
     path = tmp_path / "config.json"
     out = str(tmp_path / "out")
     command, _, flag = command.partition(" --")
@@ -151,7 +162,8 @@ def _assert_refused(tmp_path, demo_file, capsys, command, config, message):
         config = {"instances": [str(demo_file)], **config}
     path.write_text(json.dumps(config))
     assert main(argv) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and not captured.out
     assert not (tmp_path / "out").exists()
 
 

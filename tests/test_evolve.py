@@ -31,7 +31,7 @@ from conftest import chain_instance, count_calls, random_instance, realized
 
 
 def _assert_well_formed(t: Node):
-    if t.is_leaf():
+    if not t.children:
         assert t.op in ALL_TERMINALS
     else:
         assert len(t.children) == FUNCTION_ARITY[t.op]
@@ -61,8 +61,8 @@ def test_forced_branching_root():
     rng = random.Random(3)
     for _ in range(50):
         t = random_tree(rng, 4, "grow", root_must_branch=True)
-        assert not t.is_leaf()
-    assert random_tree(rng, 1, "grow", root_must_branch=True).is_leaf()
+        assert t.children
+    assert not random_tree(rng, 1, "grow", root_must_branch=True).children
 
 
 def test_ramped_population_shape():
@@ -422,3 +422,5 @@ def test_config_validation():
         GpConfig(init_depth=(3, 2))
     with pytest.raises(ValueError):
         GpConfig(init_depth=(2, 9), max_depth=8)
+    with pytest.raises(ValueError, match="unknown policy 'foo'; pick one of sgp, ggp"):
+        GpConfig(policy="foo")

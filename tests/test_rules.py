@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import math
 import pickle
+import pkgutil
 import random
 from operator import le
 
 import pytest
 
 import kneegp.evolve
-from kneegp import rules
+from kneegp import model, rules
 from kneegp.evolve import GpConfig, evolve
+from kneegp.model import InstanceAnalysis, ProjectInstance
 from kneegp.policy import POLICY_NAMES, build_policy, full_enumeration_decide
 from kneegp.rules import (
     ALL_TERMINALS,
@@ -22,7 +25,6 @@ from kneegp.rules import (
     eval_pair_priority,
     format_sexpr,
     func,
-    lazy,
     leaf,
     parse_sexpr,
 )
@@ -185,27 +187,81 @@ def _random_state(rng, zero_prob=0.0, n=None):
                                  frozenset(done), running)
 
 
-@pytest.mark.parametrize("name", ["horizon", "availability", "_avail_stats"])
-def test_a_lazy_context_attribute_is_computed_once(monkeypatch, name):
-    """However often it is read, a context computes the attribute once, and
-    its value is what the function gives on a fresh context."""
-    descriptor = DecisionContext.__dict__[name]
-    assert isinstance(descriptor, lazy) and getattr(DecisionContext, name) is descriptor
+def _lazy_subjects(rng, cls):
+    """An object of `cls` whose attributes are all unread, and a fresh equal one."""
+    if cls is Node:
+        tree = random_tree(rng, rng.randint(1, 6))
+        return tree, parse_sexpr(format_sexpr(tree))
+    if cls is DecisionContext:
+        inst, ctx = _random_state(rng, zero_prob=0.2)
+        return ctx, DecisionContext(inst, ctx.clock, ctx.free, ctx.completed, ctx.running)
+    inst = random_instance(rng, n=rng.randint(4, 9), zero_prob=0.2)
+    # the constructor, not `build_instance`, which reads `analysis`
+    args = (inst,) if cls is InstanceAnalysis else (inst.activities, inst.capacities)
+    return cls(*args), cls(*args)
+
+
+def _nodes(tree: Node) -> list[Node]:
+    """The nodes of a tree that shares no subtree, its root first."""
+    return [tree] + [n for c in tree.children for n in _nodes(c)]
+
+
+def _same(value, fresh) -> bool:
+    if callable(value):  # a compiled form: the same generated code
+        return value.__code__ == fresh.__code__
+    if isinstance(value, InstanceAnalysis):
+        return vars(value) == vars(fresh)
+    return value == fresh and type(value) is type(fresh)
+
+
+_LAZY = [(Node, n) for n in ("_hash", "_size", "_rank", "_score", "_best")] \
+    + [(ProjectInstance, "analysis")] \
+    + [(InstanceAnalysis, n) for n in ("work_bytes", "lanes", "options", "rows")] \
+    + [(DecisionContext, n) for n in ("horizon", "availability", "_avail_stats")]
+
+
+def test_every_attribute_built_on_first_read_is_lazy():
+    """`model.lazy` is the one first-read descriptor of the package, and
+    `_LAZY` names every attribute that uses it."""
+    mods = [importlib.import_module(f"kneegp.{m.name}")
+            for m in pkgutil.iter_modules(kneegp.__path__)]
+    found = {(cls, name) for mod in mods for cls in vars(mod).values()
+             if isinstance(cls, type) and cls.__module__ == mod.__name__
+             for name, attr in vars(cls).items() if isinstance(attr, model.lazy)}
+    assert found == set(_LAZY)
+
+
+@pytest.mark.parametrize("cls, name", _LAZY, ids=[f"{c.__name__}.{n}" for c, n in _LAZY])
+def test_a_lazy_attribute_is_computed_once(monkeypatch, cls, name):
+    """However often it is read, an object computes the attribute once, and
+    its value is what the function gives on a fresh equal object."""
+    descriptor = cls.__dict__[name]
+    assert type(descriptor) is model.lazy and getattr(cls, name) is descriptor
     real, calls = descriptor.func, []
 
-    def counted(ctx):
-        calls.append(ctx)
-        return real(ctx)
+    def counted(obj):
+        calls.append(obj)
+        return real(obj)
 
     monkeypatch.setattr(descriptor, "func", counted)
     rng = random.Random(71)
     for _ in range(40):
-        inst, ctx = _random_state(rng, zero_prob=0.2)
+        obj, fresh = _lazy_subjects(rng, cls)
+        reads_children = cls is Node and name in ("_hash", "_size")
+        if reads_children:
+            # a node's hash and size read its children's: read them first on
+            # some subtrees, so that only the nodes still unread compute theirs
+            nodes = _nodes(obj)
+            for sub in rng.sample(nodes[1:], rng.randint(0, len(nodes) - 1)):
+                getattr(sub, name)
+            unread = [id(n) for n in nodes if name not in vars(n)]
         calls.clear()
-        values = [getattr(ctx, name) for _ in range(3)]
-        assert calls == [ctx]
-        fresh = real(DecisionContext(inst, ctx.clock, ctx.free, ctx.completed, ctx.running))
-        assert all(v == fresh and type(v) is type(fresh) for v in values)
+        values = [getattr(obj, name) for _ in range(3)]
+        if reads_children:
+            assert calls[0] is obj and sorted(map(id, calls)) == sorted(unread)
+        else:
+            assert calls == [obj]
+        assert all(_same(v, real(fresh)) for v in values)
 
 
 def _eligible(inst, ctx):

@@ -50,6 +50,7 @@ _BODY_CHECK = """\
 
 _NO_CYCLES = ("tests/test_rules.py::"
               "test_building_parsing_and_compiling_a_tree_leave_no_cyclic_garbage")
+_REFUSED = "tests/test_cli.py::test_a_wrongly_typed_config_value_is_reported"
 
 MUTANTS: tuple[Mutant, ...] = (
     # the depth bound where a tree is built
@@ -141,13 +142,29 @@ MUTANTS: tuple[Mutant, ...] = (
            "log.append((t, len(elig), filtered, group))",
            "log.append((t, len(elig), len(elig), group))",
            ("tests/test_sim.py::test_records_equal_the_eager_reference",)),
-    Mutant("lazy-stores-nothing", _RULES,
+    Mutant("lazy-stores-nothing", _MODEL,
            "value = obj.__dict__[self.name] = self.func(obj)", "value = self.func(obj)",
-           ("tests/test_rules.py::test_a_lazy_context_attribute_is_computed_once",)),
+           ("tests/test_rules.py::test_a_lazy_attribute_is_computed_once",)),
+    Mutant("sink-counter-stops-early", _SIM,
+           "while waiting[inst.dummy_end]:", "while waiting[inst.dummy_end] > 1:",
+           ("tests/test_sim.py::test_ready_set_matches_full_rescan",
+            "tests/test_sim.py::test_presampling_matches_lazy_reveal",
+            "tests/test_sim.py::test_eligible_sets_at_the_lane_edges")),
     Mutant("report-json-error-unnamed", _BENCH,
            'raise ValueError(f"report.json: {exc}") from None',
            "raise ValueError(str(exc)) from None",
            ("tests/test_cli.py::test_bench_stats_reports_a_missing_csv_column",)),
+    # an experiment names each algorithm once, and only known policies
+    Mutant("experiment-allows-a-repeat", _BENCH,
+           "            if name in self.algorithms[:k]:\n",
+           "            if False:\n",
+           (_REFUSED + "[bench-repeated-algorithm]",)),
+    Mutant("experiment-allows-an-unknown-policy", _BENCH,
+           "            check_policy_name(name)\n", "",
+           (_REFUSED + "[bench-unknown-algorithm]",)),
+    Mutant("config-allows-an-unknown-policy", _EVOLVE,
+           "        check_policy_name(self.policy)\n", "",
+           ("tests/test_evolve.py::test_config_validation",)),
 )
 
 
