@@ -21,7 +21,6 @@ from .rules import ALL_TERMINALS, FUNCTION_ARITY, MAX_DEPTH, Node, RulePair, lea
 from .sim import DurationTable, derive_seed, sample_durations, solve
 
 _FUNCTIONS = tuple(sorted(FUNCTION_ARITY))
-_TERMINALS = tuple(ALL_TERMINALS)
 
 
 class TrainingTimeout(RuntimeError):
@@ -123,7 +122,7 @@ def random_tree(rng: Random, depth: int, method: str = "grow",
         force_leaf = budget == 1
         force_func = (method == "full" and budget > 1) or (at_root and root_must_branch)
         if force_leaf or (not force_func and rng.random() < 0.5):
-            return leaf(rng.choice(_TERMINALS))
+            return leaf(rng.choice(ALL_TERMINALS))
         op = rng.choice(_FUNCTIONS)
         return Node(op, tuple(build(budget - 1, False)
                               for _ in range(FUNCTION_ARITY[op])))
@@ -280,6 +279,8 @@ def evolve(cfg: GpConfig, instances: Sequence[ProjectInstance],
     """Run the full training loop and return the re-evaluated champion."""
     if not instances:
         raise ValueError("need at least one training instance")
+    if wall_limit is not None and wall_limit < 0:
+        raise ValueError(f"wall_limit must be at least 0, not {wall_limit!r}")
     for inst in instances:
         if inst.lower_bound <= 0:
             raise ValueError(

@@ -54,6 +54,9 @@ class GenSpec:
             raise ValueError("resource factor must lie in (0, 1]")
         if not 0.0 <= self.resource_strength <= 1.0:
             raise ValueError("resource strength must lie in [0, 1]")
+        for key in ("os_tolerance", "move_budget"):
+            if (value := getattr(self, key)) < 0:
+                raise ValueError(f"{self.what} key {key} must be at least 0, not {value!r}")
 
 
 def generate_instance(spec: GenSpec, seed: int) -> ProjectInstance:

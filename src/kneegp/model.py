@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from math import isfinite
 from operator import getitem, le, lshift
 from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -477,7 +478,8 @@ _MISFIT = object()  # what `_convert` returns for a value that does not fit
 def _convert(value, hint):
     """`value` as the type `hint` names, or `_MISFIT`: ints stand for
     floats, lists for tuples and objects for nested dataclasses (built by
-    `from_dict`), and a bool is only a bool."""
+    `from_dict`), a bool is only a bool, and a float is never NaN or
+    infinite (Python's `json` reads `NaN` and `Infinity`)."""
     args = get_args(hint)
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
@@ -495,6 +497,8 @@ def _convert(value, hint):
         return value if hint is bool and isinstance(value, bool) else _MISFIT
     if is_dataclass(hint) and isinstance(value, Mapping):
         return from_dict(hint, value)
+    if hint is float and isinstance(value, float):
+        return value if isfinite(value) else _MISFIT
     return value if isinstance(value, (int, float) if hint is float else hint) else _MISFIT
 
 

@@ -2,11 +2,11 @@
 
 A rule is an expression tree over protected arithmetic whose leaves are
 scheduling terminals. Every terminal has a value for one (activity, mode)
-pair and a value for a whole group of pairs, following its nature: time-like
-terminals are defined for a pair and a group averages its members;
-precedence counters take the union of the underlying sets; resource
-terminals are defined once over a demand vector and an expected duration,
-which a group supplies as its summed demand and mean expected duration.
+pair and a value for a whole group of pairs: time-like terminals are
+defined for a pair and a group averages its members; every other terminal
+is defined once over a subject, which a pair is to itself and which a group
+supplies as its summed demand, its members' mean expected duration and
+total expected work, and the unions of their precedence sets.
 
 All time-like terminals are expressed relative to the decision clock, so
 shifting an identical state along the time axis never changes a priority.
@@ -55,16 +55,6 @@ _FUNCTIONS: dict[str, str] = {
 _CLAMPED = frozenset({"add", "sub", "mul", "div"})
 FUNCTION_ARITY: dict[str, int] = {
     k: len({f for _, f, _, _ in Formatter().parse(t) if f}) for k, t in _FUNCTIONS.items()}
-
-TIME_TERMINALS = ("EST", "EFT", "LST", "LFT", "ExpDur", "OptDur", "PessDur")
-PRECEDENCE_TERMINALS = ("GRPW", "GRPW_all", "TPC", "DPC", "TSC", "DSC")
-RESOURCE_TERMINALS = (
-    "AvgRR", "MaxRR", "MinRR",
-    "AvgRA", "MaxRA", "MinRA",
-    "AvgRLA", "MaxRLA", "MinRLA",
-    "RR", "GRD",
-)
-ALL_TERMINALS = TIME_TERMINALS + PRECEDENCE_TERMINALS + RESOURCE_TERMINALS
 
 # short historical spellings accepted on input
 _ALIASES = {"LF": "LFT", "LS": "LST", "ES": "EST", "EF": "EFT"}
@@ -307,9 +297,9 @@ class DecisionContext:
 # ---------------------------------------------------------------------------
 # terminal semantics
 #
-# Each terminal is one entry of the tables below: a source expression for its
-# value at one pair and one for its value at a group. A tree compiles them
-# into three forms, each generated the first time it is used:
+# Each terminal is one entry of the tables below, which give its value at
+# one pair (`_PAIR`) and at a group (`_GROUP`). A tree compiles them into
+# three forms, each generated the first time it is used:
 #
 #   rank(ctx, pairs)  -> the tree's value at every pair, in order;
 #   score(ctx, group) -> its value at one group;
@@ -323,11 +313,27 @@ class DecisionContext:
 # convert it to float, as `best` does before comparing. All three assign the
 # clamped functions' plain values and call `_clamp` only out of range.
 
-# resource terminals, over a demand vector {d} and an expected duration {e};
-# `ra` is (mean, max, min) of the free capacity and `left` the capacity left
-# after taking {d}. A pair takes its own demand and expected duration, a
-# group its summed demand and its members' mean expected duration.
-_RESOURCE: dict[str, str] = {
+@cache
+def _reads(src: str) -> frozenset[str]:
+    """The names a table statement reads or writes (cached: the tables are fixed)."""
+    return frozenset(compile(src, "<rule>", "exec").co_names)
+
+
+TIME_TERMINALS = ("EST", "EFT", "LST", "LFT", "ExpDur", "OptDur", "PessDur")
+# the other terminals, each a template over a subject: its demand vector {d},
+# expected duration {e}, expected work {w} and direct successor, transitive
+# successor, transitive predecessor and direct predecessor masks. `ra` is
+# (mean, max, min) of the free capacity and `left` the capacity left after
+# taking {d}. A pair is its own subject; a group's is its summed demand, its
+# members' mean expected duration and total expected work, and the unions of
+# their masks. `random_tree` draws a terminal by its position: keep the order.
+_SUBJECT: dict[str, str] = {
+    "GRPW": "{w} + byte_sum(work, {succ})",
+    "GRPW_all": "{w} + byte_sum(work, {tsucc})",
+    "TPC": "{tpred}.bit_count()",
+    "DPC": "{pred}.bit_count()",
+    "TSC": "{tsucc}.bit_count()",
+    "DSC": "{succ}.bit_count()",
     "AvgRR": "sum({d}) / len({d})",
     "MaxRR": "max({d})",
     "MinRR": "min({d})",
@@ -340,31 +346,27 @@ _RESOURCE: dict[str, str] = {
     "RR": "sum({d})",
     "GRD": "{e} * max({d})",
 }
+ALL_TERMINALS = TIME_TERMINALS + tuple(_SUBJECT)
 
-# terminals that depend only on the instance and the pair: expressions over
-# activity `a`, mode `mo`, the analysis `ana` and byte tables `work` of its
-# `dmin_exp`, evaluated once per instance into the head of every row, in order
+# a pair as the subject, over activity `a`, mode `mo` and the analysis `ana`
+_MASKS = ("succ", "tsucc", "tpred", "pred")
+_OWN = {"d": "mo.demand", "e": "mo.expected", "w": "mo.expected",
+        "succ": "ana.direct_succ_mask[a.id]", "tsucc": "ana.trans_succ_mask[a.id]",
+        "tpred": "ana.trans_pred_mask[a.id]", "pred": "ana.direct_pred_mask[a.id]"}
+
+# terminals that depend only on the instance and the pair, over those and byte
+# tables `work` of `dmin_exp`, evaluated once per instance into the head of
+# every row, in order; among them every subject terminal reading neither `ra` nor `left`
 _STATIC: dict[str, str] = {
     "ExpDur": "mo.expected",
     "OptDur": "mo.min_duration",
     "PessDur": "mo.max_duration",
-    "GRPW": "mo.expected + byte_sum(work, ana.direct_succ_mask[a.id])",
-    "GRPW_all": "mo.expected + byte_sum(work, ana.trans_succ_mask[a.id])",
-    "TPC": "ana.trans_pred_mask[a.id].bit_count()",
-    "DPC": "len(a.predecessors)",
-    "TSC": "ana.trans_succ_mask[a.id].bit_count()",
-    "DSC": "len(a.successors)",
-    **{name: _RESOURCE[name].format(d="mo.demand", e="mo.expected")
-       for name in ("AvgRR", "MaxRR", "MinRR", "RR", "GRD")},
+    **{name: src for name, src in ((n, t.format(**_OWN)) for n, t in _SUBJECT.items())
+       if not _reads(src) & {"ra", "left"}},
 }
-# the rest of a row: the mode's demand, its packed demand
-# (`InstanceAnalysis.pack`), then the activity's direct successor, transitive
-# successor, transitive predecessor and direct predecessor masks
-_ROW_REST = ("mo.demand", "ana.pack(mo.demand)", "ana.direct_succ_mask[a.id]",
-             "ana.trans_succ_mask[a.id]", "ana.trans_pred_mask[a.id]",
-             "ana.direct_pred_mask[a.id]")
+# the rest of a row: the mode's demand, then the pair's four masks
+_ROW_REST = (_OWN["d"], *(_OWN[k] for k in _MASKS))
 _DEMAND = len(_STATIC)
-_PACKED = _DEMAND + 1
 _static_row = eval("lambda ana, work, a, mo: (" + ", ".join([*_STATIC.values(), *_ROW_REST])
                    + ")", {"byte_sum": byte_sum})
 
@@ -385,21 +387,16 @@ _PAIR: dict[str, str] = {
     "LFT": "H - tail[i]",
     "LST": "H - tail[i] - r[0]",
     **{name: f"r[{k}]" for k, name in enumerate(_STATIC)},
-    **{name: t for name, t in _RESOURCE.items() if name not in _STATIC},
+    **{name: t for name, t in _SUBJECT.items() if name not in _STATIC},
 }
 
 # value at a group of `n` members: time terminals average the members' pair
-# values, summed into `s_<name>`; precedence terminals take the union `u_*`
-# of the members' sets; resource terminals take the summed demand `D`
+# values, summed into `s_<name>`; the others take the group as their subject,
+# with the summed demand `D` and the unions `u_<mask>` of the members' masks
 _GROUP: dict[str, str] = {
     **{name: f"s_{name} / n" for name in TIME_TERMINALS},
-    "GRPW": "s_ExpDur + byte_sum(work, u_succ)",
-    "GRPW_all": "s_ExpDur + byte_sum(work, u_tsucc)",
-    "TPC": "u_tpred.bit_count()",
-    "DPC": "u_pred.bit_count()",
-    "TSC": "u_tsucc.bit_count()",
-    "DSC": "u_succ.bit_count()",
-    **{name: t.format(d="D", e="(s_ExpDur / n)") for name, t in _RESOURCE.items()},
+    **{name: t.format(d="D", e="(s_ExpDur / n)", w="s_ExpDur",
+                      **{k: f"u_{k}" for k in _MASKS}) for name, t in _SUBJECT.items()},
 }
 
 # the aggregates a group carries over its members, taken in member order:
@@ -409,8 +406,7 @@ _GROUP: dict[str, str] = {
 # that reads it, through `left` or `D`.
 _AGGREGATE: dict[str, tuple[str, str, str]] = {
     **{f"s_{name}": ("0", _PAIR[name], "{} + {}") for name in TIME_TERMINALS},
-    **{u: ("0", f"r[{k}]", "{} | {}") for k, u in
-       enumerate(("u_succ", "u_tsucc", "u_tpred", "u_pred"), start=_PACKED + 1)},
+    **{f"u_{k}": ("0", f"r[{j}]", "{} | {}") for j, k in enumerate(_MASKS, start=_DEMAND + 1)},
     "free": ("av", f"r[{_DEMAND}]", "tuple(map(sub, {}, {}))"),
 }
 
@@ -453,13 +449,6 @@ _RULE_GLOBALS = {"_clamp": _clamp, "byte_sum": byte_sum, "_extendable": _extenda
                  "_precedes": _precedes, "sub": sub,
                  "min": min, "max": max, "abs": abs, "sum": sum, "len": len,
                  "float": float, "list": list, "tuple": tuple, "map": map}
-
-
-@cache
-def _reads(src: str) -> frozenset[str]:
-    """The names a statement of the tables reads or writes (the tables are
-    fixed, so the cache stays small)."""
-    return frozenset(compile(src, "<rule>", "exec").co_names)
 
 
 def _names(sources: Sequence[str]) -> set[str]:
@@ -565,13 +554,13 @@ def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair]], fl
 
 
 # the decision form; `{...}` marks what a tree fills in. A slot holds plain
-# pairs, and each option carries its packed demand `pd` from its static row;
+# pairs, and each option carries its packed demand `pd` (`ana.options`);
 # `F` is the packed free capacity the walk has left, `ctx.free` at its root
 _BEST = """\
 def best(ctx, slots, maximal):
 {reads}
     ana = ctx.instance.analysis
-    rows = ana.rows
+    rows, options = ana.rows, ana.options
     G = ana.lanes[1]
     opts = []
     for slot in slots:
@@ -579,7 +568,7 @@ def best(ctx, slots, maximal):
         for pair in slot:
             i, m = pair
             r = rows[i][m]
-            row.append((pair, r[{packed}]{shares}))
+            row.append((pair, options[i][m][1]{shares}))
         opts.append(row)
     end = len(slots)
     chosen, low, count = (), None, 0
@@ -626,7 +615,7 @@ def _compile_best(tree: Node) -> Callable[[DecisionContext, Sequence, bool],
         return "".join(f", {s}" for s in items)
 
     return _exec(_BEST.format(
-        reads="\n".join(f"    {s}" for s in _decision_reads(used)), packed=_PACKED,
+        reads="\n".join(f"    {s}" for s in _decision_reads(used)),
         shares=more(share for _, share, _ in aggregates.values()),
         starts=more(start for start, _, _ in aggregates.values()),
         names=more(aggregates), xs=more(xs),

@@ -90,9 +90,9 @@ def test_bench_run_reports_a_missing_key(tmp_path, capsys, experiment, message):
 
 
 _SCENARIO = {"name": "tiny", "gen": {"n_activities": 6}}
-# an experiment whose cells each train in a moment
-_TINY_RUNS = {"n_runs": 2, "gp": {"population_size": 4, "max_generations": 2,
-                                  "tournament_size": 2},
+# a GP config, and an experiment, whose cells each train in a moment
+_TINY_GP = {"population_size": 4, "max_generations": 2, "tournament_size": 2}
+_TINY_RUNS = {"n_runs": 2, "gp": _TINY_GP,
               "scenarios": [{"name": "tiny", "gen": {"n_activities": 10, "os_tolerance": 0.1},
                              "n_train": 1, "n_test": 1}]}
 
@@ -136,12 +136,28 @@ _TINY_RUNS = {"n_runs": 2, "gp": {"population_size": 4, "max_generations": 2,
      "algorithm 'sgp' is named more than once"),
     ("bench run", dict(_TINY_RUNS, algorithms=["sgp", "foo"]),
      "unknown policy 'foo'; pick one of sgp, ggp, kggp-max, kggp-all"),
+    # Python's json reads NaN and Infinity, which no float setting may be
+    ("gen", {"n_activities": 10, "order_strength": 0.5, "os_tolerance": float("nan")},
+     "generator spec key os_tolerance must be float, not nan"),
+    ("evolve", dict(_TINY_GP, wall_limit=float("inf")),
+     "training config key wall_limit must be float | None, not inf"),
+    ("bench run", dict(_TINY_RUNS, gp=dict(_TINY_GP, crossover_prob=float("nan"))),
+     "GP config key crossover_prob must be float, not nan"),
+    # a negative limit is refused, naming its key, before any work
+    ("gen", {"n_activities": 10, "os_tolerance": -0.01},
+     "generator spec key os_tolerance must be at least 0, not -0.01"),
+    ("gen", {"n_activities": 10, "move_budget": -5},
+     "generator spec key move_budget must be at least 0, not -5"),
+    ("evolve", dict(_TINY_GP, wall_limit=-3), "wall_limit must be at least 0, not -3"),
+    ("bench run", dict(_TINY_RUNS, wall_limit=-1), "wall_limit must be at least 0, not -1"),
 ], ids=["gen-float", "evolve-int", "evolve-knee", "evolve-tuple", "bench-scenario",
         "bench-experiment", "evolve-wall-limit", "evolve-instances", "gen-range",
         "gen-list", "evolve-list", "bench-list", "bench-scenario-gen-list",
         "bench-removed-maximal", "bench-removed-reproduction", "evolve-removed-reproduction",
         "evolve-removed-knee-switch", "gen-count-zero", "gen-count-negative",
-        "bench-repeated-algorithm", "bench-unknown-algorithm"])
+        "bench-repeated-algorithm", "bench-unknown-algorithm", "gen-nan-tolerance",
+        "evolve-infinite-wall-limit", "bench-nan-crossover", "gen-negative-tolerance",
+        "gen-negative-budget", "evolve-negative-wall-limit", "bench-negative-wall-limit"])
 def test_a_wrongly_typed_config_value_is_reported(tmp_path, demo_file, capsys,
                                                  command, config, message):
     _assert_refused(tmp_path, demo_file, capsys, command, config, message)

@@ -87,6 +87,21 @@ def test_the_engine_and_the_reference_know_the_same_functions():
                               if t.startswith(("_clamp(", "protected_div("))}
 
 
+def test_the_engine_and_the_reference_know_the_same_terminals():
+    # `random_tree` draws a terminal by its position, so the order is pinned
+    assert ALL_TERMINALS == (
+        "EST", "EFT", "LST", "LFT", "ExpDur", "OptDur", "PessDur",
+        "GRPW", "GRPW_all", "TPC", "DPC", "TSC", "DSC",
+        "AvgRR", "MaxRR", "MinRR", "AvgRA", "MaxRA", "MinRA",
+        "AvgRLA", "MaxRLA", "MinRLA", "RR", "GRD")
+    for table in (rules._PAIR, rules._GROUP, PAIR_TERMINALS, GROUP_TERMINALS):
+        assert sorted(table) == sorted(ALL_TERMINALS)
+    # a row's head: the terminals that read neither `ra` nor `left`, in order
+    assert list(rules._STATIC) == [
+        "ExpDur", "OptDur", "PessDur", "GRPW", "GRPW_all", "TPC", "DPC", "TSC", "DSC",
+        "AvgRR", "MaxRR", "MinRR", "RR", "GRD"]
+
+
 def test_counts(ctx):
     assert terminal_value("DSC", ctx, (1, 0)) == 2.0
     assert terminal_value("DPC", ctx, (1, 0)) == 1.0

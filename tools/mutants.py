@@ -37,9 +37,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, relative to the repo root
 
 
-_RULES, _SIM, _EVOLVE, _MODEL, _POLICY, _BENCH = (
+_RULES, _SIM, _EVOLVE, _MODEL, _POLICY, _BENCH, _INSTGEN = (
     "kneegp/rules.py", "kneegp/sim.py", "kneegp/evolve.py", "kneegp/model.py",
-    "kneegp/policy.py", "kneegp/bench.py")
+    "kneegp/policy.py", "kneegp/bench.py", "kneegp/instgen.py")
 
 # the lines of `rules._body` between its memo lookup and its memo entry
 _BODY_CHECK = """\
@@ -80,11 +80,19 @@ MUTANTS: tuple[Mutant, ...] = (
            ("tests/test_rules.py::test_time_terminals_exact_at_every_decision_of_solve",)),
     Mutant("eft-without-float", _RULES, '"EFT": "0.0 + r[0]",', '"EFT": "r[0]",',
            ("tests/test_rules.py::test_time_terminals_exact_at_every_decision_of_solve",)),
+    # one template per terminal, for a pair and a group alike
     Mutant("group-tsc-dsc-swapped", _RULES,
-           '    "TSC": "u_tsucc.bit_count()",\n    "DSC": "u_succ.bit_count()",',
-           '    "TSC": "u_succ.bit_count()",\n    "DSC": "u_tsucc.bit_count()",',
-           ("tests/test_policy.py::test_every_group_decision_of_a_solve_equals_the_reference",
+           '    "TSC": "{tsucc}.bit_count()",\n    "DSC": "{succ}.bit_count()",',
+           '    "TSC": "{succ}.bit_count()",\n    "DSC": "{tsucc}.bit_count()",',
+           ("tests/test_rules.py::test_counts",
+            "tests/test_rules.py::test_group_union_count",
+            "tests/test_policy.py::test_every_group_decision_of_a_solve_equals_the_reference",
             "tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots")),
+    Mutant("dpc-reads-successors", _RULES,
+           '"DPC": "{pred}.bit_count()",', '"DPC": "{succ}.bit_count()",',
+           ("tests/test_rules.py::test_compiled_trees_equal_the_interpreter_exactly",
+            "tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots",
+            "tests/test_policy.py::test_every_group_decision_of_a_solve_equals_the_reference")),
     Mutant("mul-unclamped", _RULES, '_CLAMPED = frozenset({"add", "sub", "mul", "div"})',
            '_CLAMPED = frozenset({"add", "sub", "div"})',
            ("tests/test_rules.py::test_clamp_blocks_overflow",)),
@@ -96,6 +104,10 @@ MUTANTS: tuple[Mutant, ...] = (
            "return any((free - o[1]) & guard == guard for j in skipped for o in opts[j])",
            "return any((free - o[1]) & guard for j in skipped for o in opts[j])",
            ("tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots",)),
+    Mutant("packed-demand-of-the-first-mode", _RULES,
+           "options[i][m][1]{shares}", "options[i][0][1]{shares}",
+           ("tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots",
+            "tests/test_policy.py::test_every_group_decision_of_a_solve_equals_the_reference")),
     Mutant("byte-sum-two-tables", _MODEL,
            'return sum(map(getitem, tables, mask.to_bytes(len(tables), "little")))',
            'return sum(map(getitem, tables[:2], mask.to_bytes(len(tables), "little")))',
@@ -165,6 +177,17 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("config-allows-an-unknown-policy", _EVOLVE,
            "        check_policy_name(self.policy)\n", "",
            ("tests/test_evolve.py::test_config_validation",)),
+    # no float setting is NaN or infinite, and no limit is negative
+    Mutant("config-allows-a-non-finite-float", _MODEL,
+           "return value if isfinite(value) else _MISFIT", "return value",
+           (_REFUSED + "[gen-nan-tolerance]", _REFUSED + "[evolve-infinite-wall-limit]",
+            _REFUSED + "[bench-nan-crossover]")),
+    Mutant("spec-allows-a-negative-limit", _INSTGEN,
+           "if (value := getattr(self, key)) < 0:", "if False:",
+           (_REFUSED + "[gen-negative-tolerance]", _REFUSED + "[gen-negative-budget]")),
+    Mutant("evolve-allows-a-negative-wall-limit", _EVOLVE,
+           "if wall_limit is not None and wall_limit < 0:", "if False:",
+           (_REFUSED + "[evolve-negative-wall-limit]", _REFUSED + "[bench-negative-wall-limit]")),
 )
 
 
