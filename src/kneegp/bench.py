@@ -41,7 +41,7 @@ class Scenario:
     n_test: int = 5
 
     def __post_init__(self):
-        if self.n_train < 1 or self.n_test < 1:
+        if not (self.n_train >= 1 and self.n_test >= 1):
             raise ValueError("scenarios need at least one train and test instance")
 
 
@@ -62,7 +62,7 @@ class Experiment:
             raise ValueError("scenario names must be unique")
         if not self.scenarios or not self.algorithms:
             raise ValueError("need at least one scenario and one algorithm")
-        if self.n_runs < 1 or self.test_realizations < 1:
+        if not (self.n_runs >= 1 and self.test_realizations >= 1):
             raise ValueError("run and realization counts must be positive")
         for k, name in enumerate(self.algorithms):
             check_policy_name(name)

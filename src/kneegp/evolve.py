@@ -52,7 +52,7 @@ class GpConfig:
     def __post_init__(self):
         if self.population_size < 2:
             raise ValueError("population needs at least two individuals")
-        if self.max_generations < 0:
+        if not self.max_generations >= 0:
             raise ValueError("generation count cannot be negative")
         if not 2 <= self.tournament_size <= self.population_size:
             raise ValueError("tournament size out of range")
@@ -60,11 +60,11 @@ class GpConfig:
         if not 1 <= lo <= hi <= self.max_depth <= MAX_DEPTH:
             raise ValueError("init depths must satisfy 1 <= lo <= hi <= max, "
                              f"and max <= {MAX_DEPTH}")
-        if min(self.crossover_prob, self.mutation_prob) < 0 \
-                or self.crossover_prob + self.mutation_prob > 1:
+        if not (self.crossover_prob >= 0 and self.mutation_prob >= 0
+                and self.crossover_prob + self.mutation_prob <= 1):
             raise ValueError("crossover and mutation probabilities must be >= 0 "
                              "and sum to at most 1")
-        if self.enumeration_limit < 1:
+        if not self.enumeration_limit >= 1:
             raise ValueError("enumeration limit must be at least 1")
         check_policy_name(self.policy)
 
@@ -118,18 +118,16 @@ def random_tree(rng: Random, depth: int, method: str = "grow",
     if depth < 1:
         raise ValueError("depth must be positive")
 
-    def build(budget: int, at_root: bool) -> Node:
-        force_leaf = budget == 1
-        force_func = (method == "full" and budget > 1) or (at_root and root_must_branch)
-        if force_leaf or (not force_func and rng.random() < 0.5):
-            return leaf(rng.choice(ALL_TERMINALS))
-        op = rng.choice(_FUNCTIONS)
-        return Node(op, tuple(build(budget - 1, False)
-                              for _ in range(FUNCTION_ARITY[op])))
+    return _grow(rng, depth, method == "full", root_must_branch)
 
-    tree = build(depth, True)
-    del build  # a recursive closure is a cycle: free it now, not at a collection
-    return tree
+
+def _grow(rng: Random, budget: int, full: bool, branch: bool) -> Node:
+    """A random tree of at most `budget` levels; `full` and `branch` force a function node."""
+    if budget == 1 or (not (full or branch) and rng.random() < 0.5):
+        return leaf(rng.choice(ALL_TERMINALS))
+    op = rng.choice(_FUNCTIONS)
+    return Node(op, tuple(_grow(rng, budget - 1, full, False)
+                          for _ in range(FUNCTION_ARITY[op])))
 
 
 def ramped_population(rng: Random, cfg: GpConfig) -> list[RulePair]:
@@ -279,7 +277,7 @@ def evolve(cfg: GpConfig, instances: Sequence[ProjectInstance],
     """Run the full training loop and return the re-evaluated champion."""
     if not instances:
         raise ValueError("need at least one training instance")
-    if wall_limit is not None and wall_limit < 0:
+    if wall_limit is not None and not wall_limit >= 0:
         raise ValueError(f"wall_limit must be at least 0, not {wall_limit!r}")
     for inst in instances:
         if inst.lower_bound <= 0:

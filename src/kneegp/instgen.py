@@ -43,7 +43,7 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_activities < 1 or self.n_modes < 1 or self.n_resources < 1:
+        if not (self.n_activities >= 1 and self.n_modes >= 1 and self.n_resources >= 1):
             raise ValueError("counts must be positive")
         for lo, hi in (self.duration_range, self.fluctuation_range, self.demand_range):
             if not 0 < lo <= hi:
@@ -55,7 +55,7 @@ class GenSpec:
         if not 0.0 <= self.resource_strength <= 1.0:
             raise ValueError("resource strength must lie in [0, 1]")
         for key in ("os_tolerance", "move_budget"):
-            if (value := getattr(self, key)) < 0:
+            if not (value := getattr(self, key)) >= 0:
                 raise ValueError(f"{self.what} key {key} must be at least 0, not {value!r}")
 
 
@@ -72,10 +72,7 @@ def generate_instance(spec: GenSpec, seed: int) -> ProjectInstance:
         succs[u].add(v)
 
     modes = {i: _draw_modes(rng, spec) for i in range(1, n + 1)}
-    capacities = derive_capacities(
-        {i: modes[i] for i in range(1, n + 1)}, preds, spec.n_resources,
-        spec.resource_strength,
-    )
+    capacities = derive_capacities(modes, preds, spec.n_resources, spec.resource_strength)
 
     idle = Mode(0, 0, 0, (0,) * spec.n_resources)
     acts = [
@@ -136,7 +133,9 @@ def _grow_dag(rng: random.Random, n: int, target_os: float, tol: float,
     count = 0
     moves = 0
     stale = 0
-    while abs(count - target) > slack:
+    # an add is kept only if `count - target <= slack` after it, and a drop
+    # only lowers `count`, so the loop ends exactly when `count` is in the band
+    while target - count > slack:
         moves += 1
         if moves > budget:
             raise GenerationError(
@@ -144,29 +143,23 @@ def _grow_dag(rng: random.Random, n: int, target_os: float, tol: float,
                 f"(achieved {count / total:.4f})",
                 count / total,
             )
-        if count < target:
-            u = rng.randint(1, n - 1)
-            v = rng.randint(u + 1, n)
-            if reach[u] >> v & 1:
-                continue
-            added = _add_edge(reach, n, u, v)
-            if count + added - target > slack:
-                _rebuild(reach, n, edges)  # overshoot: roll the closure back
-                stale += 1
-                if stale >= 50 and edges:
-                    # shake loose by dropping a random edge
-                    edges.pop(rng.randrange(len(edges)))
-                    count = _rebuild(reach, n, edges)
-                    stale = 0
-                continue
-            edges.append((u, v))
-            count += added
-            stale = 0
-        else:
-            if not edges:
-                break
-            edges.pop(rng.randrange(len(edges)))
-            count = _rebuild(reach, n, edges)
+        u = rng.randint(1, n - 1)
+        v = rng.randint(u + 1, n)
+        if reach[u] >> v & 1:
+            continue
+        added = _add_edge(reach, n, u, v)
+        if count + added - target > slack:
+            _rebuild(reach, n, edges)  # overshoot: roll the closure back
+            stale += 1
+            if stale >= 50 and edges:
+                # shake loose by dropping a random edge
+                edges.pop(rng.randrange(len(edges)))
+                count = _rebuild(reach, n, edges)
+                stale = 0
+            continue
+        edges.append((u, v))
+        count += added
+        stale = 0
     return edges, count / total
 
 

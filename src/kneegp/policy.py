@@ -60,9 +60,9 @@ class KneeConfig:
     group_size_hard_limit: int = DEFAULT_ENUMERATION_LIMIT
 
     def __post_init__(self):
-        if self.cap < 1:
+        if not self.cap >= 1:
             raise ValueError("cap must be at least 1")
-        if self.group_size_hard_limit < 1:
+        if not self.group_size_hard_limit >= 1:
             raise ValueError("hard limit must be at least 1")
 
 
@@ -203,7 +203,7 @@ def build_policy(rules: RulePair, name: str, knee: KneeConfig | None = None,
     """Instantiate a policy by its command-line name."""
     check_policy_name(name)
     limit = DEFAULT_ENUMERATION_LIMIT if hard_limit is None else hard_limit
-    if limit < 1:
+    if not limit >= 1:
         raise ValueError("hard limit must be at least 1")
     if name == "sgp":
         def decide(ctx, eligible):

@@ -168,37 +168,35 @@ def format_sexpr(node: Node) -> str:
 
 def parse_sexpr(text: str) -> Node:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def read(depth: int) -> Node:
-        nonlocal pos
-        if depth > MAX_DEPTH:
-            raise ValueError(f"expression nests deeper than {MAX_DEPTH} levels")
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of expression")
-        tok = tokens[pos]
-        pos += 1
-        if tok == ")":
-            raise ValueError("unexpected ')'")
-        if tok != "(":
-            return leaf(tok)
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of expression")
-        op = tokens[pos]
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            children.append(read(depth + 1))
-        if pos >= len(tokens):
-            raise ValueError("missing ')'")
-        pos += 1
-        return func(op, *children)
-
-    node = read(1)
-    del read  # a recursive closure is a cycle: free it now, not at a collection
+    node, pos = _read(tokens, 0, 1)
     if pos != len(tokens):
         raise ValueError(f"trailing tokens: {' '.join(tokens[pos:])}")
     return node
+
+
+def _read(tokens: list[str], pos: int, depth: int) -> tuple[Node, int]:
+    """The expression at `tokens[pos]`, `depth` levels deep, and the position after it."""
+    if depth > MAX_DEPTH:
+        raise ValueError(f"expression nests deeper than {MAX_DEPTH} levels")
+    if pos >= len(tokens):
+        raise ValueError("unexpected end of expression")
+    tok = tokens[pos]
+    pos += 1
+    if tok == ")":
+        raise ValueError("unexpected ')'")
+    if tok != "(":
+        return leaf(tok), pos
+    if pos >= len(tokens):
+        raise ValueError("unexpected end of expression")
+    op = tokens[pos]
+    pos += 1
+    children = []
+    while pos < len(tokens) and tokens[pos] != ")":
+        child, pos = _read(tokens, pos, depth + 1)
+        children.append(child)
+    if pos >= len(tokens):
+        raise ValueError("missing ')'")
+    return func(op, *children), pos + 1
 
 
 @dataclass(frozen=True)
@@ -468,28 +466,28 @@ def _body(tree: Node, table: dict[str, str]) -> tuple[list[str], list[str], str]
     """
     terms: dict[str, str] = {}
     lines: list[str] = []
-    done: dict[int, str] = {}  # id of a function node -> its local
-
-    def emit(n: Node) -> str:
-        if not n.children:
-            if n.op not in table:
-                raise ValueError(f"unknown terminal {n.op!r}")
-            return terms.setdefault(n.op, f"t{len(terms)}")
-        if id(n) in done:
-            return done[id(n)]
-        if n.op not in _FUNCTIONS or FUNCTION_ARITY[n.op] != len(n.children):
-            raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
-        args = [emit(c) for c in n.children]
-        v = done[id(n)] = f"v{len(done)}"
-        lines.append(f"{v} = {_FUNCTIONS[n.op].format(*args)}")
-        if n.op in _CLAMPED:
-            lines.append(f"if not {-_HUGE!r} <= {v} <= {_HUGE!r}: {v} = _clamp({v})")
-        return v
-
-    result = emit(tree)
-    del emit  # a recursive closure is a cycle: free it now, not at a collection
+    result = _emit(tree, table, terms, lines, {})
     exprs = [table[name] for name in terms]
     return exprs, [f"{t} = {e}" for t, e in zip(terms.values(), exprs)] + lines, result
+
+
+def _emit(n: Node, table: dict[str, str], terms: dict[str, str], lines: list[str],
+          done: dict[int, str]) -> str:
+    """The local holding `n`'s value, its statements appended on first visit."""
+    if not n.children:
+        if n.op not in table:
+            raise ValueError(f"unknown terminal {n.op!r}")
+        return terms.setdefault(n.op, f"t{len(terms)}")
+    if id(n) in done:
+        return done[id(n)]
+    if n.op not in _FUNCTIONS or FUNCTION_ARITY[n.op] != len(n.children):
+        raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
+    args = [_emit(c, table, terms, lines, done) for c in n.children]
+    v = done[id(n)] = f"v{len(done)}"
+    lines.append(f"{v} = {_FUNCTIONS[n.op].format(*args)}")
+    if n.op in _CLAMPED:
+        lines.append(f"if not {-_HUGE!r} <= {v} <= {_HUGE!r}: {v} = _clamp({v})")
+    return v
 
 
 def _define(name: str, head: list[str], loop: str, inner: list[str],

@@ -415,6 +415,10 @@ def test_experiment_validation():
                    gp=GpConfig(population_size=4, tournament_size=2))
     with pytest.raises(ValueError):
         Scenario("x", gen, n_train=0)
+    with pytest.raises(ValueError, match="need at least one scenario and one algorithm"):
+        Experiment(scenarios=(Scenario("x", gen),), algorithms=())
+    with pytest.raises(ValueError, match="run and realization counts must be positive"):
+        Experiment(scenarios=(Scenario("x", gen),), n_runs=0)
 
 
 def test_rule_file_round_trip(tmp_path):

@@ -113,6 +113,7 @@ _TINY_RUNS = {"n_runs": 2, "gp": _TINY_GP,
      "training config key wall_limit must be float | None, not '5'"),
     ("evolve", {"instances": "a.json"},
      "training config key instances must be tuple[str, ...], not 'a.json'"),
+    ("evolve", {"instances": []}, "training config needs a non-empty 'instances' list"),
     ("gen", {"duration_range": 5},
      "generator spec key duration_range must be tuple[int, int], not 5"),
     ("gen", [], "generator spec must be an object, not []"),
@@ -151,7 +152,8 @@ _TINY_RUNS = {"n_runs": 2, "gp": _TINY_GP,
     ("evolve", dict(_TINY_GP, wall_limit=-3), "wall_limit must be at least 0, not -3"),
     ("bench run", dict(_TINY_RUNS, wall_limit=-1), "wall_limit must be at least 0, not -1"),
 ], ids=["gen-float", "evolve-int", "evolve-knee", "evolve-tuple", "bench-scenario",
-        "bench-experiment", "evolve-wall-limit", "evolve-instances", "gen-range",
+        "bench-experiment", "evolve-wall-limit", "evolve-instances", "evolve-no-instances",
+        "gen-range",
         "gen-list", "evolve-list", "bench-list", "bench-scenario-gen-list",
         "bench-removed-maximal", "bench-removed-reproduction", "evolve-removed-reproduction",
         "evolve-removed-knee-switch", "gen-count-zero", "gen-count-negative",

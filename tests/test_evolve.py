@@ -63,6 +63,8 @@ def test_forced_branching_root():
         t = random_tree(rng, 4, "grow", root_must_branch=True)
         assert t.children
     assert not random_tree(rng, 1, "grow", root_must_branch=True).children
+    with pytest.raises(ValueError, match="depth must be positive"):
+        random_tree(rng, 0)
 
 
 def test_ramped_population_shape():
@@ -412,6 +414,8 @@ def test_config_loader_rejects_unknown_keys():
 def test_config_validation():
     with pytest.raises(ValueError):
         GpConfig(population_size=1)
+    with pytest.raises(ValueError, match="generation count cannot be negative"):
+        GpConfig(max_generations=-1)
     with pytest.raises(ValueError):
         GpConfig(crossover_prob=0.9, mutation_prob=0.15)
     with pytest.raises(ValueError):

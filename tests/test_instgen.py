@@ -48,6 +48,21 @@ def test_spec_loader_rejects_unknown_keys():
         from_dict(GenSpec, {"n_activites": 6, "sead": 2, "n_modes": 2})
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_modes": 0}, "counts must be positive"),
+    ({"duration_range": (0, 3)}, "ranges must satisfy 0 < lo <= hi"),
+    ({"demand_range": (4, 3)}, "ranges must satisfy 0 < lo <= hi"),
+    ({"order_strength": 1.5}, "order strength must lie in [0, 1]"),
+    ({"resource_factor": 0.0}, "resource factor must lie in (0, 1]"),
+    ({"resource_strength": -0.1}, "resource strength must lie in [0, 1]"),
+], ids=["count", "duration-range", "demand-range", "order-strength", "resource-factor",
+        "resource-strength"])
+def test_spec_refuses_a_value_out_of_range(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        GenSpec(**kwargs)
+    assert str(exc.value) == message
+
+
 # sha256 of the saved JSON text; a change here changes every stored instance
 PINNED_INSTANCES = [
     (SMALL, 9, "1c962a84ef52fb231a99f6bc93864e50436a305f0f989ad36902101df8c8d6f8"),

@@ -189,6 +189,13 @@ def test_validate_structural_errors(demo):
         validate_schedule(demo, _sched(extra))
 
 
+def test_validate_refuses_a_negative_start(demo):
+    table = dict(SEQ_20)
+    table[1] = (0, -1, 5)
+    with pytest.raises(StructuralError, match="activity 1: negative start or duration"):
+        validate_schedule(demo, _sched(table))
+
+
 def test_build_rejects_cycle():
     with pytest.raises(StructuralError):
         build_instance(
@@ -215,6 +222,49 @@ def test_build_rejects_an_instance_without_resources():
             Activity(2, frozenset({1}), frozenset(), idle)]
     with pytest.raises(StructuralError, match="at least one resource"):
         build_instance(acts, [])
+
+
+_IDLE = (Mode(0, 0, 0, (0,)),)
+_WORK = (Mode(2, 2, 2, (1,)),)
+
+
+def _act(i, preds=(), succs=(), modes=_WORK):
+    return Activity(i, frozenset(preds), frozenset(succs), modes)
+
+
+# the chain 0 -> 1 -> 2 with one resource of capacity 2, each edit breaking it
+_CHAIN = [_act(0, (), {1}, _IDLE), _act(1, {0}, {2}), _act(2, {1}, (), _IDLE)]
+
+
+@pytest.mark.parametrize("acts, caps, message", [
+    (_CHAIN[:1], [2], "an instance needs at least the two dummy activities"),
+    ([_act(0, (), {2}, _IDLE), _act(2, {0}, {3}), _act(3, {2}, (), _IDLE)], [2],
+     "activity ids must be dense and 0-based"),
+    (_CHAIN, [-1], "negative capacity"),
+    ([_CHAIN[0], _act(1, {0}, {2}, ()), _CHAIN[2]], [2], "activity 1 has no modes"),
+    ([_CHAIN[0], _act(1, {0}, {2}, (Mode(2, 2, 2, (1, 1)),)), _CHAIN[2]], [2],
+     "activity 1: demand length 2 != |R| 1"),
+    ([_CHAIN[0], _act(1, {0}, {2, 5}), _CHAIN[2]], [2], "activity 1 references unknown id 5"),
+    ([_act(0, (), (), _IDLE), *_CHAIN[1:]], [2], "asymmetric edge 0 -> 1"),
+    ([*_CHAIN[:2], _act(2, (), (), _IDLE)], [2], "asymmetric edge 1 -> 2"),
+    ([_act(0, (), {1}, (Mode(1, 1, 1, (0,)),)), *_CHAIN[1:]], [2],
+     "dummy activity 0 must have one idle mode"),
+    ([_act(0, {2}, {1}, _IDLE), _CHAIN[1], _act(2, {1}, {0}, _IDLE)], [2],
+     "dummy source/sink must be extremal"),
+    ([_act(0, (), {1}, _IDLE), _act(1, {0}, {3}), _act(2), _act(3, {1}, (), _IDLE)], [2],
+     "activity 2 is disconnected from the dummies"),
+], ids=["one-activity", "sparse-ids", "negative-capacity", "no-modes", "demand-length",
+        "unknown-id", "asymmetric-from-predecessor", "asymmetric-from-successor",
+        "busy-dummy", "dummy-with-predecessor", "disconnected"])
+def test_build_refuses_a_malformed_instance(acts, caps, message):
+    with pytest.raises(StructuralError) as exc:
+        build_instance(acts, caps)
+    assert str(exc.value) == message
+
+
+def test_mode_refuses_a_negative_demand():
+    with pytest.raises(StructuralError, match="negative resource demand"):
+        Mode(3, 2, 4, (-1,))
 
 
 def test_mode_duration_ordering_enforced():
@@ -310,6 +360,7 @@ def _set_metadata(data, value):
     (_set_predecessors, "10", "activity 3 predecessors must be a list of integers, not '10'"),
     (_set_predecessors, ["1"], "activity 3 predecessors must be a list of integers, not ['1']"),
     (_set_predecessors, 1, "activity 3 predecessors must be a list of integers, not 1"),
+    (_set_predecessors, [1, 10], "activity 3 references unknown id 10"),
     (_set_demand, "9", "activity 3 demand must be a list of integers, not '9'"),
     (_set_demand, [9.5], "activity 3 demand must be a list of integers, not [9.5]"),
     (_set_demand, [True], "activity 3 demand must be a list of integers, not [True]"),
@@ -322,7 +373,7 @@ def _set_metadata(data, value):
     (_set_lower_bound, 12.0, "lower_bound must be an integer, not 12.0"),
     (_set_metadata, 5, "metadata must be an object, not 5"),
     (_set_metadata, [["a", 1]], "metadata must be an object, not [['a', 1]]"),
-], ids=["preds-string", "preds-string-item", "preds-int", "demand-string",
+], ids=["preds-string", "preds-string-item", "preds-int", "preds-unknown", "demand-string",
         "demand-float-item", "demand-bool-item", "caps-string", "caps-float-item",
         "expected-float", "id-string", "id-bool", "max-bool", "lower-bound-float",
         "metadata-int", "metadata-pairs"])

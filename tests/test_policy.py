@@ -191,6 +191,18 @@ def test_hard_limit_narrows_the_enumeration():
     assert len(gd.group) <= 3  # 2**3 - 1 == 7
 
 
+@pytest.mark.parametrize("decide, message", [
+    (lambda r, c, e: knee_group_decide(r, c, e, KneeConfig()),
+     "knee group policy needs a group tree"),
+    (full_enumeration_decide, "full enumeration needs a group tree"),
+], ids=["knee", "full"])
+def test_a_group_decision_needs_a_group_tree(demo, decide, message):
+    ctx = _context(demo)
+    eligible = rescan_eligible(demo, ctx.completed, {}, ctx.availability)
+    with pytest.raises(ValueError, match=message):
+        decide(RulePair(leaf("ExpDur")), ctx, eligible)
+
+
 def test_knee_config_rejects_bad_values():
     with pytest.raises(ValueError):
         KneeConfig(cap=0)

@@ -487,6 +487,18 @@ def test_parse_rejects_garbage():
             parse_sexpr(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    (")", "unexpected ')'"),
+    ("(", "unexpected end of expression"),
+    ("(add", "missing ')'"),
+    ("ExpDur RR", "trailing tokens: RR"),
+])
+def test_parse_names_what_is_wrong(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_sexpr(text)
+    assert str(exc.value) == message
+
+
 def _nested(depth: int) -> str:
     text = "ExpDur"
     for _ in range(depth - 1):

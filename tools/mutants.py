@@ -43,14 +43,13 @@ _RULES, _SIM, _EVOLVE, _MODEL, _POLICY, _BENCH, _INSTGEN = (
 
 # the lines of `rules._body` between its memo lookup and its memo entry
 _BODY_CHECK = """\
-        if n.op not in _FUNCTIONS or FUNCTION_ARITY[n.op] != len(n.children):
-            raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
-        args = [emit(c) for c in n.children]
+    if n.op not in _FUNCTIONS or FUNCTION_ARITY[n.op] != len(n.children):
+        raise ValueError(f"bad function node {n.op!r} with {len(n.children)} children")
+    args = [_emit(c, table, terms, lines, done) for c in n.children]
 """
 
-_NO_CYCLES = ("tests/test_rules.py::"
-              "test_building_parsing_and_compiling_a_tree_leave_no_cyclic_garbage")
 _REFUSED = "tests/test_cli.py::test_a_wrongly_typed_config_value_is_reported"
+_NAN = "tests/test_limits.py::test_nan_fails_every_bound"
 
 MUTANTS: tuple[Mutant, ...] = (
     # the depth bound where a tree is built
@@ -67,10 +66,10 @@ MUTANTS: tuple[Mutant, ...] = (
            "return sum(c._size for c in self.children)",
            ("tests/test_rules.py::test_every_walk_works_at_the_depth_bound",)),
     Mutant("body-memo-by-op", _RULES,
-           "        if id(n) in done:\n            return done[id(n)]\n" + _BODY_CHECK
-           + "        v = done[id(n)] = ",
-           "        if n.op in done:\n            return done[n.op]\n" + _BODY_CHECK
-           + "        v = done[n.op] = ",
+           "    if id(n) in done:\n        return done[id(n)]\n" + _BODY_CHECK
+           + "    v = done[id(n)] = ",
+           "    if n.op in done:\n        return done[n.op]\n" + _BODY_CHECK
+           + "    v = done[n.op] = ",
            ("tests/test_rules.py::test_compiled_trees_equal_the_interpreter_exactly",)),
     Mutant("mutate-grafts-uncut", _EVOLVE,
            "    sub = truncate_depth(sub, max(1, cfg.max_depth - len(point)))\n", "",
@@ -137,10 +136,14 @@ MUTANTS: tuple[Mutant, ...] = (
            "        if left & guard == guard:\n            left -= opts[i][m][1]",
            "        left -= opts[i][m][1]",
            ("tests/test_sim.py::test_contract_counts_members_at_a_lane_top_one_at_a_time",)),
-    # recursive closures that clear themselves
-    *(Mutant(f"{name}-keeps-its-cycle", file, f"    del {name}  # a recursive closure",
-             "    # a recursive closure", (_NO_CYCLES,))
-      for name, file in (("emit", _RULES), ("read", _RULES), ("build", _EVOLVE))),
+    # the module-level recursions that grow and read a tree
+    Mutant("grow-ignores-the-root-branch", _EVOLVE,
+           "(not (full or branch) and rng.random() < 0.5)", "(not full and rng.random() < 0.5)",
+           ("tests/test_evolve.py::test_forced_branching_root",)),
+    Mutant("read-skips-the-token-after-a-leaf", _RULES,
+           "        return leaf(tok), pos\n", "        return leaf(tok), pos + 1\n",
+           # test_rules.py parses at import, so a broken reader fails its collection
+           ("tests/test_bench.py::test_rule_file_round_trip",)),
     # a result's plain tuples and the records built from them
     Mutant("makespan-keeps-last-end", _SIM,
            "makespan = max((s + d for _, s, d in starts.values()), default=0)",
@@ -183,11 +186,39 @@ MUTANTS: tuple[Mutant, ...] = (
            (_REFUSED + "[gen-nan-tolerance]", _REFUSED + "[evolve-infinite-wall-limit]",
             _REFUSED + "[bench-nan-crossover]")),
     Mutant("spec-allows-a-negative-limit", _INSTGEN,
-           "if (value := getattr(self, key)) < 0:", "if False:",
+           "if not (value := getattr(self, key)) >= 0:", "if False:",
            (_REFUSED + "[gen-negative-tolerance]", _REFUSED + "[gen-negative-budget]")),
     Mutant("evolve-allows-a-negative-wall-limit", _EVOLVE,
-           "if wall_limit is not None and wall_limit < 0:", "if False:",
+           "if wall_limit is not None and not wall_limit >= 0:", "if False:",
            (_REFUSED + "[evolve-negative-wall-limit]", _REFUSED + "[bench-negative-wall-limit]")),
+    # each bound a containment test, which NaN fails, reverted to `x < lo`
+    *(Mutant(f"{case}-passes-nan", file, snippet, replacement, (f"{_NAN}[{case}]",))
+      for case, file, snippet, replacement in (
+          ("GenSpec-n_activities", _INSTGEN,
+           "if not (self.n_activities >= 1 and self.n_modes >= 1 and self.n_resources >= 1):",
+           "if self.n_activities < 1 or self.n_modes < 1 or self.n_resources < 1:"),
+          ("GenSpec-move_budget", _INSTGEN, "if not (value := getattr(self, key)) >= 0:",
+           "if (value := getattr(self, key)) < 0:"),
+          ("GpConfig-max_generations", _EVOLVE, "if not self.max_generations >= 0:",
+           "if self.max_generations < 0:"),
+          ("GpConfig-crossover_prob", _EVOLVE,
+           "if not (self.crossover_prob >= 0 and self.mutation_prob >= 0\n"
+           "                and self.crossover_prob + self.mutation_prob <= 1):",
+           "if min(self.crossover_prob, self.mutation_prob) < 0 \\\n"
+           "                or self.crossover_prob + self.mutation_prob > 1:"),
+          ("GpConfig-enumeration_limit", _EVOLVE, "if not self.enumeration_limit >= 1:",
+           "if self.enumeration_limit < 1:"),
+          ("KneeConfig-cap", _POLICY, "if not self.cap >= 1:", "if self.cap < 1:"),
+          ("KneeConfig-group_size_hard_limit", _POLICY,
+           "if not self.group_size_hard_limit >= 1:", "if self.group_size_hard_limit < 1:"),
+          ("Scenario-n_train", _BENCH, "if not (self.n_train >= 1 and self.n_test >= 1):",
+           "if self.n_train < 1 or self.n_test < 1:"),
+          ("Experiment-n_runs", _BENCH,
+           "if not (self.n_runs >= 1 and self.test_realizations >= 1):",
+           "if self.n_runs < 1 or self.test_realizations < 1:"),
+          ("build_policy-hard_limit", _POLICY, "if not limit >= 1:", "if limit < 1:"),
+          ("evolve-wall_limit", _EVOLVE, "and not wall_limit >= 0:", "and wall_limit < 0:"),
+      )),
 )
 
 
