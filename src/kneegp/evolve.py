@@ -117,7 +117,8 @@ def random_tree(rng: Random, depth: int, method: str = "grow",
     """Random expression of at most `depth` levels (`full` hits it exactly)."""
     if depth < 1:
         raise ValueError("depth must be positive")
-
+    if method not in ("grow", "full"):
+        raise ValueError(f"method must be 'grow' or 'full', not {method!r}")
     return _grow(rng, depth, method == "full", root_must_branch)
 
 

@@ -2,17 +2,20 @@
 
 The order strength (OS) of an instance is the fraction of non-dummy activity
 pairs that are precedence-related, directly or transitively. The generator
-hill-climbs a random DAG until the achieved OS lands inside the requested
-tolerance band, then samples modes and derives capacities from the
-earliest-start resource profile.
+climbs from the empty graph: each move draws an edge u -> v with u < v and
+keeps it only if the count of related pairs stays within the tolerance's
+slack above the target. A refused edge leaves the closure as it was, and
+every draw spends one move of the budget, until the count lands in the band
+or the budget runs out (GenerationError). It then samples modes and derives
+capacities from the earliest-start resource profile.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
-from .model import Activity, Mode, ProjectInstance, _closure, build_instance
+from .model import Activity, Mode, ProjectInstance, build_instance
 
 
 class GenerationError(RuntimeError):
@@ -132,9 +135,8 @@ def _grow_dag(rng: random.Random, n: int, target_os: float, tol: float,
     edges: list[tuple[int, int]] = []
     count = 0
     moves = 0
-    stale = 0
-    # an add is kept only if `count - target <= slack` after it, and a drop
-    # only lowers `count`, so the loop ends exactly when `count` is in the band
+    # an edge is kept only if `count - target <= slack` after it, so the
+    # loop ends exactly when `count` is in the band
     while target - count > slack:
         moves += 1
         if moves > budget:
@@ -147,19 +149,13 @@ def _grow_dag(rng: random.Random, n: int, target_os: float, tol: float,
         v = rng.randint(u + 1, n)
         if reach[u] >> v & 1:
             continue
+        kept = reach[:]
         added = _add_edge(reach, n, u, v)
         if count + added - target > slack:
-            _rebuild(reach, n, edges)  # overshoot: roll the closure back
-            stale += 1
-            if stale >= 50 and edges:
-                # shake loose by dropping a random edge
-                edges.pop(rng.randrange(len(edges)))
-                count = _rebuild(reach, n, edges)
-                stale = 0
+            reach[:] = kept  # overshoot: the closure is as it was
             continue
         edges.append((u, v))
         count += added
-        stale = 0
     return edges, count / total
 
 
@@ -174,14 +170,6 @@ def _add_edge(reach: list[int], n: int, u: int, v: int) -> int:
                 added += (new ^ reach[a]).bit_count()
                 reach[a] = new
     return added
-
-
-def _rebuild(reach: list[int], n: int, edges: list[tuple[int, int]]) -> int:
-    succ: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        succ[u].append(v)
-    reach[:] = _closure(range(n, 0, -1), succ)  # ids are topological
-    return sum(m.bit_count() for m in reach)
 
 
 def derive_capacities(modes: dict[int, list[Mode]], preds: dict[int, set[int]],

@@ -12,7 +12,7 @@ from kneegp.instgen import GenSpec
 from kneegp.model import load_instance, validate_schedule
 from kneegp.policy import KneeConfig, build_policy
 from kneegp.rules import MAX_DEPTH, load_rules
-from kneegp.sim import DurationTable, solve
+from kneegp.sim import DurationTable, SimResult, solve
 
 from conftest import demo_instance, schedule_from_dict
 
@@ -116,6 +116,8 @@ _TINY_RUNS = {"n_runs": 2, "gp": _TINY_GP,
     ("evolve", {"instances": []}, "training config needs a non-empty 'instances' list"),
     ("gen", {"duration_range": 5},
      "generator spec key duration_range must be tuple[int, int], not 5"),
+    ("gen", {"duration_range": [5]},
+     "generator spec key duration_range must be tuple[int, int], not [5]"),
     ("gen", [], "generator spec must be an object, not []"),
     ("evolve", [], "training config must be an object, not []"),
     ("bench run", [], "experiment must be an object, not []"),
@@ -153,7 +155,7 @@ _TINY_RUNS = {"n_runs": 2, "gp": _TINY_GP,
     ("bench run", dict(_TINY_RUNS, wall_limit=-1), "wall_limit must be at least 0, not -1"),
 ], ids=["gen-float", "evolve-int", "evolve-knee", "evolve-tuple", "bench-scenario",
         "bench-experiment", "evolve-wall-limit", "evolve-instances", "evolve-no-instances",
-        "gen-range",
+        "gen-range", "gen-short-range",
         "gen-list", "evolve-list", "bench-list", "bench-scenario-gen-list",
         "bench-removed-maximal", "bench-removed-reproduction", "evolve-removed-reproduction",
         "evolve-removed-knee-switch", "gen-count-zero", "gen-count-negative",
@@ -318,6 +320,22 @@ def test_solve_seeded_run_is_deterministic(tmp_path, demo_file, rules_file, caps
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_solve_refuses_an_invalid_schedule(tmp_path, demo_file, rules_file, capsys,
+                                           monkeypatch):
+    # activities 1 and 2 start together in mode 0 and draw 10 + 7 of 12
+    overdrawn = SimResult(16, {1: (0, 0, 5), 2: (0, 0, 4), 3: (0, 5, 4), 4: (0, 9, 4),
+                               5: (0, 13, 3)}, ())
+    monkeypatch.setattr("kneegp.cli.solve", lambda *args: overdrawn)
+    out = tmp_path / "schedule.json"
+    assert main(["solve", "--instance", str(demo_file), "--rules", str(rules_file),
+                 "--schedule-out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("violation: resource 0 over capacity in [0, 4): "
+                            "usage 17 > 12 (activities [1, 2])\n")
+    assert not captured.out
+    assert not out.exists()
 
 
 def _without_predecessors(demo_file):

@@ -65,6 +65,8 @@ def test_forced_branching_root():
     assert not random_tree(rng, 1, "grow", root_must_branch=True).children
     with pytest.raises(ValueError, match="depth must be positive"):
         random_tree(rng, 0)
+    with pytest.raises(ValueError, match="method must be 'grow' or 'full', not 'Full'"):
+        random_tree(rng, 4, "Full")
 
 
 def test_ramped_population_shape():

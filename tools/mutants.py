@@ -140,6 +140,13 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("grow-ignores-the-root-branch", _EVOLVE,
            "(not (full or branch) and rng.random() < 0.5)", "(not full and rng.random() < 0.5)",
            ("tests/test_evolve.py::test_forced_branching_root",)),
+    Mutant("random-tree-accepts-any-method", _EVOLVE,
+           "    if method not in (\"grow\", \"full\"):\n", "    if False:\n",
+           ("tests/test_evolve.py::test_forced_branching_root",)),
+    # the generator's climb: a refused edge leaves the closure as it was
+    Mutant("climb-keeps-a-refused-edge", _INSTGEN,
+           "            reach[:] = kept  # overshoot: the closure is as it was\n", "",
+           ("tests/test_instgen.py::test_generated_instance_bytes_are_pinned",)),
     Mutant("read-skips-the-token-after-a-leaf", _RULES,
            "        return leaf(tok), pos\n", "        return leaf(tok), pos + 1\n",
            # test_rules.py parses at import, so a broken reader fails its collection
