@@ -6,8 +6,9 @@ climbs from the empty graph: each move draws an edge u -> v with u < v and
 keeps it only if the count of related pairs stays within the tolerance's
 slack above the target. A refused edge leaves the closure as it was, and
 every draw spends one move of the budget, until the count lands in the band
-or the budget runs out (GenerationError). It then samples modes and derives
-capacities from the earliest-start resource profile.
+or the budget runs out (GenerationError). A band that holds no whole count
+is refused before the climb. It then samples modes and derives capacities
+from the earliest-start resource profile.
 """
 from __future__ import annotations
 
@@ -130,6 +131,11 @@ def _grow_dag(rng: random.Random, n: int, target_os: float, tol: float,
     total = n * (n - 1) // 2
     target = target_os * total
     slack = tol * total + 1e-9
+    if int(target + slack) < target - slack:
+        raise GenerationError(
+            f"order strength {target_os} with tolerance {tol} needs "
+            f"[{target - slack:.4f}, {target + slack:.4f}] of {total} pairs related, "
+            f"and no whole count lies in that band", 0.0)
 
     reach = [0] * (n + 1)  # reach[i]: bitmask of ids reachable from i
     edges: list[tuple[int, int]] = []
@@ -149,21 +155,22 @@ def _grow_dag(rng: random.Random, n: int, target_os: float, tol: float,
         v = rng.randint(u + 1, n)
         if reach[u] >> v & 1:
             continue
-        kept = reach[:]
-        added = _add_edge(reach, n, u, v)
+        kept = reach[:u + 1]  # only ids up to u can reach u
+        added = _add_edge(reach, u, v)
         if count + added - target > slack:
-            reach[:] = kept  # overshoot: the closure is as it was
+            reach[:u + 1] = kept  # overshoot: the closure is as it was
             continue
         edges.append((u, v))
         count += added
     return edges, count / total
 
 
-def _add_edge(reach: list[int], n: int, u: int, v: int) -> int:
-    """Insert u -> v into the closure; returns how many new pairs appeared."""
+def _add_edge(reach: list[int], u: int, v: int) -> int:
+    """Insert u -> v into the closure; returns how many new pairs appeared.
+    Edges run from lower to higher ids, so only ids up to u can reach u."""
     grown = reach[v] | (1 << v)
     added = 0
-    for a in range(1, n + 1):
+    for a in range(1, u + 1):
         if a == u or (reach[a] >> u & 1):
             new = reach[a] | grown
             if new != reach[a]:
@@ -195,17 +202,17 @@ def derive_capacities(modes: dict[int, list[Mode]], preds: dict[int, set[int]],
             done = est[p] + modes[p][0].expected
             if done > est[i]:
                 est[i] = done
-    horizon = max((est[i] + modes[i][0].expected for i in ids), default=0)
     peak = [0] * n_resources
     for r in range(n_resources):
-        delta = [0] * (horizon + 1)
+        # usage changes only at starts and ends, as in `validate_schedule`
+        delta: dict[int, int] = {}
         for i in ids:
-            d = modes[i][0].demand[r]
-            if d and modes[i][0].expected:
-                delta[est[i]] += d
-                delta[est[i] + modes[i][0].expected] -= d
+            d, e = modes[i][0].demand[r], modes[i][0].expected
+            if d and e:
+                delta[est[i]] = delta.get(est[i], 0) + d
+                delta[est[i] + e] = delta.get(est[i] + e, 0) - d
         usage = 0
-        for t in range(horizon + 1):
+        for t in sorted(delta):
             usage += delta[t]
             if usage > peak[r]:
                 peak[r] = usage

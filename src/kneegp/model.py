@@ -11,7 +11,7 @@ import json
 import reprlib
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from math import isfinite
-from operator import getitem, le, lshift
+from operator import add, getitem, le, lshift
 from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 ResourceVector = tuple[int, ...]
@@ -151,6 +151,14 @@ class InstanceAnalysis:
         """`dmin_exp` as byte tables (`byte_tables`), for `byte_sum`: kept
         for the group forms that read the group work terminals."""
         return byte_tables(self.dmin_exp)
+
+    @lazy
+    def horizon_order(self) -> list[int]:
+        """Activity ids by `dmin_exp + tail`, largest first: the first one
+        not yet started gives the longest chain from an unstarted activity
+        (`DecisionContext.horizon`). Built on its first read."""
+        reach = list(map(add, self.dmin_exp, self.tail))
+        return sorted(range(len(reach)), key=reach.__getitem__, reverse=True)
 
     @lazy
     def lanes(self) -> tuple[int, int]:

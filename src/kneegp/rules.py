@@ -235,13 +235,18 @@ def save_rules(rules: RulePair, path) -> None:
 
 
 class DecisionContext:
-    """Snapshot of the simulation state at one decision point.
+    """The simulation state at one decision point.
 
     `free` is the packed free capacity (`InstanceAnalysis.pack_free`) and
     `running` maps an activity id to its (mode index, start time). Remaining
     work of running activities is estimated from expected durations; realized
-    durations of anything unfinished are deliberately not visible here. It
-    copies what it is handed, so the caller may go on changing its own state.
+    durations of anything unfinished are deliberately not visible here.
+
+    The constructor copies what it is handed, so the caller may go on
+    changing its own state. `live`, which `sim.solve` uses, reads the
+    caller's `completed` set and `running` dict without a copy: a live
+    context is valid only until the caller next changes them, so a policy
+    reads every `lazy` attribute inside its `decide` call.
 
     Every completed or running activity must have all its predecessors
     completed, as in any state `sim.solve` reaches. The time terminals rely
@@ -259,6 +264,24 @@ class DecisionContext:
         self.free = free
         self.completed = frozenset(completed)
         self.running = dict(running)
+        self._cursor = [0]
+
+    @classmethod
+    def live(cls, instance: ProjectInstance, clock: int, free: int,
+             completed: set[int], running: dict[int, tuple[int, int]],
+             cursor: list[int]) -> DecisionContext:
+        """A context over the caller's own `completed` and `running`, which
+        it does not copy. `cursor` is a one-item list that every context of
+        one solve shares: `horizon` moves it past started activities, and
+        the started set of a solve only grows."""
+        ctx = cls.__new__(cls)
+        ctx.instance = instance
+        ctx.clock = clock
+        ctx.free = free
+        ctx.completed = completed
+        ctx.running = running
+        ctx._cursor = cursor
+        return ctx
 
     @lazy
     def availability(self) -> tuple[int, ...]:
@@ -276,19 +299,27 @@ class DecisionContext:
         running activity with expected work `rem` left or `dmin + tail` from
         an unstarted one. The forward pass from the frontier, which these
         chains replace, reaches the sink no sooner than any of them ends and
-        exactly when the longest does."""
-        inst = self.instance
-        ana = inst.analysis
-        tail, dmin = ana.tail, ana.dmin_exp
+        exactly when the longest does.
+
+        The longest unstarted chain is that of the first activity of
+        `horizon_order` that is neither completed nor running. The cursor
+        keeps its position, and every activity before it has started."""
+        ana = self.instance.analysis
+        acts, tail, clock = ana.activities, ana.tail, self.clock
+        done, running, cursor = self.completed, self.running, self._cursor
         chain = 0
-        for i, (m, start) in self.running.items():
-            rem = start + inst.activities[i].modes[m].expected - self.clock
-            if rem + tail[i] > chain:
-                chain = rem + tail[i]
-        done, running = self.completed, self.running
-        for i in range(inst.n_activities):
-            if i not in done and i not in running and dmin[i] + tail[i] > chain:
-                chain = dmin[i] + tail[i]
+        for i, (m, start) in running.items():
+            c = start + acts[i].modes[m].expected - clock + tail[i]
+            if c > chain:
+                chain = c
+        order = ana.horizon_order
+        for k in range(cursor[0], len(order)):
+            i = order[k]
+            if i not in done and i not in running:
+                cursor[0] = k
+                if ana.dmin_exp[i] + tail[i] > chain:
+                    chain = ana.dmin_exp[i] + tail[i]
+                break
         return float(chain)
 
 

@@ -3,8 +3,8 @@
 Durations are uncertain: an activity's realized duration is drawn when it
 starts in a mode, from an independent per-pair stream, so a table that draws
 each pair on its first read gives the same runs as one drawn whole in advance.
-Policies see a DecisionContext snapshot and never a realized duration of
-anything unfinished.
+Policies see a DecisionContext over the executor's live state, valid for
+one `decide` call, and never a realized duration of anything unfinished.
 """
 from __future__ import annotations
 
@@ -121,6 +121,12 @@ def solve(inst: ProjectInstance, policy: Policy,
     each `DecisionContext` holds: the rescan, the within-clock filter and
     `_check_group` test a pair with one int operation on its packed demand.
 
+    Each decision's context is `DecisionContext.live`: it reads the
+    executor's own `completed` set and `running` dict, with no copy, so it
+    is valid only until the executor next changes them, and a policy reads
+    every `lazy` attribute inside `decide`. All contexts of one solve share
+    one horizon cursor.
+
     A policy that starts nothing while nothing runs stalls the project: no
     completion can change what it sees, since everything it reads is relative
     to the clock, so `solve` raises RuntimeError at once.
@@ -138,6 +144,7 @@ def solve(inst: ProjectInstance, policy: Policy,
     waiting = [len(a.predecessors) for a in acts]  # unfinished predecessors, the sink's too
     ready: set[int] = set()
     real = inst.non_dummy_ids()
+    live, cursor = DecisionContext.live, [0]
 
     def complete(i: int) -> None:
         completed.add(i)
@@ -159,7 +166,7 @@ def solve(inst: ProjectInstance, policy: Policy,
 
         elig = eligible_set(inst, ready, free)
         while elig:
-            ctx = DecisionContext(inst, t, free, completed, running)
+            ctx = live(inst, t, free, completed, running, cursor)
             group, filtered = policy.decide(ctx, elig)
             group = tuple(group)
             if not group:

@@ -387,6 +387,25 @@ def latest_finish(ctx: DecisionContext, i: int) -> float:
     return ctx.horizon - ctx.instance.analysis.tail[i]
 
 
+def full_scan_horizon(ctx: DecisionContext) -> float:
+    """Reference horizon from a scan over every activity: the longest chain,
+    `rem + tail` from a running activity with expected work `rem` left or
+    `dmin + tail` from an unstarted one, as a float. `DecisionContext`
+    reads the unstarted side from `InstanceAnalysis.horizon_order`."""
+    inst = ctx.instance
+    ana = inst.analysis
+    tail, dmin = ana.tail, ana.dmin_exp
+    chain = 0
+    for i, (m, start) in ctx.running.items():
+        rem = start + inst.activities[i].modes[m].expected - ctx.clock
+        if rem + tail[i] > chain:
+            chain = rem + tail[i]
+    for i in range(inst.n_activities):
+        if i not in ctx.completed and i not in ctx.running and dmin[i] + tail[i] > chain:
+            chain = dmin[i] + tail[i]
+    return float(chain)
+
+
 def forward_pass(ctx: DecisionContext) -> list[float]:
     """Earliest completion of every activity, relative to the clock, with
     unstarted activities at their minimum expected duration."""

@@ -62,3 +62,19 @@ def test_the_summary_names_every_digest_and_every_bad_run():
     assert "every run correct" not in text
     clean = ab.summarize("w", pairs[:1], BETTER)
     assert clean.endswith("every run correct, none failed")
+
+
+def test_a_run_passes_its_seed_to_the_benchmark(monkeypatch, tmp_path):
+    seen = []
+
+    def fake(cmd, **kwargs):
+        seen.append((cmd, kwargs["cwd"]))
+        return ab.subprocess.CompletedProcess(cmd, 0, _stdout(40.0), "")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake)
+    for seed in (7, None):
+        run = ab.run_once(tmp_path, "w", *([seed] if seed else []))
+        cmd, cwd = seen[-1]
+        assert cwd == tmp_path and run["metrics"]["wall_ref"]["value"] == 40.0
+        assert cmd[cmd.index("--workload") + 1] == "w"
+        assert cmd[cmd.index("--seed") + 1] == str(seed or 1)

@@ -341,6 +341,22 @@ def test_report_directory_round_trip(tmp_path, tiny_reports, late_overflow_repor
             history=tuple(replace(h, wall_seconds=0.0) for h in want.history))
 
 
+def test_a_run_without_a_trained_champion_has_no_best_generation(tmp_path):
+    """A run that times out or overflows in training reports generation -1,
+    in report.json and after reading it back."""
+    timeouts = run_experiment(_tiny_experiment(wall_limit=0.0, n_runs=1))
+    overflow = run_experiment(_tiny_experiment(
+        algorithms=("ggp",), n_runs=1,
+        gp=GpConfig(population_size=4, max_generations=1, tournament_size=2,
+                    init_depth=(2, 3), enumeration_limit=3)))
+    reports = [*timeouts, *overflow]
+    assert [r.status for r in reports] == ["timeout", "timeout", "overflow"]
+    write_reports(reports, tmp_path, _tiny_experiment())
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert [d["best_generation"] for d in payload["reports"]] == [-1, -1, -1]
+    assert [r.best_generation for r in read_reports(tmp_path)] == [-1, -1, -1]
+
+
 def test_experiment_config_round_trip():
     exp = _tiny_experiment()
     blob = json.dumps(asdict(exp))

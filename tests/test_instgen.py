@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -171,6 +172,46 @@ def test_partial_resource_factor():
             assert sum(1 for d in m.demand if d) == 2
 
 
+def test_short_modes_keep_a_minimum_duration_of_one():
+    """A mode whose expected duration less its shrink is at most 1 gets the
+    floor 1: with expected durations of 1 or 2 every shrink reaches it."""
+    spec = GenSpec(n_activities=12, duration_range=(1, 3))
+    short = 0
+    for seed in range(4):
+        inst = generate_instance(spec, seed)
+        for i in inst.non_dummy_ids():
+            for m in inst.activities[i].modes:
+                assert 1 <= m.min_duration <= m.expected
+                if m.expected <= 2:
+                    assert m.min_duration == 1
+                    short += 1
+    assert short > 20
+
+
+def test_an_empty_order_strength_band_is_refused_before_the_climb(monkeypatch):
+    """No whole count of related pairs lies within the band, so no edge is
+    tried, and the message names the band and the pair count."""
+    tried = []
+    monkeypatch.setattr(instgen, "_add_edge", lambda *args: tried.append(args))
+    # 28 pairs, target 11.2
+    spec = GenSpec(n_activities=8, order_strength=0.4, os_tolerance=0.0)
+    with pytest.raises(GenerationError) as err:
+        generate_instance(spec, seed=0)
+    assert str(err.value) == ("order strength 0.4 with tolerance 0.0 needs [11.2000, "
+                              "11.2000] of 28 pairs related, and no whole count lies "
+                              "in that band")
+    assert err.value.achieved_os == 0.0 and tried == []
+
+
+def test_a_band_that_holds_a_count_can_still_run_out_of_moves():
+    # 66 pairs, band [58.74, 60.06] holds 59 and 60, but 5 moves reach neither
+    spec = GenSpec(n_activities=12, order_strength=0.9, os_tolerance=0.01, move_budget=5)
+    with pytest.raises(GenerationError, match=r"order strength 0\.9 unreachable in 5 moves"
+                       r" \(achieved 0\.\d{4}\)") as err:
+        generate_instance(spec, seed=0)
+    assert 0.0 < err.value.achieved_os < 0.89
+
+
 def test_unreachable_target_raises_with_achieved_value():
     spec = GenSpec(n_activities=12, order_strength=0.9, os_tolerance=0.0001,
                    move_budget=40)
@@ -184,6 +225,60 @@ def _demo_mode_table():
     modes = {i: list(inst.activities[i].modes) for i in inst.non_dummy_ids()}
     preds = {i: set(inst.activities[i].predecessors) - {0} for i in inst.non_dummy_ids()}
     return modes, preds
+
+
+def dense_capacities(modes, preds, n_resources, rs):
+    """Reference `derive_capacities`: the earliest-start profile of the
+    reference modes on a usage list over every tick to the horizon."""
+    ids = sorted(modes)
+    floor = [max(m.demand[r] for i in ids for m in modes[i]) for r in range(n_resources)]
+    est = {i: 0 for i in ids}
+    for i in ids:  # ids are topological
+        for p in preds[i]:
+            est[i] = max(est[i], est[p] + modes[p][0].expected)
+    horizon = max((est[i] + modes[i][0].expected for i in ids), default=0)
+    peak = [0] * n_resources
+    for r in range(n_resources):
+        usage = [0] * (horizon + 1)
+        for i in ids:
+            for t in range(est[i], est[i] + modes[i][0].expected):
+                usage[t] += modes[i][0].demand[r]
+        peak[r] = max(usage)
+    return [floor[r] + round(rs * (max(peak[r], floor[r]) - floor[r]))
+            for r in range(n_resources)]
+
+
+def _random_mode_table(rng, scale=1):
+    n, n_res = rng.randint(1, 12), rng.randint(1, 4)
+    preds = {i: {p for p in range(1, i) if rng.random() < 0.3} for i in range(1, n + 1)}
+    modes = {}
+    for i in preds:
+        exps = sorted(rng.choice((0, 0, 1, 2, 5, 9)) for _ in range(rng.randint(1, 3)))
+        modes[i] = [Mode(e * scale, e * scale, e * scale,
+                         tuple(rng.choice((0, 0, 1, 3, 7)) for _ in range(n_res)))
+                    for e in exps]
+    return modes, preds, n_res
+
+
+def test_derive_capacities_equals_the_dense_sweep():
+    rng = random.Random(29)
+    for _ in range(400):
+        modes, preds, n_res = _random_mode_table(rng)
+        rs = rng.choice((0.0, 0.25, 0.5, 1.0, rng.random()))
+        assert derive_capacities(modes, preds, n_res, rs) == \
+            dense_capacities(modes, preds, n_res, rs)
+
+
+def test_derive_capacities_takes_no_time_from_the_duration_values():
+    """Durations of 10^7 scale the profile's times, not its peak, and the
+    sweep visits only its events."""
+    for seed in range(5):
+        modes, preds, n_res = _random_mode_table(random.Random(seed))
+        huge, _, _ = _random_mode_table(random.Random(seed), scale=10 ** 7)
+        tick = time.perf_counter()
+        got = derive_capacities(huge, preds, n_res, 1.0)
+        assert time.perf_counter() - tick < 0.5
+        assert got == dense_capacities(modes, preds, n_res, 1.0)
 
 
 def test_derive_capacities_zero_strength_is_floor():
@@ -235,7 +330,7 @@ def test_adding_an_edge_keeps_the_closure_a_rebuild_gives():
             u = rng.randint(1, n - 1)
             v = rng.randint(u + 1, n)
             before = sum(m.bit_count() for m in reach)
-            added = instgen._add_edge(reach, n, u, v)
+            added = instgen._add_edge(reach, u, v)
             succ[u].append(v)
             rebuilt = model._closure(range(n, 0, -1), succ)  # ids are topological
             assert sum(m.bit_count() for m in rebuilt) == before + added

@@ -639,6 +639,38 @@ def test_an_availability_outside_the_capacities_is_refused():
             inst.analysis.pack_free(avail)
 
 
+@pytest.mark.parametrize("limit", [1, 2])
+@pytest.mark.parametrize("name", ["kggp-max", "kggp-all"])
+def test_a_hard_limit_below_three_scores_one_group_at_most(name, limit):
+    """A hard limit of 1 or 2 subsets gives a knee width of 1: the one slot
+    is the best-ranked pair, and at most one group is scored, at every
+    decision of solves whose knee keeps more than one activity."""
+    rng = random.Random(f"{name}-{limit}")
+    decisions = wide = 0
+    for k in range(15):
+        inst = random_instance(rng, n=rng.randint(4, 9), n_modes=rng.randint(1, 3),
+                               n_resources=rng.randint(1, 3), capacity=10, max_demand=5,
+                               edge_prob=0.1, zero_prob=0.3)
+        rules = RulePair(random_tree(rng, 4), random_tree(rng, 4))
+        cfg, maximal = KneeConfig(cap=rng.randint(2, 8), group_size_hard_limit=limit), \
+            name == "kggp-max"
+        policy = build_policy(rules, name, cfg)
+
+        def decide(ctx, eligible):
+            nonlocal decisions, wide
+            filtered, slots = _knee_slots(rules, ctx, eligible, cfg)
+            d = knee_group_decide(rules, ctx, eligible, cfg, maximal)
+            assert len(slots) == 1 and d.count <= 1
+            assert (d.group, d.count) == reference_best_group(rules.group, ctx, slots, maximal)
+            assert policy.decide(ctx, eligible) == (d.group, d.filtered_size)
+            decisions += 1
+            wide += filtered > 1
+            return d.group, d.filtered_size
+
+        solve(inst, Policy(decide), sample_durations(inst, seed=k))
+    assert decisions > 50 and wide > 20
+
+
 @pytest.mark.parametrize("name", ["kggp-max", "kggp-all", "ggp"])
 def test_every_group_decision_of_a_solve_equals_the_reference(name):
     """Every decision of solves on random projects with zero-duration modes:

@@ -40,6 +40,7 @@ from conftest import (
     demo_instance,
     earliest_start,
     forward_pass,
+    full_scan_horizon,
     group_terminal_value,
     interpret,
     latest_finish,
@@ -231,7 +232,8 @@ def _same(value, fresh) -> bool:
 
 _LAZY = [(Node, n) for n in ("_hash", "_size", "_rank", "_score", "_best")] \
     + [(ProjectInstance, "analysis")] \
-    + [(InstanceAnalysis, n) for n in ("work_bytes", "lanes", "options", "rows")] \
+    + [(InstanceAnalysis, n) for n in ("work_bytes", "horizon_order", "lanes", "options",
+                                      "rows")] \
     + [(DecisionContext, n) for n in ("horizon", "availability", "_avail_stats")]
 
 
@@ -348,13 +350,15 @@ def _exact(a, b) -> bool:
 
 
 def _assert_times_exact(ctx) -> bool:
-    """Check every time quantity of `ctx` against the reference passes, value
-    and type, EST and EFT only at ready activities, the only ones the engine
-    scores; returns whether `ctx` is a tie: the longest chain from a running
-    activity with expected work left equals the longest `dmin + tail` from an
-    unstarted one, and both are nonzero."""
+    """Check every time quantity of `ctx` against the reference passes, and
+    the horizon against the full scan too, value and type, EST and EFT only
+    at ready activities, the only ones the engine scores; returns whether
+    `ctx` is a tie: the longest chain from a running activity with expected
+    work left equals the longest `dmin + tail` from an unstarted one, and
+    both are nonzero."""
     horizon, lft, est = _ref_times(ctx)
     assert _exact(ctx.horizon, horizon)
+    assert _exact(ctx.horizon, full_scan_horizon(ctx))
     inst = ctx.instance
     ana = inst.analysis
     rems = {i: start + inst.activities[i].modes[m].expected - ctx.clock
@@ -406,6 +410,14 @@ def test_horizon_ties_are_floats(demo):
     assert _exact(ctx.horizon, 4.0)
     assert _exact(latest_finish(ctx, 5), 4.0)
     assert _assert_times_exact(ctx)
+
+
+def test_horizon_once_nothing_is_left_to_start(demo):
+    # the cursor runs off `horizon_order`, and no running chain is left
+    free = demo.analysis.pack_free((12,))
+    for done in (range(7), range(6)):
+        ctx = DecisionContext(demo, 12, free, done, {})
+        assert _exact(ctx.horizon, full_scan_horizon(ctx)) and ctx.horizon == 0.0
 
 
 class TimesChecked:

@@ -19,8 +19,8 @@ from kneegp.sim import (
 )
 
 from conftest import (
-    EagerRecords, _act, chain_instance, count_calls, demo_instance, random_instance,
-    realized, reference_check_group, rescan_eligible,
+    EagerRecords, _act, chain_instance, count_calls, demo_instance, full_scan_horizon,
+    random_instance, realized, reference_check_group, rescan_eligible,
 )
 
 
@@ -535,6 +535,71 @@ def test_decision_context_keeps_its_snapshot(demo):
     assert ctx.availability == (5,)
     assert ctx.completed == frozenset({0, 1})
     assert ctx.running == {2: (0, 5)}
+
+
+class LiveChecked:
+    """Delegates to a policy after checking the context `solve` hands it
+    against a copying context of the same state: `horizon`, `availability`
+    and `_avail_stats` agree in value and type, and `horizon` equals the full
+    scan. It reads the executor's own `completed` and `running` at every
+    decision. Every activity before the horizon cursor has started and the
+    one at it has not; `seen` gets the cursor and its position at each
+    decision, and `skipped_running` counts the decisions with a running
+    activity before the cursor."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.seen = []
+        self.skipped_running = 0
+
+    def decide(self, ctx, eligible):
+        if not self.seen:
+            self.state = ctx.completed, ctx.running
+        assert ctx.completed is self.state[0] and ctx.running is self.state[1]
+        copy = DecisionContext(ctx.instance, ctx.clock, ctx.free, ctx.completed, ctx.running)
+        for name in ("horizon", "availability", "_avail_stats"):
+            assert repr(getattr(ctx, name)) == repr(getattr(copy, name)), name
+        assert repr(ctx.horizon) == repr(full_scan_horizon(ctx))
+        order, k = ctx.instance.analysis.horizon_order, ctx._cursor[0]
+        started = ctx.completed | set(ctx.running)
+        assert set(order[:k]) <= started and order[k] not in started
+        self.skipped_running += any(i in ctx.running for i in order[:k])
+        self.seen.append((ctx._cursor, k))
+        return self.policy.decide(ctx, eligible)
+
+
+def test_a_live_context_reads_as_a_copying_one():
+    """`solve` hands each policy a context over its own state, with one
+    horizon cursor per solve that only moves forward."""
+    rng = random.Random(31)
+    cursors, decisions, skipped = [], 0, 0
+    for k in range(25):
+        inst = random_instance(rng, n=rng.randint(3, 12), capacity=12, max_demand=7,
+                               zero_prob=0.25)
+        rules = RulePair(random_tree(rng, 4), random_tree(rng, 4))
+        for name in POLICY_NAMES:
+            policy = LiveChecked(build_policy(rules, name))
+            solve(inst, policy, sample_durations(inst, seed=k))
+            mine = [c for c, _ in policy.seen]
+            assert all(c is mine[0] for c in mine)
+            assert not any(c is mine[0] for c in cursors)
+            cursors.append(mine[0])
+            positions = [p for _, p in policy.seen]
+            assert positions == sorted(positions)
+            decisions += len(positions)
+            skipped += policy.skipped_running
+    assert decisions > 500 and skipped > 50
+
+
+def test_a_public_context_keeps_its_own_cursor(demo):
+    """Each context built by the constructor starts its cursor at 0, so its
+    horizon needs no history of the states before it."""
+    free = demo.analysis.pack_free((5,))
+    late = DecisionContext(demo, 7, free, {0, 1, 2, 3}, {4: (1, 6)})
+    early = DecisionContext(demo, 7, free, {0}, {})
+    assert late._cursor == early._cursor == [0] and late._cursor is not early._cursor
+    for ctx in (late, early):
+        assert repr(ctx.horizon) == repr(full_scan_horizon(ctx))
 
 
 def test_derive_seed_is_stable_and_spread():

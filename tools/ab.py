@@ -1,11 +1,11 @@
 """Alternating A/B runs of one perfbench workload in two checkouts.
 
-    python3 tools/ab.py PARENT CHANGE --workload NAME --pairs N
+    python3 tools/ab.py PARENT CHANGE --workload NAME --pairs N [--seed S]
 
-Runs `python3 perfbench/run.py --workload NAME --seed 1 --trace 0` in the
-parent and in the change checkout, one after the other, N times; the side
-that goes first alternates from pair to pair. Each run is a subprocess, and
-its last output line is its result. Prints, for each end-to-end metric the
+Runs `python3 perfbench/run.py --workload NAME --seed S --trace 0` (seed 1
+unless given) in the parent and in the change checkout, one after the
+other, N times; the side that goes first alternates from pair to pair. Each
+run is a subprocess, and its last output line is its result. Prints, for each end-to-end metric the
 change checkout's BENCHMARK.json names: the median on each side, the change,
 the pairs the change won and the parent's interquartile range; then the
 digests seen on each side and every run that was not correct or had a
@@ -74,9 +74,9 @@ def summarize(workload: str, pairs: list[tuple[dict, dict]],
     return "\n".join(out)
 
 
-def run_once(checkout: Path, workload: str) -> dict:
+def run_once(checkout: Path, workload: str, seed: int = 1) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", "1", "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"{checkout}: exit {done.returncode}\n{done.stderr}")
@@ -89,13 +89,14 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     pairs = []
     for n in range(args.pairs):
         order = SIDES if n % 2 == 0 else SIDES[::-1]
-        got = {side: run_once(getattr(args, side), args.workload)
+        got = {side: run_once(getattr(args, side), args.workload, args.seed)
                for side in order}
         pairs.append((got["parent"], got["change"]))
         first = next(iter(better))

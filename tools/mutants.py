@@ -136,6 +136,26 @@ MUTANTS: tuple[Mutant, ...] = (
            "        if left & guard == guard:\n            left -= opts[i][m][1]",
            "        left -= opts[i][m][1]",
            ("tests/test_sim.py::test_contract_counts_members_at_a_lane_top_one_at_a_time",)),
+    # the horizon: the first activity of `horizon_order` not yet started, from
+    # one cursor per solve
+    Mutant("horizon-cursor-skips-only-completed", _RULES,
+           "            if i not in done and i not in running:\n                cursor[0] = k",
+           "            if i not in done:\n                cursor[0] = k",
+           ("tests/test_rules.py::test_time_terminals_equal_the_reference_passes",
+            "tests/test_sim.py::test_a_live_context_reads_as_a_copying_one")),
+    Mutant("solve-copies-its-state", _SIM,
+           "ctx = live(inst, t, free, completed, running, cursor)",
+           "ctx = DecisionContext(inst, t, free, completed, running)",
+           ("tests/test_sim.py::test_a_live_context_reads_as_a_copying_one",)),
+    Mutant("horizon-cursor-per-context", _SIM,
+           "ctx = live(inst, t, free, completed, running, cursor)",
+           "ctx = live(inst, t, free, completed, running, [0])",
+           ("tests/test_sim.py::test_a_live_context_reads_as_a_copying_one",)),
+    # the knee width: a hard limit of 1 or 2 subsets leaves one slot
+    Mutant("knee-width-floor-of-two", _POLICY,
+           "max(1, (cfg.group_size_hard_limit + 1).bit_length() - 1)",
+           "max(2, (cfg.group_size_hard_limit + 1).bit_length() - 1)",
+           ("tests/test_policy.py::test_a_hard_limit_below_three_scores_one_group_at_most",)),
     # the module-level recursions that grow and read a tree
     Mutant("grow-ignores-the-root-branch", _EVOLVE,
            "(not (full or branch) and rng.random() < 0.5)", "(not full and rng.random() < 0.5)",
@@ -145,8 +165,17 @@ MUTANTS: tuple[Mutant, ...] = (
            ("tests/test_evolve.py::test_forced_branching_root",)),
     # the generator's climb: a refused edge leaves the closure as it was
     Mutant("climb-keeps-a-refused-edge", _INSTGEN,
-           "            reach[:] = kept  # overshoot: the closure is as it was\n", "",
+           "            reach[:u + 1] = kept  # overshoot: the closure is as it was\n", "",
            ("tests/test_instgen.py::test_generated_instance_bytes_are_pinned",)),
+    Mutant("add-edge-skips-u", _INSTGEN, "for a in range(1, u + 1):", "for a in range(1, u):",
+           ("tests/test_instgen.py::test_adding_an_edge_keeps_the_closure_a_rebuild_gives",)),
+    Mutant("empty-band-climbs", _INSTGEN, "if int(target + slack) < target - slack:",
+           "if False:",
+           ("tests/test_instgen.py::test_an_empty_order_strength_band_is_refused_before_the_climb",)),
+    Mutant("capacity-sweep-unsorted", _INSTGEN, "for t in sorted(delta):", "for t in delta:",
+           ("tests/test_instgen.py::test_derive_capacities_equals_the_dense_sweep",)),
+    Mutant("short-mode-floor-of-two", _INSTGEN, "max(1, exp - shrink)", "max(2, exp - shrink)",
+           ("tests/test_instgen.py::test_short_modes_keep_a_minimum_duration_of_one",)),
     Mutant("read-skips-the-token-after-a-leaf", _RULES,
            "        return leaf(tok), pos\n", "        return leaf(tok), pos + 1\n",
            # test_rules.py parses at import, so a broken reader fails its collection
@@ -172,6 +201,9 @@ MUTANTS: tuple[Mutant, ...] = (
            ("tests/test_sim.py::test_ready_set_matches_full_rescan",
             "tests/test_sim.py::test_presampling_matches_lazy_reveal",
             "tests/test_sim.py::test_eligible_sets_at_the_lane_edges")),
+    Mutant("unfinished-run-best-generation-zero", _BENCH,
+           "    best_generation: int = -1\n", "    best_generation: int = 0\n",
+           ("tests/test_bench.py::test_a_run_without_a_trained_champion_has_no_best_generation",)),
     Mutant("report-json-error-unnamed", _BENCH,
            'raise ValueError(f"report.json: {exc}") from None',
            "raise ValueError(str(exc)) from None",
