@@ -12,7 +12,7 @@ import reprlib
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from math import isfinite
 from operator import add, getitem, le, lshift
-from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 ResourceVector = tuple[int, ...]
 
@@ -125,7 +125,10 @@ class InstanceAnalysis:
 
     Transitive closures are kept as integer bitmasks so group unions are a
     single `or`. What only the rule engine reads is built on its first read,
-    never when the instance is built.
+    never when the instance is built. A resource vector packs into one int
+    in two layouts: `lanes`, tight and guarded, which tests a fit with one
+    subtraction, and the wide one (`wide_width`), byte-aligned, which
+    `split` cuts into its lanes.
     """
 
     def __init__(self, inst: ProjectInstance):
@@ -168,15 +171,17 @@ class InstanceAnalysis:
         The width is the bit length of the largest capacity or demand plus
         one guard bit, the top bit of each lane; the guard mask has every
         guard bit set. Built on its first read, like `work_bytes`."""
-        top = max([*self.capacities, *(k for a in self.activities
-                                      for mo in a.modes for k in mo.demand)])
-        width = top.bit_length() + 1
+        width = self._top().bit_length() + 1
         return width, sum(1 << (width * r - 1) for r in range(1, len(self.capacities) + 1))
+
+    def _top(self) -> int:
+        """The largest capacity or demand, which a lane of either layout holds."""
+        return max([*self.capacities, *(k for a in self.activities
+                                        for mo in a.modes for k in mo.demand)])
 
     def pack(self, vector: Sequence[int]) -> int:
         """`vector`, one lane per resource, without guard bits."""
-        width = self.lanes[0]
-        return sum(map(lshift, vector, range(0, width * len(vector), width)))
+        return _pack(vector, self.lanes[0])
 
     def pack_free(self, availability: Sequence[int]) -> int:
         """The free capacity `availability` packed, every guard bit set.
@@ -208,6 +213,50 @@ class InstanceAnalysis:
                 for a in self.activities]
 
     @lazy
+    def wide_width(self) -> int:
+        """The lane width of the wide layout of a resource vector.
+
+        Resource `r` takes bits `[r * width, (r + 1) * width)` of one int,
+        with no guard bit. The width is the first of 8, 16, 32, 64, ...
+        bits that holds the largest capacity or demand, so a lane is whole
+        bytes and `split` can cut 8-bit lanes out as bytes. A sum or difference of
+        packed vectors is the lanes' sums or differences only while every
+        lane stays in `[0, 2^width)`. Built on its first read, like
+        `work_bytes`."""
+        top, width = self._top(), 8
+        while top >> width:
+            width *= 2
+        return width
+
+    @lazy
+    def split(self) -> Callable[[int], Sequence[int]]:
+        """The function that returns the lanes of an int in the wide layout
+        (`wide_width`), in resource order: its bytes, cut at C speed, for
+        8-bit lanes, and a list of shifts for wider ones. Built on its first
+        read."""
+        width, n = self.wide_width, len(self.capacities)
+        if width == 8:
+            def split(x: int) -> bytes:
+                return x.to_bytes(n, "little")
+        else:
+            low, shifts = (1 << width) - 1, range(0, width * n, width)
+
+            def split(x: int) -> list[int]:
+                return [x >> s & low for s in shifts]
+        return split
+
+    def pack_wide(self, vector: Sequence[int]) -> int:
+        """`vector` in the wide layout (`wide_width`)."""
+        return _pack(vector, self.wide_width)
+
+    @lazy
+    def wide_demands(self) -> list[tuple[int, ...]]:
+        """Every mode's demand in the wide layout, `wide_demands[i][m]`: a
+        group's summed demand is their plain sum. Built on its first read,
+        apart from `rows`, so a rule that only ranks never builds it."""
+        return [tuple(self.pack_wide(mo.demand) for mo in a.modes) for a in self.activities]
+
+    @lazy
     def rows(self) -> list[tuple[tuple, ...]]:
         """Static terminal row of every (activity, mode) pair, `rows[i][m]`.
 
@@ -216,6 +265,11 @@ class InstanceAnalysis:
         from .rules import static_rows  # rules imports this module
 
         return static_rows(self)
+
+
+def _pack(vector: Sequence[int], width: int) -> int:
+    """`vector` as one int, lane `r` at bit `r * width`."""
+    return sum(map(lshift, vector, range(0, width * len(vector), width)))
 
 
 def _mask(ids: Iterable[int]) -> int:

@@ -334,7 +334,8 @@ class DecisionContext:
 #   score(ctx, group) -> its value at one group;
 #   best(ctx, slots, maximal) -> (group, count): the lowest-scoring
 #       feasible group of a decision and how many groups were scored, from
-#       a walk that takes and tests whole resource vectors as packed ints.
+#       a walk that takes and tests whole resource vectors as packed ints
+#       and carries a group's summed demand as one wide int.
 #
 # Each reads `ctx.instance.analysis.rows`, one static row per (activity,
 # mode) pair. `rank` and `score` return the tree's raw value, int or float as
@@ -430,21 +431,28 @@ _GROUP: dict[str, str] = {
 
 # the aggregates a group carries over its members, taken in member order:
 # name -> (value with no member, a member's share, how the share is added).
-# A member is activity `i` with static row `r`; `free` is the capacity the
-# members leave, as a tuple: the decision form carries it only for a tree
-# that reads it, through `left` or `D`.
+# A member is pair `(i, m)` with static row `r`. `free` is the capacity the
+# members leave, as a tuple, and `P` their summed demand as one int in the
+# wide layout (`InstanceAnalysis.wide_width`); each form carries the one its
+# `D` and `left` read, and only for a tree that reads them.
 _AGGREGATE: dict[str, tuple[str, str, str]] = {
     **{f"s_{name}": ("0", _PAIR[name], "{} + {}") for name in TIME_TERMINALS},
     **{f"u_{k}": ("0", f"r[{j}]", "{} | {}") for j, k in enumerate(_MASKS, start=_DEMAND + 1)},
     "free": ("av", f"r[{_DEMAND}]", "tuple(map(sub, {}, {}))"),
+    "P": ("0", "wide[i][m]", "{} + {}"),
 }
 
-# what the group terminals read of the group besides the aggregates
+# what the group terminals read of the group besides the aggregates: in the
+# one-group form, which scores any group, overdrawn ones too, from tuples
 _AT_GROUP: dict[str, str] = {
     "n": "len(group)",
     "D": "list(map(sub, av, free))",
     "left": "free",
 }
+# and in the decision form, from the lanes of `P` and of the wide-packed
+# availability `A` less `P`: every group the walk reaches fits, so no lane
+# of either leaves its range
+_AT_BEST: dict[str, str] = {**_AT_GROUP, "D": "split(P)", "left": "split(A - P)"}
 
 # what the forms read once per decision
 _DECISION: dict[str, str] = {
@@ -454,28 +462,44 @@ _DECISION: dict[str, str] = {
     "work": "ctx.instance.analysis.work_bytes",
     "ra": "ctx._avail_stats",
     "av": "ctx.availability",
+    "wide": "ctx.instance.analysis.wide_demands",
+    "split": "ctx.instance.analysis.split",
+    "A": "ctx.instance.analysis.pack_wide(ctx.availability)",
 }
 
 
-def _extendable(opts, skipped: tuple[int, ...], free: int, guard: int) -> bool:
+def _extendable(opts, skipped: int, free: int, guard: int) -> bool:
     """Whether an option of a skipped slot still fits the free capacity.
 
-    `opts[j]` holds slot `j`'s options, each with its packed demand second;
-    `free` is the packed free capacity with every guard bit set, so a demand
-    fits exactly when subtracting it keeps them all. Demands are
-    non-negative, so a group is maximal exactly when none fits."""
-    return any((free - o[1]) & guard == guard for j in skipped for o in opts[j])
+    `opts[j]` holds slot `j`'s options, each with its packed demand second,
+    and bit `j` of `skipped` is set for each skipped slot `j`; `free` is
+    the packed free capacity with every guard bit set, so a demand fits
+    exactly when subtracting it keeps them all. Demands are non-negative,
+    so a group is maximal exactly when none fits."""
+    while skipped:
+        bit = skipped & -skipped
+        for o in opts[bit.bit_length() - 1]:
+            if (free - o[1]) & guard == guard:
+                return True
+        skipped ^= bit
+    return False
 
 
-def _precedes(group: tuple[Pair, ...], other: tuple[Pair, ...]) -> bool:
-    """The tie-break between groups of equal score: sorted activity ids
-    first, then the groups themselves."""
-    return (sorted(i for i, _ in group), group) < (sorted(i for i, _ in other), other)
+def _ids_before(a: int, b: int) -> bool:
+    """Whether the activity ids of mask `a`, sorted, come before those of
+    mask `b` as lists: the tie-break between groups of equal score.
+
+    Both lists agree below `e`, the lowest id that only one of them holds.
+    If `a` holds it, `a` comes first when `b` goes on past `e`; if `b`
+    holds it, when `a` ends before `e`."""
+    e = a ^ b
+    e &= -e
+    return b >= e << 1 if a & e else a < e
 
 
 # the names generated code reads besides its locals, shared by all of it
 _RULE_GLOBALS = {"_clamp": _clamp, "byte_sum": byte_sum, "_extendable": _extendable,
-                 "_precedes": _precedes, "sub": sub,
+                 "_ids_before": _ids_before, "sub": sub,
                  "min": min, "max": max, "abs": abs, "sum": sum, "len": len,
                  "float": float, "list": list, "tuple": tuple, "map": map}
 
@@ -556,12 +580,14 @@ def _compile_rank(tree: Node) -> Callable[[DecisionContext, Sequence[Pair]], lis
         ["return out"])
 
 
-def _group_parts(tree: Node) -> tuple[dict[str, tuple[str, str, str]], list[str], str, set[str]]:
-    """What scoring `tree` at a group takes: the aggregates it reads, the
-    statements from them to its value, the local holding the value, and the
-    names that the table entries involved read."""
+def _group_parts(tree: Node, at: dict[str, str]) -> tuple[dict[str, tuple[str, str, str]],
+                                                          list[str], str, set[str]]:
+    """What scoring `tree` at a group takes, with `D`, `left` and `n` read
+    as `at` gives them: the aggregates it reads, the statements from them
+    to its value, the local holding the value, and the names that the table
+    entries involved read."""
     exprs, lines, result = _body(tree, _GROUP)
-    at_group = [f"{k} = {v}" for k, v in _AT_GROUP.items() if k in _names(exprs)]
+    at_group = [f"{k} = {v}" for k, v in at.items() if k in _names(exprs)]
     used = _names(exprs + at_group)
     aggregates = {k: v for k, v in _AGGREGATE.items() if k in used}
     used |= _names([s for start, share, _ in aggregates.values() for s in (start, share)])
@@ -571,7 +597,7 @@ def _group_parts(tree: Node) -> tuple[dict[str, tuple[str, str, str]], list[str]
 def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair]], float]:
     """The one-group form: one pass over the members for the aggregates the
     tree reads, then the tree once."""
-    aggregates, lines, result, used = _group_parts(tree)
+    aggregates, lines, result, used = _group_parts(tree, _AT_GROUP)
     fetch = ["r = rows[i][m]"] if aggregates else []
     return _define(
         "score(ctx, group)",
@@ -583,8 +609,10 @@ def _compile_score(tree: Node) -> Callable[[DecisionContext, Sequence[Pair]], fl
 
 
 # the decision form; `{...}` marks what a tree fills in. A slot holds plain
-# pairs, and each option carries its packed demand `pd` (`ana.options`);
-# `F` is the packed free capacity the walk has left, `ctx.free` at its root
+# pairs, and each option carries its packed demand `pd` (`ana.options`) and
+# its activity's bit; `F` is the packed free capacity the walk has left,
+# `ctx.free` at its root, `skipped` has bit `k` set for each skipped slot
+# `k`, and `ids` is the mask of the members' activity ids
 _BEST = """\
 def best(ctx, slots, maximal):
 {reads}
@@ -597,27 +625,28 @@ def best(ctx, slots, maximal):
         for pair in slot:
             i, m = pair
             r = rows[i][m]
-            row.append((pair, options[i][m][1]{shares}))
+            row.append((pair, options[i][m][1]{shares}, 1 << i))
         opts.append(row)
     end = len(slots)
-    chosen, low, count = (), None, 0
-    stack = [(0, ctx.free, (), (){starts})]
+    chosen, low, mask, count = (), None, 0, 0
+    stack = [(0, ctx.free, (), 0, 0{starts})]
     pop, push = stack.pop, stack.append
     while stack:
-        k, F, group, skipped{names} = pop()
+        k, F, group, skipped, ids{names} = pop()
         if k == end:
             if group and not (maximal and _extendable(opts, skipped, F, G)):
 {leaf}
                 value = float({result})
                 count += 1
-                if count == 1 or value < low or value == low and _precedes(group, chosen):
-                    chosen, low = group, value
+                if count == 1 or value < low or value == low and (
+                        _ids_before(ids, mask) or ids == mask and group < chosen):
+                    chosen, low, mask = group, value, ids
             continue
-        for pair, pd{xs} in opts[k]:
+        for pair, pd{xs}, bit in opts[k]:
             x = F - pd
             if x & G == G:
-                push((k + 1, x, group + (pair,), skipped{sums}))
-        push((k + 1, F, group, skipped + (k,){names}))
+                push((k + 1, x, group + (pair,), skipped, ids | bit{sums}))
+        push((k + 1, F, group, skipped | 1 << k, ids{names}))
     return chosen, count
 """
 
@@ -625,19 +654,22 @@ def best(ctx, slots, maximal):
 def _compile_best(tree: Node) -> Callable[[DecisionContext, Sequence, bool],
                                           tuple[tuple[Pair, ...], int]]:
     """The decision form: the lowest-scoring feasible group of at most one
-    option per slot, and how many groups were scored.
+    option per slot, and how many groups were scored. The slots hold
+    distinct activities.
 
     A depth-first walk over skip-or-take choices in slot order, skip first;
     a branch stops as soon as it overdraws a resource. Each state carries
     the packed free capacity, one int, and the aggregates the tree reads,
     each option's shares taken once per decision, so a group is scored
     where the walk reaches it, without a pass over its members. A take is
-    one subtraction and one mask test of the packed vectors; the `free`
-    tuple is an aggregate like the others, carried only when the tree reads
-    `left` or `D`. With `maximal`, a group is scored only if no option of a
-    slot it skips still fits. Ties break on `_precedes`.
+    one subtraction and one mask test of the packed vectors. A tree that
+    reads `left` or `D` carries the summed demand `P` in the wide layout,
+    one addition per take, and splits `P` and `A - P` into lanes only at a
+    scored group. With `maximal`, a group is scored only if no option of a
+    slot it skips still fits. Equal scores break on the sorted activity
+    ids, compared as masks (`_ids_before`), then on the groups themselves.
     """
-    aggregates, lines, result, used = _group_parts(tree)
+    aggregates, lines, result, used = _group_parts(tree, _AT_BEST)
     xs = [f"x{j}" for j in range(len(aggregates))]
 
     def more(items) -> str:

@@ -145,6 +145,7 @@ def solve(inst: ProjectInstance, policy: Policy,
     ready: set[int] = set()
     real = inst.non_dummy_ids()
     live, cursor = DecisionContext.live, [0]
+    sink = inst.dummy_end
 
     def complete(i: int) -> None:
         completed.add(i)
@@ -153,7 +154,7 @@ def solve(inst: ProjectInstance, policy: Policy,
             if not waiting[j] and j in real:
                 ready.add(j)
 
-    while waiting[inst.dummy_end]:
+    while waiting[sink]:
         if not ends:
             raise RuntimeError("executor stalled: the policy started nothing "
                                "while nothing runs")

@@ -417,6 +417,33 @@ def test_unpack_inverts_pack_free(n_res):
             assert ana.unpack(ana.pack_free(avail)) == tuple(avail), (caps, avail)
 
 
+@pytest.mark.parametrize("n_res", [1, 8])
+@pytest.mark.parametrize("k", [7, 8, 15, 16, 31, 32, 63, 64])
+@pytest.mark.parametrize("below", [1, 0], ids=["2^k-1", "2^k"])
+def test_split_returns_the_lanes_of_a_wide_packed_vector(n_res, k, below):
+    """`split` of a wide-packed vector gives the vector's values in
+    resource order, at capacity 2^k - 1 or 2^k: the lane width is the first
+    of 8, 16, 32, 64 or 128 bits that holds it, so both paths of `split`
+    run, bytes at 8 bits and shifts above. So does a sum of two vectors
+    that fit the capacity together, and the difference of one vector and a
+    smaller one."""
+    cap = 2 ** k - below
+    rng = random.Random(f"{n_res}-{cap}")
+    idle = Mode(0, 0, 0, (0,) * n_res)
+    inst = build_instance([Activity(0, frozenset(), frozenset({1}), (idle,)),
+                           Activity(1, frozenset({0}), frozenset(), (idle,))], (cap,) * n_res)
+    ana = inst.analysis
+    assert ana.wide_width == next(w for w in (8, 16, 32, 64, 128) if cap < 2 ** w)
+    pack, split = ana.pack_wide, ana.split
+    for _ in range(40):
+        a = [rng.choice([0, 1, cap, rng.randint(0, cap)]) for _ in range(n_res)]
+        b = [rng.choice([0, cap - x, rng.randint(0, cap - x)]) for x in a]
+        total = [x + y for x, y in zip(a, b)]
+        assert list(split(pack(a))) == a
+        assert list(split(pack(a) + pack(b))) == total
+        assert list(split(pack(total) - pack(b))) == a
+
+
 def test_schedule_json_roundtrip():
     s = _sched(GRP_17)
     assert schedule_from_dict(schedule_to_dict(s)) == s

@@ -1,8 +1,10 @@
 """`tools/mutants.py`'s list against the source: every mutant's snippet is
-still there, exactly once; no mutant runs."""
+still there, exactly once; no mutant of the list runs. One run checks the
+time bound."""
 from __future__ import annotations
 
 import importlib.util
+import time
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
@@ -17,3 +19,15 @@ def test_every_mutant_applies_exactly_once():
     for m in mutants.MUTANTS:
         assert m.replacement != m.snippet and m.tests, m.name
         assert mutants.occurrences(m) == 1, m.name
+
+
+def test_a_run_past_the_bound_is_timed_out(tmp_path, monkeypatch):
+    """A mutant whose test outlasts `TIMEOUT` is stopped there, with the
+    verdict `timed out`, which is not `killed`."""
+    sleeper = tmp_path / "test_sleeps.py"
+    sleeper.write_text("import time\n\n\ndef test_sleeps():\n    time.sleep(60)\n")
+    monkeypatch.setattr(mutants, "TIMEOUT", 2)
+    mutant = mutants.MUTANTS[0]._replace(tests=(str(sleeper),))
+    start = time.monotonic()
+    assert mutants.run(mutant) == "timed out"
+    assert time.monotonic() - start < 30

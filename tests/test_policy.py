@@ -543,11 +543,12 @@ def _wide_instance(rng, n_res):
                            n_resources=n_res, capacity=8, max_demand=4, zero_prob=0.2)
 
 
-def _lane_edge_instance(rng, n_res):
+def _lane_edge_instance(rng, n_res, powers=(1, 3, 8, 16)):
     """Independent activities on capacities at the edges of a packed lane:
-    0, 1, 2^k - 1 or 2^k, all equal or mixed. A demand is 0, the whole
-    capacity, or one of two halves that fit it exactly together."""
-    k = rng.choice([1, 3, 8, 16])
+    0, 1, 2^k - 1 or 2^k for a k of `powers`, all equal or mixed. A demand
+    is 0, the whole capacity, or one of two halves that fit it exactly
+    together."""
+    k = rng.choice(powers)
     edges = [0, 1, 2 ** k - 1, 2 ** k]
     caps = ((rng.choice(edges),) * n_res if rng.random() < 0.5
             else tuple(rng.choice(edges) for _ in range(n_res)))
@@ -619,6 +620,47 @@ def test_group_choice_equals_the_reference_on_random_slots(monkeypatch):
             exact += any(a and not k for g in feasible_groups(slots, avail)
                          for a, k in zip(avail, _left(inst, g, avail)))
     assert empty > 100 and several > 300 and multi_option > 300 and exact > 20
+
+
+# group trees that read the summed demand `D` or the capacity left `left`
+WIDE_LANE_GROUP_TREES = ["MaxRR", "MinRR", "GRD", "AvgRLA", "MaxRLA", "MinRLA",
+                         "(sub MaxRLA MinRR)", "(add AvgRLA (mul GRD MinRLA))",
+                         "(min MaxRR (neg MaxRLA))"]
+
+
+def test_the_decision_form_equals_the_reference_at_wide_lanes():
+    """Group and count against `reference_best_group`, maximal on and off,
+    for group trees that read `D` or `left`, on capacities at 2^32 and
+    2^64, whose wide lanes are 32, 64 or 128 bits: slots of every mode of
+    an activity and slots of one mode each. Equal scores are common, and
+    some tie between groups of the same activities in other modes."""
+    rng = random.Random(3264)
+    widths, several, ties, same_ids = set(), 0, 0, 0
+    for trial in range(200):
+        n_res = rng.choice([1, 8])
+        inst = _lane_edge_instance(rng, n_res, powers=(32, 64))
+        widths.add(inst.analysis.wide_width)
+        avail = tuple(rng.choice([0, c, c, rng.randint(0, c)]) for c in inst.capacities)
+        ctx = DecisionContext(inst, 0, inst.analysis.pack_free(avail), {0}, {})
+        pairs = [(i, m) for i in inst.non_dummy_ids()
+                 for m in range(inst.activities[i].n_modes)]
+        by_mode = _mode_slots(ctx, pairs)
+        for slots in (by_mode, [[rng.choice(slot)] for slot in by_mode]):
+            tree = parse_sexpr(rng.choice(WIDE_LANE_GROUP_TREES))
+            for maximal in (False, True):
+                want = reference_best_group(tree, ctx, slots, maximal)
+                assert tree._best(ctx, _pairs(slots), maximal) == want, (trial, tree)
+                assert policy_module._best_group(tree, ctx, _pairs(slots), maximal) == want
+            groups = list(feasible_groups(slots, avail))
+            scores = [eval_group_priority(tree, ctx, g) for g in groups]
+            several += len(groups) > 1
+            if len(groups) > 1 and scores.count(min(scores)) > 1:
+                ties += 1
+                best = [sorted(i for i, _ in g) for g, v in zip(groups, scores)
+                        if v == min(scores)]
+                same_ids += len(best) > len({tuple(b) for b in best})
+    assert {32, 64, 128} <= widths
+    assert several > 150 and ties > 120 and same_ids > 40
 
 
 def _left(inst, group, avail):

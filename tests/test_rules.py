@@ -180,6 +180,29 @@ def test_empty_group_rejected(ctx):
         eval_group_priority(leaf("ExpDur"), ctx, [])
 
 
+def _ids(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def test_the_id_mask_tie_break_orders_as_sorted_id_lists():
+    """`_ids_before(a, b)` is `sorted ids of a < sorted ids of b`, on every
+    pair of masks below 256 and on random masks of up to 130 bits, many of
+    them sharing their low bits or one holding the other."""
+    for a in range(256):
+        for b in range(256):
+            assert rules._ids_before(a, b) == (_ids(a) < _ids(b)), (a, b)
+    rng = random.Random(130)
+    for _ in range(20000):
+        a = rng.getrandbits(rng.randint(0, 130))
+        cut = rng.randint(0, 130)
+        b = rng.choice([rng.getrandbits(130),  # unrelated
+                        a & ((1 << cut) - 1) | rng.getrandbits(130) >> cut << cut,  # shared low bits
+                        a & ((1 << cut) - 1),  # a prefix of a
+                        a | 1 << cut])  # a with one id more
+        assert rules._ids_before(a, b) == (_ids(a) < _ids(b)), (a, b)
+        assert rules._ids_before(b, a) == (_ids(b) < _ids(a)), (b, a)
+
+
 def _random_state(rng, zero_prob=0.0, n=None):
     inst = random_instance(rng, n=n or rng.randint(4, 9), n_modes=2, n_resources=2,
                            capacity=14, max_demand=6, zero_prob=zero_prob)
@@ -233,7 +256,7 @@ def _same(value, fresh) -> bool:
 _LAZY = [(Node, n) for n in ("_hash", "_size", "_rank", "_score", "_best")] \
     + [(ProjectInstance, "analysis")] \
     + [(InstanceAnalysis, n) for n in ("work_bytes", "horizon_order", "lanes", "options",
-                                      "rows")] \
+                                      "wide_width", "split", "wide_demands", "rows")] \
     + [(DecisionContext, n) for n in ("horizon", "availability", "_avail_stats")]
 
 
@@ -848,6 +871,18 @@ def test_byte_tables_are_kept_only_for_the_group_work():
     assert "work_bytes" not in built
     solve(inst, build_policy(rules_, "kggp-all"), sample_durations(inst, seed=1))
     assert "work_bytes" in built
+
+
+def test_wide_demands_are_kept_only_for_the_decision_form():
+    rng = random.Random(33)
+    inst = random_instance(rng, n=20)
+    built = vars(inst.analysis)
+    rules_ = RulePair(parse_sexpr("(add MaxRLA RR)"), parse_sexpr("(sub MinRLA GRD)"))
+    solve(inst, build_policy(rules_, "sgp"), sample_durations(inst, seed=1))
+    assert "rows" in built  # ranking reads `left` from the demand tuples
+    assert "wide_demands" not in built and "split" not in built
+    solve(inst, build_policy(rules_, "kggp-max"), sample_durations(inst, seed=1))
+    assert "wide_demands" in built and "split" in built
 
 
 def test_evaluated_rule_pair_pickles_and_compares_equal():

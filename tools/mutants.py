@@ -6,10 +6,11 @@ For each mutant (all of them, or the ones named), copies `src/` to a
 temporary directory, replaces the mutant's snippet in its file there and
 runs only the mutant's tests, with `python -m pytest` from the repo root
 and the copy first on the import path. A mutant is *killed* when a test
-fails, *survived* when they all pass, and *stale* when its snippet does not
-occur exactly once in its file or pytest could not run its tests (a
-renamed test, a mutant that does not import). Prints one line per mutant
-and the totals, and exits 1 unless every mutant was killed. Standard
+fails, *survived* when they all pass, *timed out* when its run takes longer
+than `TIMEOUT` seconds (a mutant that hangs a test), and *stale* when its
+snippet does not occur exactly once in its file or pytest could not run its
+tests (a renamed test, a mutant that does not import). Prints one line per
+mutant and the totals, and exits 1 unless every mutant was killed. Standard
 library only.
 
 A change that has a mutation check in mind adds the mutant here, so that
@@ -27,6 +28,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+# the longest a mutant's test run may take, in seconds: far more than any
+# mutant of the list takes, so only a run that hangs reaches it
+TIMEOUT = 300
 
 
 class Mutant(NamedTuple):
@@ -100,13 +104,28 @@ MUTANTS: tuple[Mutant, ...] = (
            "            if x & G:",
            ("tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots",)),
     Mutant("extendable-tests-any-guard-bit", _RULES,
-           "return any((free - o[1]) & guard == guard for j in skipped for o in opts[j])",
-           "return any((free - o[1]) & guard for j in skipped for o in opts[j])",
+           "            if (free - o[1]) & guard == guard:\n                return True",
+           "            if (free - o[1]) & guard:\n                return True",
            ("tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots",)),
     Mutant("packed-demand-of-the-first-mode", _RULES,
            "options[i][m][1]{shares}", "options[i][0][1]{shares}",
            ("tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots",
             "tests/test_policy.py::test_every_group_decision_of_a_solve_equals_the_reference")),
+    # the decision form's wide lanes and its tie-break on id masks
+    Mutant("tie-break-past-e-strictly", _RULES,
+           "return b >= e << 1 if a & e else a < e", "return b > e << 1 if a & e else a < e",
+           ("tests/test_rules.py::test_the_id_mask_tie_break_orders_as_sorted_id_lists",)),
+    Mutant("split-one-byte-short", _MODEL, 'x.to_bytes(n, "little")',
+           'x.to_bytes(n - 1, "little")',
+           ("tests/test_model.py::test_split_returns_the_lanes_of_a_wide_packed_vector",
+            "tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots")),
+    Mutant("wide-width-stays-at-8", _MODEL, "        while top >> width:\n            width *= 2\n",
+           "",
+           ("tests/test_model.py::test_split_returns_the_lanes_of_a_wide_packed_vector",
+            "tests/test_policy.py::test_the_decision_form_equals_the_reference_at_wide_lanes")),
+    Mutant("left-read-as-the-demand", _RULES, '"left": "split(A - P)"', '"left": "split(P)"',
+           ("tests/test_policy.py::test_the_decision_form_equals_the_reference_at_wide_lanes",
+            "tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots")),
     Mutant("byte-sum-two-tables", _MODEL,
            'return sum(map(getitem, tables, mask.to_bytes(len(tables), "little")))',
            'return sum(map(getitem, tables[:2], mask.to_bytes(len(tables), "little")))',
@@ -197,7 +216,7 @@ MUTANTS: tuple[Mutant, ...] = (
            "value = obj.__dict__[self.name] = self.func(obj)", "value = self.func(obj)",
            ("tests/test_rules.py::test_a_lazy_attribute_is_computed_once",)),
     Mutant("sink-counter-stops-early", _SIM,
-           "while waiting[inst.dummy_end]:", "while waiting[inst.dummy_end] > 1:",
+           "while waiting[sink]:", "while waiting[sink] > 1:",
            ("tests/test_sim.py::test_ready_set_matches_full_rescan",
             "tests/test_sim.py::test_presampling_matches_lazy_reveal",
             "tests/test_sim.py::test_eligible_sets_at_the_lane_edges")),
@@ -266,7 +285,7 @@ def occurrences(mutant: Mutant) -> int:
 
 
 def run(mutant: Mutant) -> str:
-    """'killed', 'survived' or 'stale'."""
+    """'killed', 'survived', 'timed out' or 'stale'."""
     if occurrences(mutant) != 1:
         return "stale"
     with tempfile.TemporaryDirectory() as tmp:
@@ -276,10 +295,13 @@ def run(mutant: Mutant) -> str:
         path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement))
         # `pythonpath = ["src"]` in pyproject.toml would put the repo's own
         # src/ first, so the copy goes first by `-o pythonpath`
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "-o", f"pythonpath={src}", *mutant.tests],
-            cwd=ROOT, capture_output=True, text=True)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 "-o", f"pythonpath={src}", *mutant.tests],
+                cwd=ROOT, capture_output=True, text=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "timed out"
     return {0: "survived", 1: "killed"}.get(done.returncode, "stale")
 
 
@@ -291,11 +313,11 @@ def main(argv=None) -> int:
     unknown = [n for n in args.names if n not in known]
     if unknown:
         ap.error(f"unknown mutant(s): {', '.join(unknown)}")
-    counts = {"killed": 0, "survived": 0, "stale": 0}
+    counts = {"killed": 0, "survived": 0, "timed out": 0, "stale": 0}
     for m in [known[n] for n in args.names] or MUTANTS:
         verdict = run(m)
         counts[verdict] += 1
-        print(f"{verdict:<9}{m.name}", flush=True)
+        print(f"{verdict:<10}{m.name}", flush=True)
     print(", ".join(f"{n} {k}" for k, n in counts.items()))
     return 0 if counts["killed"] == sum(counts.values()) else 1
 
