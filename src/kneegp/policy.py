@@ -99,10 +99,11 @@ def rank_pairs(ordering: Node, ctx: DecisionContext,
 
 def sequential_decide(ordering: Node, ctx: DecisionContext,
                       eligible: Sequence[Pair]) -> Pair:
-    """Best single pair; ties break on (activity id, mode index)."""
+    """Best single pair; ties break on (activity id, mode index). One
+    compiled call (the pick form) scores the set and keeps the best pair."""
     if not eligible:
         raise ValueError("eligible set is empty")
-    return min(zip(map(float, ordering._rank(ctx, eligible)), eligible))[1]
+    return ordering._pick(ctx, eligible)
 
 
 def knee_cut(prios: Sequence[float]) -> int:

@@ -39,6 +39,9 @@ def _clamp(v: float) -> float:
 
 # the functions' semantics, one source template each: plain Python arithmetic,
 # so values keep its int/float types. They define the arity of each function.
+# `min` and `max` are the builtins' two-argument rule written out, which saves
+# a call: the second argument only when strictly less (greater), as the same
+# object, NaN and -0.0 included. `abs` stays the builtin: `abs(-0.0)` is 0.0.
 # The compiled forms follow each of `_CLAMPED` with a range test and call
 # `_clamp` only outside [-_HUGE, _HUGE] (NaN included), where it changes the
 # value; division takes anything over zero as 1.
@@ -47,8 +50,8 @@ _FUNCTIONS: dict[str, str] = {
     "sub": "{0} - {1}",
     "mul": "{0} * {1}",
     "div": "1.0 if {1} == 0 else {0} / {1}",
-    "min": "min({0}, {1})",
-    "max": "max({0}, {1})",
+    "min": "{1} if {1} < {0} else {0}",
+    "max": "{1} if {1} > {0} else {0}",
     "abs": "abs({0})",
     "neg": "-{0}",
 }
@@ -72,10 +75,10 @@ class Node:
     A node knows its depth and refuses to be built deeper than
     `MAX_DEPTH`, so every walk over a tree may be a plain recursion. On
     first use it caches its hash and its size, each from its children's,
-    and each of its three compiled forms (`_rank` over pairs, `_score` over
-    a group, `_best` over a decision's feasible groups). None of them takes
-    part in equality or in the pickled state: string hashes differ between
-    processes, and generated functions do not pickle.
+    and each of its four compiled forms (`_rank` and `_pick` over pairs,
+    `_score` over a group, `_best` over a decision's feasible groups). None
+    of them takes part in equality or in the pickled state: string hashes
+    differ between processes, and generated functions do not pickle.
     """
 
     op: str
@@ -103,6 +106,10 @@ class Node:
     @lazy
     def _rank(self) -> Callable:
         return _compile_rank(self)
+
+    @lazy
+    def _pick(self) -> Callable:
+        return _compile_pick(self)
 
     @lazy
     def _score(self) -> Callable:
@@ -328,9 +335,11 @@ class DecisionContext:
 #
 # Each terminal is one entry of the tables below, which give its value at
 # one pair (`_PAIR`) and at a group (`_GROUP`). A tree compiles them into
-# three forms, each generated the first time it is used:
+# four forms, each generated the first time it is used:
 #
 #   rank(ctx, pairs)  -> the tree's value at every pair, in order;
+#   pick(ctx, pairs)  -> the pair of lowest float value, ties to the lowest
+#       pair, as `min(zip(map(float, rank(ctx, pairs)), pairs))[1]`;
 #   score(ctx, group) -> its value at one group;
 #   best(ctx, slots, maximal) -> (group, count): the lowest-scoring
 #       feasible group of a decision and how many groups were scored, from
@@ -340,8 +349,8 @@ class DecisionContext:
 # Each reads `ctx.instance.analysis.rows`, one static row per (activity,
 # mode) pair. `rank` and `score` return the tree's raw value, int or float as
 # the arithmetic leaves it (`EST EFT LFT LST` are floats); the public wrappers
-# convert it to float, as `best` does before comparing. All three assign the
-# clamped functions' plain values and call `_clamp` only out of range.
+# convert it to float, as `pick` and `best` do before comparing. All four
+# assign the clamped functions' plain values and call `_clamp` only out of range.
 
 @cache
 def _reads(src: str) -> frozenset[str]:
@@ -567,17 +576,38 @@ def _decision_reads(used: set[str]) -> list[str]:
     return [f"{k} = {v}" for k, v in _DECISION.items() if k in used]
 
 
-def _compile_rank(tree: Node) -> Callable[[DecisionContext, Sequence[Pair]], list]:
-    """The rank form: one loop over the pairs, the tree inlined in it."""
+def _pair_loop(tree: Node) -> tuple[list[str], list[str], str]:
+    """What the pair forms share: the per-decision reads, the statements
+    from a pair `i, m` to the tree's value, and the local holding it."""
     exprs, lines, result = _body(tree, _PAIR)
     used = _names(exprs)
     fetch = ["r = rows[i][m]"] + (
         [f"left = list(map(sub, av, r[{_DEMAND}]))"] if "left" in used else [])
+    return _decision_reads(used | _names(fetch)), fetch + lines, result
+
+
+def _compile_rank(tree: Node) -> Callable[[DecisionContext, Sequence[Pair]], list]:
+    """The rank form: one loop over the pairs, the tree inlined in it."""
+    reads, lines, result = _pair_loop(tree)
     return _define(
-        "rank(ctx, pairs)",
-        _decision_reads(used | _names(fetch)) + ["out = []", "append = out.append"],
-        "for i, m in pairs:", [*fetch, *lines, f"append({result})"],
+        "rank(ctx, pairs)", reads + ["out = []", "append = out.append"],
+        "for i, m in pairs:", [*lines, f"append({result})"],
         ["return out"])
+
+
+def _compile_pick(tree: Node) -> Callable[[DecisionContext, Sequence[Pair]], Pair]:
+    """The pick form: the rank form's loop, keeping the best pair so far
+    instead of a list. A pair replaces it on a lower float value, or on an
+    equal one if the pair itself is lower, as a `min` over (value, pair)
+    tuples does; it returns the eligible pair object itself."""
+    reads, lines, result = _pair_loop(tree)
+    return _define(
+        "pick(ctx, pairs)", reads + ["best = None"],
+        "for pair in pairs:", [
+            "i, m = pair", *lines, f"value = float({result})",
+            "if best is None or value < low or value == low and pair < best:",
+            "    best, low = pair, value"],
+        ["return best"])
 
 
 def _group_parts(tree: Node, at: dict[str, str]) -> tuple[dict[str, tuple[str, str, str]],

@@ -120,6 +120,9 @@ def solve(inst: ProjectInstance, policy: Policy,
     Free capacity is one packed int (`InstanceAnalysis.pack_free`), which
     each `DecisionContext` holds: the rescan, the within-clock filter and
     `_check_group` test a pair with one int operation on its packed demand.
+    Every pair of the eligible list fits the free capacity by construction,
+    so a lone eligible pair needs only the membership test; any other group
+    goes through `_check_group`.
 
     Each decision's context is `DecisionContext.live`: it reads the
     executor's own `completed` set and `running` dict, with no copy, so it
@@ -172,7 +175,8 @@ def solve(inst: ProjectInstance, policy: Policy,
             group = tuple(group)
             if not group:
                 break
-            _check_group(inst, group, elig, free)
+            if len(group) != 1 or group[0] not in elig:
+                _check_group(inst, group, elig, free)
             log.append((t, len(elig), filtered, group))
             zero_start = False
             for i, m in group:

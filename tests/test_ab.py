@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
 _spec = importlib.util.spec_from_file_location("ab", _PATH)
 ab = importlib.util.module_from_spec(_spec)
@@ -78,3 +80,25 @@ def test_a_run_passes_its_seed_to_the_benchmark(monkeypatch, tmp_path):
         assert cwd == tmp_path and run["metrics"]["wall_ref"]["value"] == 40.0
         assert cmd[cmd.index("--workload") + 1] == "w"
         assert cmd[cmd.index("--seed") + 1] == str(seed or 1)
+
+
+# the parent's walls: median 54, quartiles 51.5 and 56.5, so an IQR of 5
+PARENT_WALLS = [50.0, 52.0, 54.0, 56.0, 58.0] * 2
+BOUNDS = {"wall_ref": 0.25, "schedules_per_ref": 0.25}
+
+
+@pytest.mark.parametrize("change, claim, held", [
+    ([40.0] * 9 + [60.0], "yes", "yes"),  # won 9 of 10, medians 54 -> 40
+    ([40.0] * 8 + [60.0] * 2, "no", "yes"),  # won only 8 of 10
+    ([w - 1 for w in PARENT_WALLS], "no", "yes"),  # won all, by 1, within the IQR
+    ([58.0] * 10, "no", "yes"),  # +7.4%, within the bound
+    ([70.0] * 10, "no", "no"),  # +29.6%, past the bound
+], ids=["claim", "eight-wins", "inside-the-iqr", "worse-in-bound", "worse-past-bound"])
+def test_with_bounds_a_row_says_whether_a_claim_holds_and_the_bound_is_kept(
+        change, claim, held):
+    pairs = [(ab.parse_run(_stdout(p)), ab.parse_run(_stdout(c)))
+             for p, c in zip(PARENT_WALLS, change)]
+    lines = ab.summarize("w", pairs, BETTER, BOUNDS).splitlines()
+    assert lines[1].split()[-3:] == ["claim", "in", "bound"]
+    row = next(line.split() for line in lines if line.startswith("wall_ref"))
+    assert row[5] == "5" and row[6:] == [claim, held]

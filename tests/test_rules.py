@@ -253,7 +253,7 @@ def _same(value, fresh) -> bool:
     return value == fresh and type(value) is type(fresh)
 
 
-_LAZY = [(Node, n) for n in ("_hash", "_size", "_rank", "_score", "_best")] \
+_LAZY = [(Node, n) for n in ("_hash", "_size", "_rank", "_pick", "_score", "_best")] \
     + [(ProjectInstance, "analysis")] \
     + [(InstanceAnalysis, n) for n in ("work_bytes", "horizon_order", "lanes", "options",
                                       "wide_width", "split", "wide_demands", "rows")] \
@@ -821,6 +821,89 @@ def test_compiled_trees_equal_the_interpreter_at_the_clamp_edges():
     assert edge > 500 and past_int > 50 and groups > 150
 
 
+# operands at the edges of comparison: an int and a float that are equal,
+# both zeros, the clamp bounds, both infinities, NaN and ints past 2**53,
+# one of them equal to a float
+_ORDER_EDGES = (3, 3.0, 0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan,
+                2 ** 53, float(2 ** 53), 2 ** 53 + 1, -(2 ** 53 + 1), 2 ** 60 + 1)
+
+
+@pytest.mark.parametrize("name, builtin", [("min", min), ("max", max)], ids=["min", "max"])
+def test_min_and_max_templates_return_what_the_builtins_return(name, builtin):
+    """The engine writes two-argument `min` and `max` out as conditionals;
+    each returns the very argument object the builtin returns, so value and
+    type agree, NaN and the sign of zero included. The reference in
+    `tests/conftest.py` keeps the builtin, so the exactness tests compare
+    the two."""
+    assert FUNCTIONS[name] == name + "({}, {})"
+    engine = eval(f"lambda a, b: {rules._FUNCTIONS[name].format('a', 'b')}")
+    for a in _ORDER_EDGES:
+        for b in _ORDER_EDGES:
+            assert engine(a, b) is builtin(a, b), (a, b)
+
+
+# trees whose float values tie: 0.0 at every pair, RR at the pairs of one
+# demand sum, and ints past 2**53 (the free capacity's largest lane to the
+# 32nd power, plus or minus a small count) that differ as ints and round to
+# one float
+_MAX_RA_32 = format_sexpr(_squared(leaf("MaxRA"), 5))
+PICK_TIE_TREES = [parse_sexpr(text.replace("big", _MAX_RA_32)) for text in (
+    "(mul RR EST)",
+    "(min RR (add RR EST))",
+    "(add big DSC)",
+    "(sub big (mul TSC RR))",
+)]
+
+
+class PicksChecked:
+    """Decides as `policy` does, after checking at the decision's state the
+    pick form of every tree of `trees` against the reference on the
+    eligible list as given and shuffled."""
+
+    def __init__(self, policy, trees, rng):
+        self.policy, self.trees, self.rng = policy, trees, rng
+        self.cases = self.tied = self.int_ties = 0
+
+    def decide(self, ctx, eligible):
+        for t in self.trees:
+            for pairs in (eligible, self.rng.sample(eligible, len(eligible))):
+                raw = t._rank(ctx, pairs)
+                values = list(map(float, raw))
+                ref = min(zip(values, pairs))[1]
+                assert t._pick(ctx, pairs) is ref, (format_sexpr(t), pairs)
+                low = min(values)
+                best = {r for r, v in zip(raw, values) if v == low}
+                self.cases += 1
+                self.tied += values.count(low) > 1
+                self.int_ties += len(best) > 1
+        return self.policy.decide(ctx, eligible)
+
+
+def test_pick_equals_the_reference_min_at_every_decision_of_solve():
+    """`_pick` is `min(zip(map(float, t._rank(ctx, pairs)), pairs))[1]`:
+    the pair of lowest float value, equal values broken on the pair, and
+    the eligible pair object itself. Every decision of `sgp` and `kggp-max`
+    solves on random instances checks random trees and `PICK_TIE_TREES`."""
+    rng = random.Random(83)
+    checked = []
+    for k in range(40):
+        inst = random_instance(rng, n=rng.randint(3, 10), capacity=12,
+                               max_demand=7, zero_prob=0.2)
+        trees = [random_tree(rng, rng.randint(1, 6)) for _ in range(3)] + PICK_TIE_TREES
+        rules_ = RulePair(random_tree(rng, 4), random_tree(rng, 4))
+        for name in ("sgp", "kggp-max"):
+            policy = PicksChecked(build_policy(rules_, name), trees, rng)
+            solve(inst, policy, sample_durations(inst, seed=k))
+            checked.append(policy)
+    cases, tied, int_ties = (sum(getattr(p, a) for p in checked)
+                             for a in ("cases", "tied", "int_ties"))
+    assert cases > 5000 and tied > 2500 and int_ties > 500
+    bad = Node("add", (leaf("RR"),))
+    with pytest.raises(ValueError):
+        bad._pick
+    assert "_pick" not in vars(bad)
+
+
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_a_solve_builds_only_the_forms_its_policy_uses(name):
     ordering = parse_sexpr("(add LFT (mul ExpDur RR))")
@@ -828,10 +911,12 @@ def test_a_solve_builds_only_the_forms_its_policy_uses(name):
     inst = demo_instance()
     solve(inst, build_policy(RulePair(ordering, group), name),
           sample_durations(inst, seed=3))
-    ranks = name != "ggp"  # exact enumeration never ranks pairs
-    assert ("_rank" in vars(ordering)) == ranks
+    # `sgp` picks one pair, the knee policies rank them, exact enumeration
+    # does neither
+    assert ("_pick" in vars(ordering)) == (name == "sgp")
+    assert ("_rank" in vars(ordering)) == name.startswith("kggp")
     assert "_best" not in vars(ordering)
-    assert "_rank" not in vars(group)
+    assert "_rank" not in vars(group) and "_pick" not in vars(group)
     assert ("_best" in vars(group)) == (name != "sgp")
     # the one-group form is for eval_group_priority only
     assert "_score" not in vars(ordering) and "_score" not in vars(group)

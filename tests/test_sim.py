@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -508,6 +509,21 @@ def test_contract_rejects_joint_overload(demo):
     # both fit alone (10 and 7 under 12) but not together
     with pytest.raises(PolicyContractError):
         solve(demo, _Misbehaving([(1, 0), (2, 0)]), DurationTable(demo))
+
+
+@pytest.mark.parametrize("script, message", [
+    # activity 3 waits on activity 1
+    ({0: [[(3, 0)]]}, "pair (3, 0) is not eligible"),
+    # ready, but after (2, 1) takes 5 of 12 its demand of 10 no longer fits
+    ({0: [[(2, 1)], [(1, 0)]]}, "pair (1, 0) is not eligible"),
+    # a mode the activity does not have
+    ({0: [[(1, 2)]]}, "pair (1, 2) is not eligible"),
+])
+def test_a_lone_pair_outside_the_eligible_list_is_refused(demo, script, message):
+    """Only a lone pair of the eligible list skips the full check: every
+    one of those fits, and any other lone pair is refused as before."""
+    with pytest.raises(PolicyContractError, match=f"^{re.escape(message)}$"):
+        solve(demo, Scripted(script), DurationTable(demo))
 
 
 def test_stall_guard_fires(demo):

@@ -7,9 +7,13 @@ unless given) in the parent and in the change checkout, one after the
 other, N times; the side that goes first alternates from pair to pair. Each
 run is a subprocess, and its last output line is its result. Prints, for each end-to-end metric the
 change checkout's BENCHMARK.json names: the median on each side, the change,
-the pairs the change won and the parent's interquartile range; then the
-digests seen on each side and every run that was not correct or had a
-failed operation. Standard library only.
+the pairs the change won and the parent's interquartile range, whether
+the change would hold a claimed gain (`claim`: it won at least 9 pairs in
+10 and its median beats the parent's by more than that range) and whether
+its median stays within the metric's `bound` (`in bound`: worse than the
+parent's by at most that fraction); then the digests seen on each side and
+every run that was not correct or had a failed operation. Standard library
+only.
 """
 from __future__ import annotations
 
@@ -48,20 +52,28 @@ def iqr(values: list[float]) -> float:
 
 
 def summarize(workload: str, pairs: list[tuple[dict, dict]],
-              better: dict[str, str]) -> str:
+              better: dict[str, str], bounds: dict[str, float] | None = None) -> str:
     """The report on (parent, change) result pairs, one metric a row;
-    `better` maps each end-to-end metric to "lower" or "higher"."""
+    `better` maps each end-to-end metric to "lower" or "higher". With
+    `bounds`, each metric's largest allowed relative worsening, a row also
+    says whether a claimed gain holds and whether the change stays in bound."""
     out = [f"{workload}: {len(pairs)} alternating pairs",
            f"{'metric':<20}{'parent':>12}{'change':>12}{'delta':>9}{'won':>8}"
-           f"{'parent IQR':>12}"]
+           f"{'parent IQR':>12}" + (f"{'claim':>7}{'in bound':>10}" if bounds else "")]
     for name, way in better.items():
         a = [p["metrics"][name]["value"] for p, _ in pairs]
         b = [c["metrics"][name]["value"] for _, c in pairs]
-        won = sum((y < x) if way == "lower" else (y > x) for x, y in zip(a, b))
+        sign = 1 if way == "lower" else -1
+        won = sum(sign * (x - y) > 0 for x, y in zip(a, b))
         ma, mb = statistics.median(a), statistics.median(b)
         delta = f"{100 * (mb - ma) / ma:+.1f}%" if ma else "-"
-        out.append(f"{name:<20}{ma:>12.4g}{mb:>12.4g}{delta:>9}"
-                   f"{f'{won}/{len(pairs)}':>8}{iqr(a):>12.4g}")
+        row = (f"{name:<20}{ma:>12.4g}{mb:>12.4g}{delta:>9}"
+               f"{f'{won}/{len(pairs)}':>8}{iqr(a):>12.4g}")
+        if bounds:
+            claim = 10 * won >= 9 * len(pairs) and sign * (ma - mb) > iqr(a)
+            held = sign * (mb - ma) <= bounds[name] * abs(ma)
+            row += f"{'yes' if claim else 'no':>7}{'yes' if held else 'no':>10}"
+        out.append(row)
     for k, side in enumerate(SIDES):
         seen = sorted({(r[k]["digest"], r[k]["objective"]) for r in pairs},
                       key=str)
@@ -93,6 +105,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     pairs = []
     for n in range(args.pairs):
         order = SIDES if n % 2 == 0 else SIDES[::-1]
@@ -103,7 +116,7 @@ def main(argv=None) -> int:
         print(f"pair {n + 1} {first}: " + ", ".join(
             f"{side} {got[side]['metrics'][first]['value']:.4g}" for side in SIDES),
             file=sys.stderr)
-    print(summarize(args.workload, pairs, better))
+    print(summarize(args.workload, pairs, better, bounds))
     return 0
 
 

@@ -53,6 +53,9 @@ _BODY_CHECK = """\
 """
 
 _REFUSED = "tests/test_cli.py::test_a_wrongly_typed_config_value_is_reported"
+_MIN_MAX = "tests/test_rules.py::test_min_and_max_templates_return_what_the_builtins_return"
+_PICK = "tests/test_rules.py::test_pick_equals_the_reference_min_at_every_decision_of_solve"
+_PICK_CONDITION = '"if best is None or value < low or value == low and pair < best:",'
 _NAN = "tests/test_limits.py::test_nan_fails_every_bound"
 
 MUTANTS: tuple[Mutant, ...] = (
@@ -96,6 +99,16 @@ MUTANTS: tuple[Mutant, ...] = (
            ("tests/test_rules.py::test_compiled_trees_equal_the_interpreter_exactly",
             "tests/test_policy.py::test_group_choice_equals_the_reference_on_random_slots",
             "tests/test_policy.py::test_every_group_decision_of_a_solve_equals_the_reference")),
+    # two-argument `min` and `max` written out: the first of equals wins
+    Mutant("min-keeps-the-later-of-equals", _RULES, '"min": "{1} if {1} < {0} else {0}",',
+           '"min": "{1} if {1} <= {0} else {0}",', (_MIN_MAX + "[min]",)),
+    Mutant("max-keeps-the-later-of-equals", _RULES, '"max": "{1} if {1} > {0} else {0}",',
+           '"max": "{1} if {1} >= {0} else {0}",', (_MIN_MAX + "[max]",)),
+    # the pick form: equal values go to the lower pair, wherever it stands
+    Mutant("pick-ties-on-the-later-pair", _RULES, _PICK_CONDITION,
+           '"if best is None or value <= low:",', (_PICK,)),
+    Mutant("pick-skips-the-pair-tie-break", _RULES, _PICK_CONDITION,
+           '"if best is None or value < low:",', (_PICK,)),
     Mutant("mul-unclamped", _RULES, '_CLAMPED = frozenset({"add", "sub", "mul", "div"})',
            '_CLAMPED = frozenset({"add", "sub", "div"})',
            ("tests/test_rules.py::test_clamp_blocks_overflow",)),
@@ -151,6 +164,9 @@ MUTANTS: tuple[Mutant, ...] = (
            "if p[0] in ready\n" + " " * 24 + "and (free - opts[p[0]][p[1]][1]) & guard == guard]",
            "if p[0] in ready]",
            ("tests/test_sim.py::test_eligible_sets_at_the_lane_edges",)),
+    Mutant("lone-pair-trusted-unchecked", _SIM,
+           "if len(group) != 1 or group[0] not in elig:", "if len(group) != 1:",
+           ("tests/test_sim.py::test_a_lone_pair_outside_the_eligible_list_is_refused",)),
     Mutant("check-group-without-guard-test", _SIM,
            "        if left & guard == guard:\n            left -= opts[i][m][1]",
            "        left -= opts[i][m][1]",
